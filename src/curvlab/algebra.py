@@ -9,7 +9,6 @@ Conventions (fixed globally, see README):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -17,10 +16,8 @@ from .budget import default_budget
 from .fields import FieldSpec
 from .gradedlin import (
     BudgetExceeded,
-    Complex,
     GradedMap,
     GradedSpace,
-    enumerate_affine,
     vec_add,
     vec_eq,
     vec_is_zero,

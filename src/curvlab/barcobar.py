@@ -26,19 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism
+from .algebra import CurvedAlgebra
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
-from .convolution import ConvolutionAlgebra, convolution_algebra
-from .fields import FieldSpec
+from .convolution import convolution_algebra
 from .gradedlin import (
     BudgetExceeded,
-    kernel_basis,
+    LinearSystem,
     rref,
-    solve,
     span_rank,
-    vec_add,
-    vec_eq,
     vec_is_zero,
     vec_key,
     vec_scale,
@@ -193,19 +189,14 @@ def mc_hom_enumerate(
                         if not F.is_zero(d):
                             diff[kk] = d
                     cols.append(diff)
-                keys = sorted(set(base) | {kk for col in cols for kk in col})
-                rows = []
-                rhs = []
-                for kk in keys:
-                    rows.append({a: cols[a][kk] for a in range(len(cols)) if kk in cols[a]})
-                    rhs.append(F.neg(base.get(kk, F.zero())))
-                sol = solve(F, rows, rhs, len(vs))
-                if sol is None:
+                system = LinearSystem(F, cols, E.dim)
+                part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
+                if part is None:
                     continue
-                part, ker = sol
-                count = p ** len(ker)
-                if count * max(1, len(new_partials) + len(partials)) > budget:
-                    raise BudgetExceeded(count, budget)
+                ker = system.kernel
+                required = p ** len(ker) * max(1, len(new_partials) + len(partials))
+                if required > budget:
+                    raise BudgetExceeded(required, budget)
                 from .gradedlin import enumerate_affine
 
                 for pt in enumerate_affine(F, part, ker, budget):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from .algebra import (
     CurvedAlgebra,
@@ -21,14 +21,13 @@ from .algebra import (
     twist_algebra,
     uncurve_morita,
 )
-from .barcobar import adjunction_count_check, bar_dual, cobar, morphisms_via_mc
+from .barcobar import adjunction_count_check, bar_dual, cobar
 from .budget import default_budget
-from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
+from .coalgebra import CurvedCoalgebra, dualize_algebra
 from .convolution import convolution_algebra
 from .documents import (
     DocumentError,
     dump_algebra,
-    dump_coalgebra,
     load_document,
     load_path,
 )
@@ -40,8 +39,6 @@ from .mc import (
     interval_tensor,
     moduli_set,
     n_homotopy_search,
-    three_homotopy_unpack,
-    verify_n_homotopy,
 )
 from .modelcheck import (
     alg_mc,
@@ -162,7 +159,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_interval(args) -> int:
-    F = _field(args)
+    try:
+        F = _field(args)
+    except ValueError as e:
+        return fail_input(f"bad --field {args.field!r}: {e}")
     n = None if args.n == "inf" else int(args.n)
     I = make_interval(F, n, truncation=args.truncate)
     rep = base_report("interval algebra: dim 2n+1, dims (2,...,2,1) per degree")

@@ -8,12 +8,12 @@ the two axiom sets exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import CurvedAlgebra, tensor_algebras
 from .fields import FieldSpec
-from .gradedlin import GradedMap, GradedSpace, rref, vec_is_zero
+from .gradedlin import GradedMap, GradedSpace, rref, transpose
 
 
 @dataclass
@@ -113,11 +113,7 @@ def dualize_algebra(A: CurvedAlgebra) -> CurvedCoalgebra:
             comult.setdefault(k, {})
             comult[k][(i, j)] = F.add(comult[k].get((i, j), F.zero()), c)
     counit = {i: c for i, c in A.unit.items()}
-    entries: Dict[int, dict] = {}
-    for j in range(A.dim):
-        for i, c in A.d.entries.get(j, {}).items():
-            entries.setdefault(i, {})[j] = c
-    d = GradedMap(space, space, 1, entries)
+    d = GradedMap(space, space, 1, transpose(A.d.entries))
     h = {i: c for i, c in A.h.items()}
     return CurvedCoalgebra(space, comult, counit, d, h)
 
@@ -135,11 +131,7 @@ def dualize_coalgebra(C: CurvedCoalgebra) -> CurvedAlgebra:
             mult.setdefault((i, j), {})
             mult[(i, j)][k] = F.add(mult[(i, j)].get(k, F.zero()), c)
     unit = {i: c for i, c in C.counit.items() if not F.is_zero(c)}
-    entries: Dict[int, dict] = {}
-    for j in range(C.dim):
-        for i, c in C.d.entries.get(j, {}).items():
-            entries.setdefault(i, {})[j] = c
-    d = GradedMap(space, space, 1, entries)
+    d = GradedMap(space, space, 1, transpose(C.d.entries))
     h = {i: c for i, c in C.h.items() if not F.is_zero(c)}
     return CurvedAlgebra(space, unit, mult, d, h)
 
@@ -194,7 +186,7 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict], budget=None):
     F = C.field
     A = dualize_coalgebra(C)
     # dual kernel: annihilator of the subcoalgebra
-    ann = _annihilator_of_subspace(F, sub_basis, C.dim)
+    ann = subspace_to_annihilator_basis(F, sub_basis, C.dim)
     # check it is an ideal and nilpotent
     powers = [ann]
     cur = ann
@@ -231,9 +223,3 @@ def _tower_chain(F, sub_basis, powers, C):
         if span_rank(F, step, C.dim) != span_rank(F, out[-1], C.dim):
             out.append(step)
     return out
-
-
-def _annihilator_of_subspace(F, vectors: List[dict], dim: int) -> List[dict]:
-    from .gradedlin import kernel_basis
-
-    return kernel_basis(F, [dict(v) for v in vectors], dim)

@@ -11,11 +11,10 @@ h(x) = h_C(x) 1_A + eps(x) h_A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism, tensor_algebras
 from .coalgebra import CurvedCoalgebra, dualize_coalgebra
-from .fields import FieldSpec
 from .gradedlin import GradedMap, GradedSpace, vec_eq
 
 

@@ -33,7 +33,7 @@ the rationals.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .algebra import CurvedAlgebra
 from .coalgebra import CurvedCoalgebra

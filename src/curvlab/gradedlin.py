@@ -121,36 +121,6 @@ def vec_key(v: dict, dim: int) -> tuple:
 # row reduction
 
 
-def rref(F: FieldSpec, rows: List[dict], ncols: int) -> Tuple[List[dict], List[int]]:
-    """Reduced row echelon form; pivots chosen left to right (lexicographic).
-
-    Returns (reduced nonzero rows, pivot column list).
-    """
-    rows = [dict(r) for r in rows if not vec_is_zero(F, r)]
-    out: List[dict] = []
-    pivots: List[int] = []
-    for col in range(ncols):
-        pr = None
-        for r in rows:
-            if not F.is_zero(r.get(col, F.zero())):
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows.remove(pr)
-        pr = vec_scale(F, F.inv(pr[col]), pr)
-        for r in rows + out:
-            c = r.get(col, F.zero())
-            if not F.is_zero(c):
-                upd = vec_sub(F, r, vec_scale(F, c, pr))
-                r.clear()
-                r.update(upd)
-        rows = [r for r in rows if not vec_is_zero(F, r)]
-        out.append(pr)
-        pivots.append(col)
-    return out, pivots
-
-
 def _sub_multiple(F: FieldSpec, res: dict, c, row: dict) -> None:
     """res -= c * row, in place, dropping the entries that become zero."""
     if F.is_prime_field:
@@ -173,12 +143,13 @@ def _sub_multiple(F: FieldSpec, res: dict, c, row: dict) -> None:
 class EchelonBasis:
     """Reduced row echelon basis of a growing span, updated one vector at a time.
 
-    As in `rref`, only the columns below `ncols` take pivots; entries in
+    This is the one elimination of curvlab: `rref`, `solve`, `kernel_basis`,
+    `LinearSystem` and `cohomology` all run on it.  Only the columns below
+    `ncols` take pivots, the lowest nonzero one of each new row; entries in
     later columns ride along with the row operations (the augmented-column
-    idiom of `solve`).  For vectors inside the first `ncols` columns,
-    `rows()` equals `rref(F, added vectors, ncols)[0]` entry for entry,
-    because the reduced row echelon form of a span is unique, and
-    `contains(v)` answers `in_span` with one reduction of v.
+    idiom of `solve`).  The rows are the reduced row echelon form of the
+    span, which is unique, so they do not depend on the order of the added
+    vectors; `contains(v)` answers `in_span` with one reduction of v.
     """
 
     def __init__(self, F: FieldSpec, ncols: int, rows=()):
@@ -224,19 +195,25 @@ class EchelonBasis:
         return True
 
     def rows(self) -> List[dict]:
-        return [dict(self._pivot_rows[c]) for c in sorted(self._pivot_rows)]
+        return [dict(self._pivot_rows[c]) for c in self.pivots()]
+
+    def pivots(self) -> List[int]:
+        return sorted(self._pivot_rows)
 
 
 class LinearSystem:
     """The system M h = b for one matrix M, given by its columns, and many b.
 
-    Each column a is reduced once into an `EchelonBasis` over the nrows
-    rows, tagged with its own coordinate nrows + a.  A column that reduces
-    to zero on the rows is free, and the tag part of its residue is its
-    kernel vector, so `kernel` is `kernel_basis` of M, vector for vector.
-    The residue of b is linear in b.  It vanishes on the rows iff M h = b is
-    solvable, and then minus its tag part is the solution supported on the
-    pivot columns: the particular solution of `solve` (free variables zero).
+    The rows of M are indexed by 0 .. nrows - 1.  Each column a is reduced
+    once into an `EchelonBasis` over the rows, tagged with its own
+    coordinate nrows + a.  A column that reduces to zero on the rows
+    depends on the earlier ones: it is free, and the tag part of its
+    residue is its kernel vector (1 at a, 0 at the other free columns).
+    The residue of b is linear in b.  It vanishes on the rows iff M h = b
+    is solvable, and then minus its tag part is the particular solution:
+    the one with every free variable zero.  A kernel vector lists its free
+    variable first, then the others in ascending order; a particular
+    solution lists its keys in ascending order.
     """
 
     def __init__(self, F: FieldSpec, columns: Sequence[dict], nrows: int):
@@ -275,12 +252,36 @@ def in_span(F: FieldSpec, rows: List[dict], v: dict, ncols: int) -> bool:
     return EchelonBasis(F, ncols, rows).contains(v)
 
 
+def transpose(vectors) -> Dict[object, dict]:
+    """Rows <-> columns of a sparse matrix: {j: {i: c}} becomes {i: {j: c}}.
+
+    A list of vectors is read as {position: vector}; the vectors are read in
+    ascending j, so each inner dict lists its keys in ascending order.
+    """
+    items = sorted(vectors.items()) if isinstance(vectors, dict) else enumerate(vectors)
+    out: Dict[object, dict] = {}
+    for j, v in items:
+        for i, c in v.items():
+            out.setdefault(i, {})[j] = c
+    return out
+
+
+def rref(F: FieldSpec, rows: List[dict], ncols: int) -> Tuple[List[dict], List[int]]:
+    """Reduced row echelon form; pivots in the first ncols columns.
+
+    Returns (reduced nonzero rows, pivot column list).
+    """
+    basis = EchelonBasis(F, ncols, rows)
+    return basis.rows(), basis.pivots()
+
+
 def solve(F: FieldSpec, rows: List[dict], rhs: List, ncols: int):
     """Solve the linear system rows*x = rhs exactly.
 
     Returns (particular solution dict, kernel basis list) or None when
-    inconsistent.  Particular solution: free variables set to zero, pivot
-    order lexicographic.
+    inconsistent.  Particular solution: free variables set to zero.  As in
+    the augmented matrix [rows | rhs], a row's own entry in column ncols is
+    its right-hand side where rhs is zero, and later columns are ignored.
     """
     aug = []
     for r, b in zip(rows, rhs):
@@ -288,26 +289,10 @@ def solve(F: FieldSpec, rows: List[dict], rhs: List, ncols: int):
         if not F.is_zero(b):
             row[ncols] = b
         aug.append(row)
-    red, pivots = rref(F, aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    sol: Dict[int, object] = {}
-    for r, p in zip(red, pivots):
-        b = r.get(ncols, F.zero())
-        if not F.is_zero(b):
-            sol[p] = b
-    kernel: List[dict] = []
-    pivset = set(pivots)
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        k = {free: F.one()}
-        for r, p in zip(red, pivots):
-            c = r.get(free, F.zero())
-            if not F.is_zero(c):
-                k[p] = F.neg(c)
-        kernel.append(k)
-    return sol, kernel
+    cols = transpose(aug)
+    system = LinearSystem(F, [cols.get(a, {}) for a in range(ncols)], len(aug))
+    sol = system.solution(system.residue(cols.get(ncols, {})))
+    return None if sol is None else (sol, system.kernel)
 
 
 def kernel_basis(F: FieldSpec, rows: List[dict], ncols: int) -> List[dict]:
@@ -405,22 +390,9 @@ class GradedMap:
                 entries[j] = col
         return GradedMap(other.source, self.target, self.degree + other.degree, entries)
 
-    def matrix_rows(self) -> List[dict]:
-        """Rows indexed by source basis (row j = image of e_j), for rank work."""
-        return [dict(self.entries.get(j, {})) for j in range(self.source.dim)]
-
     def is_zero(self) -> bool:
         F = self.field
         return all(vec_is_zero(F, col) for col in self.entries.values())
-
-
-def graded_map_from_function(source, target, degree, fn) -> GradedMap:
-    entries = {}
-    for j in range(source.dim):
-        col = fn(j)
-        if col:
-            entries[j] = col
-    return GradedMap(source, target, degree, entries)
 
 
 @dataclass
@@ -452,44 +424,21 @@ def cohomology(c: Complex, lo: int, hi: int) -> Dict[int, dict]:
     out = {}
     for n in range(lo, hi + 1):
         idx = c.space.indices_of_degree(n)
-        if not idx:
-            out[n] = {"dim": 0, "representatives": []}
-            continue
         pos = {g: k for k, g in enumerate(idx)}
-        # kernel of d restricted to degree n
-        rows = []
-        for j in idx:
-            rows.append(dict(c.d.entries.get(j, {})))
-        # treat as map: rows indexed by source-degree-n basis; transpose to solve
-        ncols_t = c.space.dim
-        # build matrix with columns = degree-n basis, rows = all target coords
-        cols = {j: c.d.entries.get(j, {}) for j in idx}
-        target_rows: Dict[int, dict] = {}
-        for k, j in enumerate(idx):
-            for i, coeff in cols[j].items():
-                target_rows.setdefault(i, {})[k] = coeff
-        kern = kernel_basis(F, list(target_rows.values()), len(idx))
-        # image of d from degree n-1
-        prev = c.space.indices_of_degree(n - 1)
-        img_rows = []
-        for j in prev:
-            col = c.d.entries.get(j, {})
-            img_rows.append({pos[i]: coeff for i, coeff in col.items() if i in pos})
-        img_red, _ = rref(F, img_rows, len(idx))
-        reps = []
-        span = [dict(r) for r in img_red]
-        for k in kern:
-            if not in_span(F, span, k, len(idx)):
-                reps.append(k)
-                span.append(k)
-        dim = len(kern) - len(img_red)
+        cocycles = LinearSystem(F, [c.d.entries.get(j, {}) for j in idx], c.space.dim).kernel
+        boundaries = EchelonBasis(F, len(idx), [
+            {pos[i]: coeff for i, coeff in c.d.entries.get(j, {}).items() if i in pos}
+            for j in c.space.indices_of_degree(n - 1)
+        ])
+        dim = len(cocycles) - len(boundaries)
+        reps = [k for k in cocycles if boundaries.add(k)]
+        assert len(reps) == dim
         out[n] = {
             "dim": dim,
             "representatives": [
                 {idx[k]: coeff for k, coeff in rep.items()} for rep in reps
             ],
         }
-        assert len(reps) == dim
     return out
 
 
@@ -499,12 +448,6 @@ def solve_linear(A: GradedMap, b: dict):
     Returns (particular, kernel_basis) with deterministic particular solution,
     or None if no solution exists.
     """
-    F = A.field
-    rows_by_target: Dict[int, dict] = {}
-    for j in range(A.source.dim):
-        for i, c in A.entries.get(j, {}).items():
-            rows_by_target.setdefault(i, {})[j] = c
-    targets = sorted(set(rows_by_target) | set(i for i in b))
-    rows = [rows_by_target.get(i, {}) for i in targets]
-    rhs = [b.get(i, F.zero()) for i in targets]
-    return solve(F, rows, rhs, A.source.dim)
+    system = LinearSystem(A.field, [A.entries.get(j, {}) for j in range(A.source.dim)], A.target.dim)
+    sol = system.solution(system.residue(b))
+    return None if sol is None else (sol, system.kernel)

@@ -10,14 +10,11 @@ the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism, mc_enumerate, tensor_algebras
 from .budget import default_budget
-from .coalgebra import CurvedCoalgebra
-from .fields import FieldSpec
 from .gradedlin import (
     BudgetExceeded,
     Complex,
@@ -25,13 +22,9 @@ from .gradedlin import (
     LinearSystem,
     cohomology,
     enumerate_affine,
-    in_span,
-    rref,
-    solve,
     vec_add,
     vec_eq,
     vec_is_zero,
-    vec_key,
     vec_scale,
     vec_sub,
 )
@@ -288,13 +281,13 @@ def moduli_set(
 
     Classes and their members are deterministically ordered.
     """
-    F = A.field
     elems = mc_enumerate(A, budget=budget) if mc is None else mc
+    gauge = GaugeClasses(A, budget)
     classes: List[List[dict]] = []
     for x in elems:
         placed = False
         for cls in classes:
-            if find_gauge_quadruple(A, cls[0], x, budget=budget) is not None:
+            if gauge.quadruple(cls[0], x) is not None:
                 cls.append(x)
                 placed = True
                 break
@@ -490,23 +483,16 @@ def gauge_to_three_homotopy(
         if vec_is_zero(F, res):
             return NHomotopy(A, 3, X)
         return None
-    rows: Dict[int, dict] = {}
-    for a, k in enumerate(sts_targets):
+    cols = []
+    for k in sts_targets:
         probe = dict(X)
         probe[k] = F.add(probe.get(k, F.zero()), F.one())
-        diff = vec_sub(F, T.mc_residual(probe), res)
-        for kk, c in diff.items():
-            rows.setdefault(kk, {})[a] = c
-    keys = sorted(set(rows) | set(res))
-    sol = solve(
-        F,
-        [rows.get(k, {}) for k in keys],
-        [F.neg(res.get(k, F.zero())) for k in keys],
-        len(sts_targets),
-    )
+        cols.append(vec_sub(F, T.mc_residual(probe), res))
+    system = LinearSystem(F, cols, T.dim)
+    sol = system.solution(system.residue(vec_scale(F, F.neg(F.one()), res)))
     if sol is None:
         return None
-    for a, c in sol[0].items():
+    for a, c in sol.items():
         k = sts_targets[a]
         X[k] = F.add(X.get(k, F.zero()), c)
     X = {k: c for k, c in X.items() if not F.is_zero(c)}

@@ -17,11 +17,10 @@ desuspended duals of the radical basis, with differential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra, tensor_algebras
-from .budget import default_budget
+from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra, induced_convolution_morphism
 from .fields import FieldSpec
@@ -29,13 +28,12 @@ from .gradedlin import (
     BudgetExceeded,
     GradedMap,
     GradedSpace,
+    LinearSystem,
     rref,
     span_rank,
     vec_add,
     vec_eq,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .barcobar import mc_hom_enumerate
 from .mc import GaugeClasses, find_gauge_quadruple
@@ -233,27 +231,19 @@ def hom_window_cohomology(D: FreeDgCategory, x, y, lo, hi, word_bound=8):
             col[pos[kk]] = c
         d_cols[i] = col
 
-    from .gradedlin import kernel_basis
-
     out = {}
     for n in range(lo, hi + 1):
         short_idx = [i for i, w in enumerate(words) if wdeg(w) == n and wlen(w) <= K]
         posn = {g: a for a, g in enumerate(short_idx)}
         # cocycles among short words (exact d)
-        target_rows: Dict[int, dict] = {}
-        for a, j in enumerate(short_idx):
-            for i, c in d_cols.get(j, {}).items():
-                target_rows.setdefault(i, {})[a] = c
-        kern = kernel_basis(F, list(target_rows.values()), len(short_idx))
+        kern = LinearSystem(F, [d_cols.get(j, {}) for j in short_idx], len(words)).kernel
         # boundaries: the subspace {d(v) : v in span(sources of degree n-1,
         # length <= K+1), d(v) supported on short words}
         srcs = [i for i, w in enumerate(words) if wdeg(w) == n - 1 and wlen(w) <= K + 1]
-        long_rows: Dict[int, dict] = {}
-        for a, j in enumerate(srcs):
-            for i, c in d_cols.get(j, {}).items():
-                if wlen(words[i]) > K:
-                    long_rows.setdefault(i, {})[a] = c
-        ker_src = kernel_basis(F, list(long_rows.values()), len(srcs))
+        long_parts = [
+            {i: c for i, c in d_cols.get(j, {}).items() if wlen(words[i]) > K} for j in srcs
+        ]
+        ker_src = LinearSystem(F, long_parts, len(words)).kernel
         bnd_rows = []
         for kv in ker_src:
             img: dict = {}
@@ -413,12 +403,6 @@ def standard_coalgebra_battery(F: FieldSpec) -> List[Tuple[str, CurvedCoalgebra]
         ("dual(k+V)", dualize_algebra(sq1)),
         ("dual(k+acyclic)", dualize_algebra(sq2)),
     ]
-
-
-def restriction_data(idual: CurvedMorphism):
-    """From the dual presentation C'* -> C* of an injection i: C -> C',
-    the coefficients <i(c), c'-dual> = <c-dual coefficient in idual(c'-dual)>."""
-    return idual.f.entries
 
 
 def restrict_element(conv_big, conv_small, idual: CurvedMorphism, x: dict) -> dict:

@@ -18,9 +18,7 @@ from .algebra import CurvedAlgebra, CurvedMorphism
 from .gradedlin import (
     GradedMap,
     GradedSpace,
-    solve,
     vec_add,
-    vec_eq,
     vec_is_zero,
     vec_scale,
     vec_sub,

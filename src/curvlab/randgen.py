@@ -15,13 +15,11 @@ from .algebra import (
     ground_algebra,
     square_zero_algebra,
     tensor_algebras,
-    twist_algebra,
 )
 from .fields import FieldSpec
-from .gradedlin import Complex, GradedMap, GradedSpace, vec_add, vec_scale
+from .gradedlin import Complex, GradedMap, GradedSpace, kernel_basis, vec_add, vec_scale
 from .interval import make_interval
 from .obstruction import Bimodule, SquareZeroExtension, build_total
-from .gradedlin import kernel_basis, solve
 
 
 def random_complex(rng: random.Random, F: FieldSpec, maxdim: int = 6, degs=(-1, 0, 1, 2)):
@@ -172,24 +170,6 @@ def regular_bimodule(B: CurvedAlgebra, shift_by: int = 0) -> Bimodule:
                 right[(m, i)] = dict(col)
     dL = GradedMap(space, space, 1, {j: dict(c) for j, c in B.d.entries.items()})
     return Bimodule(space, dL, left, right)
-
-
-def trivial_bimodule(B: CurvedAlgebra, V: GradedSpace, dV: GradedMap) -> Bimodule:
-    """V with b.v = eps(b) v via the unit coefficients: only valid when B is
-    augmented along the basis; used with B = k or k x k diagonal pieces."""
-    F = B.field
-    left = {}
-    right = {}
-    for i in range(B.dim):
-        u = B.unit.get(i, F.zero())
-        # action through the unit coordinates: (sum c_i e_i) . v = c . v where
-        # c is the coefficient against the unit expansion; correct only for
-        # B = k, so restrict usage accordingly.
-        for m in range(V.dim):
-            if not F.is_zero(u):
-                left[(i, m)] = {m: F.one()}
-                right[(m, i)] = {m: F.one()}
-    return Bimodule(V, dV, left, right)
 
 
 def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):

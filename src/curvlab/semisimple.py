@@ -10,20 +10,20 @@ Homogeneity of the radical is verified, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .algebra import CurvedAlgebra, CurvedMorphism, _bracket
 from .budget import default_budget
-from .fields import FieldSpec
 from .gradedlin import (
     BudgetExceeded,
     EchelonBasis,
     GradedMap,
     GradedSpace,
+    LinearSystem,
     in_span,
     kernel_basis,
     rref,
-    solve,
+    solve_linear,
     span_rank,
     vec_add,
     vec_eq,
@@ -35,11 +35,6 @@ from .gradedlin import (
 
 # ---------------------------------------------------------------------------
 # radical
-
-
-def _left_mult_matrix(A: CurvedAlgebra, v: dict) -> List[dict]:
-    """Rows r_j = (v * e_j) as vectors."""
-    return [A.product(v, A.space.basis_vector(j)) for j in range(A.dim)]
 
 
 def _ideal_closure(A: CurvedAlgebra, gens: List[dict]) -> List[dict]:
@@ -169,26 +164,10 @@ def internal_curved_radical(A: CurvedAlgebra, budget=None, radical=None) -> List
     J = graded_radical(A, budget=budget) if radical is None else radical
     if not J:
         return []
-    # solve: x in span(J) with d x in span(J)
-    # parametrize x = sum c_a J_a; conditions: d(x) ⟂ complement of J
-    Jred, Jpiv = rref(F, [dict(r) for r in J], A.dim)
-    pivset = set(Jpiv)
-    rows = []
-    for a, r in enumerate(Jred):
-        dr = A.d.apply(r)
-        # residue of dr modulo span(J): reduce by Jred
-        res = dict(dr)
-        for rr, pv in zip(Jred, Jpiv):
-            c = res.get(pv, F.zero())
-            if not F.is_zero(c):
-                res = vec_sub(F, res, vec_scale(F, c, rr))
-        rows.append(res)
-    # condition matrix: rows indexed by coordinates, columns by a
-    cond: Dict[int, dict] = {}
-    for a, res in enumerate(rows):
-        for i, c in res.items():
-            cond.setdefault(i, {})[a] = c
-    ker = kernel_basis(F, list(cond.values()), len(Jred))
+    # x = sum c_a J_a is in J_- iff dx reduces to zero modulo span(J)
+    span = EchelonBasis(F, A.dim, J)
+    Jred = span.rows()
+    ker = LinearSystem(F, [span.reduce(A.d.apply(r)) for r in Jred], A.dim).kernel
     out = []
     for k in ker:
         v = {}
@@ -196,10 +175,10 @@ def internal_curved_radical(A: CurvedAlgebra, budget=None, radical=None) -> List
             v = vec_add(F, v, vec_scale(F, c, Jred[a]))
         if v:
             out.append(v)
-    out, _ = rref(F, out, A.dim)
-    # verify d-closure
+    closure = EchelonBasis(F, A.dim, out)
+    out = closure.rows()
     for r in out:
-        if not in_span(F, out, A.d.apply(r), A.dim) and not vec_is_zero(F, A.d.apply(r)):
+        if not closure.contains(A.d.apply(r)):
             raise AssertionError("internal curved radical not closed under d")
     return out
 
@@ -207,17 +186,12 @@ def internal_curved_radical(A: CurvedAlgebra, budget=None, radical=None) -> List
 def quotient_algebra(A: CurvedAlgebra, ideal_rows: List[dict], tag: str = "q"):
     """Quotient of A by a curved ideal; returns (B, projection morphism)."""
     F = A.field
-    red, pivots = rref(F, [dict(r) for r in ideal_rows], A.dim)
-    pivset = set(pivots)
+    ideal = EchelonBasis(F, A.dim, ideal_rows)
+    pivset = set(ideal.pivots())
     keep = [i for i in range(A.dim) if i not in pivset]
 
     def project(v: dict) -> dict:
-        res = dict(v)
-        for rr, pv in zip(red, pivots):
-            c = res.get(pv, F.zero())
-            if not F.is_zero(c):
-                res = vec_sub(F, res, vec_scale(F, c, rr))
-        return {keep.index(i): c for i, c in res.items() if not F.is_zero(c)}
+        return {keep.index(i): c for i, c in ideal.reduce(v).items()}
 
     space = GradedSpace.make(
         [(f"{A.label(i)}", A.degree(i)) for i in keep], F
@@ -283,16 +257,10 @@ def _is_graded_simple(R: CurvedAlgebra) -> bool:
     # center of degree 0 must be spanned by the unit alone for a simple
     # graded algebra over a field with no proper central idempotents; a
     # field-extension center also counts as simple, so test idempotents.
+    # R has d = 0 (the caller twists it away first), so dz = 0 holds for
+    # every z and the d-closed center is the center.
     deg0 = R.degree_indices(0)
-    cond_rows: Dict[Tuple[int, int], dict] = {}
-    for a, j in enumerate(deg0):
-        ej = R.space.basis_vector(j)
-        for i in range(R.dim):
-            ei = R.space.basis_vector(i)
-            diff = vec_sub(F, R.product(ej, ei), R.product(ei, ej))
-            for k, c in diff.items():
-                cond_rows.setdefault((i, k), {})[a] = c
-    ker = kernel_basis(F, list(cond_rows.values()), len(deg0))
+    ker = _closed_center(R)
     if F.is_prime_field:
         from .gradedlin import enumerate_affine
 
@@ -307,6 +275,39 @@ def _is_graded_simple(R: CurvedAlgebra) -> bool:
         return len(idems) == 1
     # over Q: simple iff the center splitter finds a single block
     return len(_central_idempotents_rational(R)) == 1
+
+
+def _closed_center(B: CurvedAlgebra) -> List[dict]:
+    """Kernel basis, over the degree-0 basis, of the z with z e_i = e_i z
+    for every basis vector e_i and dz = 0.  Row i * dim + k of the system
+    is coordinate k of [z, e_i]; row dim * dim + k is coordinate k of dz."""
+    F, n = B.field, B.dim
+    cols = []
+    for j in B.degree_indices(0):
+        ej = B.space.basis_vector(j)
+        col = {}
+        for i in range(n):
+            ei = B.space.basis_vector(i)
+            for k, c in vec_sub(F, B.product(ej, ei), B.product(ei, ej)).items():
+                col[i * n + k] = c
+        for k, c in B.d.apply(ej).items():
+            col[n * n + k] = c
+        cols.append(col)
+    return LinearSystem(F, cols, n * n + n).kernel
+
+
+def _unit_preimage(R: CurvedAlgebra, J: List[dict]) -> Optional[dict]:
+    """An x in the span of J with dx = 1 (the particular solution in the
+    coordinates over J), or None."""
+    F = R.field
+    system = LinearSystem(F, [R.d.apply(r) for r in J], R.dim)
+    sol = system.solution(system.residue(R.unit))
+    if sol is None:
+        return None
+    x: dict = {}
+    for a, c in sol.items():
+        x = vec_add(F, x, vec_scale(F, c, J[a]))
+    return x
 
 
 def _verify_type2_form(W: CurvedAlgebra):
@@ -328,22 +329,9 @@ def _verify_type2_form(W: CurvedAlgebra):
     if 2 * len(J) != W.dim:
         raise AssertionError("type-2 form is not S + Sx")
     # x: the radical element with dx = 1
-    rows: Dict[int, dict] = {}
-    for a, r in enumerate(J):
-        for k, c in W.d.apply(r).items():
-            rows.setdefault(k, {})[a] = c
-    keys = sorted(set(rows) | set(W.unit))
-    sol = solve(
-        F,
-        [rows.get(k, {}) for k in keys],
-        [W.unit.get(k, F.zero()) for k in keys],
-        len(J),
-    )
-    if sol is None:
+    x = _unit_preimage(W, J)
+    if x is None:
         raise AssertionError("no dx = 1 element in the type-2 form")
-    x: dict = {}
-    for a, c in sol[0].items():
-        x = vec_add(F, x, vec_scale(F, c, J[a]))
     # multiplication matches the tensor structure: for s in S, s.x = x.s in J
     # and (sx)(tx) = 0, s(tx) = (st)x
     for s in S_red:
@@ -367,23 +355,10 @@ def _central_curved_idempotents(B: CurvedAlgebra, budget=None) -> List[dict]:
     F = B.field
     if not F.is_prime_field:
         return _central_idempotents_rational(B)
-    deg0 = B.degree_indices(0)
-    # center of B#: z with ze_i = e_iz for all i; then z idempotent, dz = 0
-    rows = []
-    # solve linear center conditions to cut the search space
-    varidx = deg0
-    cond_rows: Dict[Tuple[int, int], dict] = {}
-    for a, j in enumerate(varidx):
-        ej = B.space.basis_vector(j)
-        for i in range(B.dim):
-            ei = B.space.basis_vector(i)
-            diff = vec_sub(F, B.product(ej, ei), B.product(ei, ej))
-            for k, c in diff.items():
-                cond_rows.setdefault((i, k), {})[a] = c
-        dj = B.d.apply(ej)
-        for k, c in dj.items():
-            cond_rows.setdefault((-1, k), {})[a] = c
-    ker = kernel_basis(F, list(cond_rows.values()), len(varidx))
+    # center of B#: z with ze_i = e_iz for all i and dz = 0, solved
+    # linearly to cut the search for idempotents
+    varidx = B.degree_indices(0)
+    ker = _closed_center(B)
     budget = default_budget() if budget is None else budget
     total = F.characteristic ** len(ker)
     if total > budget:
@@ -420,19 +395,8 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
 
     F = B.field
     deg0 = B.degree_indices(0)
-    cond_rows: Dict[Tuple[int, int], dict] = {}
-    for a, j in enumerate(deg0):
-        ej = B.space.basis_vector(j)
-        for i in range(B.dim):
-            ei = B.space.basis_vector(i)
-            diff = vec_sub(F, B.product(ej, ei), B.product(ei, ej))
-            for k, c in diff.items():
-                cond_rows.setdefault((i, k), {})[a] = c
-        for k, c in B.d.apply(ej).items():
-            cond_rows.setdefault((-1, k), {})[a] = c
-    ker = kernel_basis(F, list(cond_rows.values()), len(deg0))
     center = []
-    for k in ker:
+    for k in _closed_center(B):
         v: dict = {}
         for a, c in k.items():
             v = vec_add(F, v, vec_scale(F, c, B.space.basis_vector(deg0[a])))
@@ -456,20 +420,19 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
             w = B.product(e, z)
             # minimal polynomial of w in eBe: powers until dependence
             pows = [dict(e)]
-            rowset: List[dict] = [dict(e)]
+            span = EchelonBasis(F, B.dim, pows)
             while True:
                 nxt = B.product(pows[-1], w)
-                if in_span(F, rowset, nxt, B.dim):
+                if not span.add(nxt):
                     break
                 pows.append(nxt)
-                rowset.append(dict(nxt))
             # solve nxt = sum c_a pows[a]
-            coords = _coords_rows(F, pows, B.dim)
-            sol = solve(F, coords, [nxt.get(i, F.zero()) for i in range(B.dim)], len(pows))
+            system = LinearSystem(F, pows, B.dim)
+            sol = system.solution(system.residue(nxt))
             assert sol is not None
             # minimal poly: lam^n - sum c_a lam^a
             n = len(pows)
-            p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol[0].get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
+            p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol.get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
             fac = sympy.factor_list(p)[1]
             if len(fac) < 2:
                 continue
@@ -478,7 +441,7 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
             for q, m in fac:
                 qm = sympy.Poly(q**m, lam)
                 rest = sympy.Poly(sympy.quo(p, qm), lam)
-                g, u, v = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
+                u, v, g = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
                 if sympy.simplify(g - 1) != 0:
                     ok = False
                     break
@@ -505,46 +468,6 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
     return [b for b in blocks if not vec_is_zero(F, b)]
 
 
-def _subalgebra_basis(B: CurvedAlgebra, e: dict) -> List[dict]:
-    F = B.field
-    rows = []
-    for i in range(B.dim):
-        v = B.product(B.product(e, B.space.basis_vector(i)), e)
-        if v:
-            rows.append(v)
-    red, _ = rref(F, rows, B.dim)
-    return red
-
-
-def _action_matrix(B: CurvedAlgebra, z: dict, basis_rows: List[dict]):
-    F = B.field
-    cols = []
-    for r in basis_rows:
-        v = B.product(z, r)
-        sol = solve(
-            F,
-            _coords_rows(F, basis_rows, B.dim),
-            [v.get(i, F.zero()) for i in range(B.dim)],
-            len(basis_rows),
-        )
-        assert sol is not None
-        cols.append(sol[0])
-    # matrix rows: i-th row over column index j
-    M = []
-    for i in range(len(basis_rows)):
-        M.append({j: cols[j].get(i, F.zero()) for j in range(len(basis_rows)) if not F.is_zero(cols[j].get(i, F.zero()))})
-    return M
-
-
-def _coords_rows(F, basis_rows: List[dict], dim: int) -> List[dict]:
-    """Rows for solving x = sum c_a basis_a: row per coordinate."""
-    rows_by_coord: Dict[int, dict] = {}
-    for a, r in enumerate(basis_rows):
-        for i, c in r.items():
-            rows_by_coord.setdefault(i, {})[a] = c
-    return [rows_by_coord.get(i, {}) for i in range(dim)]
-
-
 def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
     """The factor zBz as a standalone curved algebra (z central idempotent, dz=0)."""
     F = B.field
@@ -554,13 +477,13 @@ def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
         if v:
             rows.append(v)
     basis_rows, _ = rref(F, rows, B.dim)
-    coords = _coords_rows(F, basis_rows, B.dim)
+    system = LinearSystem(F, basis_rows, B.dim)
 
     def to_coords(v: dict) -> dict:
-        sol = solve(F, coords, [v.get(i, F.zero()) for i in range(B.dim)], len(basis_rows))
+        sol = system.solution(system.residue(v))
         if sol is None:
             raise AssertionError("element not in factor")
-        return sol[0]
+        return sol
 
     degs = []
     for r in basis_rows:
@@ -586,24 +509,23 @@ def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
 
 def _solve_inner_derivation(R: CurvedAlgebra) -> Optional[dict]:
     """Find b in R^1 with d = [b, -]; None if no solution."""
-    F = R.field
+    F, n = R.field, R.dim
     idx1 = R.degree_indices(1)
-    rows: Dict[Tuple[int, int], dict] = {}
-    rhs: Dict[Tuple[int, int], object] = {}
-    for i in range(R.dim):
-        ei = R.space.basis_vector(i)
-        di = R.d.apply(ei)
-        for a, j in enumerate(idx1):
-            br = _bracket(R, R.space.basis_vector(j), ei, 1, R.degree(i))
-            for k, c in br.items():
-                rows.setdefault((i, k), {})[a] = c
-        for k, c in di.items():
-            rhs[(i, k)] = c
-    keys = sorted(set(rows) | set(rhs))
-    sol = solve(F, [rows.get(k, {}) for k in keys], [rhs.get(k, F.zero()) for k in keys], len(idx1))
+    # row i * n + k of the system is coordinate k of the image of e_i
+    cols = []
+    for j in idx1:
+        ej = R.space.basis_vector(j)
+        col = {}
+        for i in range(n):
+            for k, c in _bracket(R, ej, R.space.basis_vector(i), 1, R.degree(i)).items():
+                col[i * n + k] = c
+        cols.append(col)
+    rhs = {i * n + k: c for i in range(n) for k, c in R.d.apply(R.space.basis_vector(i)).items()}
+    system = LinearSystem(F, cols, n * n)
+    sol = system.solution(system.residue(rhs))
     if sol is None:
         return None
-    return {idx1[a]: c for a, c in sol[0].items()}
+    return {idx1[a]: c for a, c in sol.items()}
 
 
 def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
@@ -667,22 +589,9 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             factors.append(CurvedFactor("type1", z, R, basis_in_B, mb, N))
         else:
             # type 2: solve dx = 1 within the radical, twist by -h x
-            rows: Dict[int, dict] = {}
-            for a, r in enumerate(JR):
-                for k, c in R.d.apply(r).items():
-                    rows.setdefault(k, {})[a] = c
-            keys = sorted(set(rows) | set(R.unit))
-            sol = solve(
-                F,
-                [rows.get(k, {}) for k in keys],
-                [R.unit.get(k, F.zero()) for k in keys],
-                len(JR),
-            )
-            if sol is None:
+            x = _unit_preimage(R, JR)
+            if x is None:
                 raise ValueError("type-2 factor: dx = 1 not solvable (unsplit marker)")
-            x = {}
-            for a, c in sol[0].items():
-                x = vec_add(F, x, vec_scale(F, c, JR[a]))
             mhx = vec_scale(F, F.neg(F.one()), R.product(R.h, x))
             if not R.is_mc(mhx):
                 raise AssertionError("type-2 twist candidate -hx is not MC")
@@ -732,40 +641,24 @@ def css_section(pi: CurvedMorphism, budget=None) -> CurvedMorphism:
     if internal_curved_radical(A, budget=budget) or internal_curved_radical(Bq, budget=budget):
         raise ValueError("css_section requires curved semisimple source and target")
     decA = css_decompose(A, budget=budget)
-    # kernel of pi
-    rows_by_coord: Dict[int, dict] = {}
-    for j in range(A.dim):
-        for i, c in pi.f.entries.get(j, {}).items():
-            rows_by_coord.setdefault(i, {})[j] = c
-    ker = kernel_basis(F, list(rows_by_coord.values()), A.dim)
-    # factors inside the kernel vs complement
+    # factors inside the kernel of pi vs complement
+    kernel = EchelonBasis(F, A.dim, solve_linear(pi.f, {})[1])
     comp_rows: List[dict] = []
     for fa in decA.factors:
-        inside = all(in_span(F, ker, u, A.dim) for u in fa.basis_in_B)
-        if not inside:
+        if not all(kernel.contains(u) for u in fa.basis_in_B):
             comp_rows.extend(fa.basis_in_B)
     comp_red, _ = rref(F, comp_rows, A.dim)
     # pi restricted to the complement must be bijective onto Bq
-    coords = _coords_rows(F, comp_red, A.dim)
     img_rows = [pi.f.apply(r) for r in comp_red]
     if span_rank(F, img_rows, Bq.dim) != Bq.dim or len(comp_red) != Bq.dim:
         raise ValueError("projection does not restrict to an isomorphism on the complement")
     entries: Dict[int, dict] = {}
-    img_coord_rows: Dict[int, dict] = {}
-    for a, r in enumerate(img_rows):
-        for i, c in r.items():
-            img_coord_rows.setdefault(i, {})[a] = c
+    system = LinearSystem(F, img_rows, Bq.dim)
     for j in range(Bq.dim):
-        b = Bq.space.basis_vector(j)
-        sol = solve(
-            F,
-            [img_coord_rows.get(i, {}) for i in range(Bq.dim)],
-            [b.get(i, F.zero()) for i in range(Bq.dim)],
-            len(comp_red),
-        )
+        sol = system.solution(system.residue(Bq.space.basis_vector(j)))
         assert sol is not None
         v: dict = {}
-        for a, c in sol[0].items():
+        for a, c in sol.items():
             v = vec_add(F, v, vec_scale(F, c, comp_red[a]))
         if v:
             entries[j] = v
@@ -791,12 +684,7 @@ def nilpotent_tower(pi: CurvedMorphism) -> List[CurvedMorphism]:
     """
     A, B = pi.source, pi.target
     F = A.field
-    rows_by_coord: Dict[int, dict] = {}
-    for j in range(A.dim):
-        for i, c in pi.f.entries.get(j, {}).items():
-            rows_by_coord.setdefault(i, {})[j] = c
-    I = kernel_basis(F, list(rows_by_coord.values()), A.dim)
-    I, _ = rref(F, I, A.dim)
+    I, _ = rref(F, solve_linear(pi.f, {})[1], A.dim)
     if not I:
         return []
     powers = [I]
@@ -866,11 +754,7 @@ def identity_like_projection(A: CurvedAlgebra) -> CurvedMorphism:
 def _assert_square_zero_kernel(step: CurvedMorphism):
     A = step.source
     F = A.field
-    rows_by_coord: Dict[int, dict] = {}
-    for j in range(A.dim):
-        for i, c in step.f.entries.get(j, {}).items():
-            rows_by_coord.setdefault(i, {})[j] = c
-    K = kernel_basis(F, list(rows_by_coord.values()), A.dim)
+    K = solve_linear(step.f, {})[1]
     for u in K:
         for v in K:
             if not vec_is_zero(F, A.product(u, v)):

@@ -13,7 +13,7 @@ as twisted modules over C*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import (
     CurvedAlgebra,

@@ -1,6 +1,7 @@
 import pytest
 
 from curvlab.algebra import (
+    endomorphism_algebra,
     ground_algebra,
     mc_enumerate,
     square_zero_algebra,
@@ -15,7 +16,7 @@ from curvlab.barcobar import (
 )
 from curvlab.coalgebra import dualize_algebra
 from curvlab.fields import GF, QQ
-from curvlab.gradedlin import GradedMap, GradedSpace, vec_is_zero
+from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_is_zero
 from curvlab.interval import make_interval
 
 
@@ -130,6 +131,17 @@ def test_staged_enumeration_matches_brute_on_samples():
         staged = mc_hom_enumerate(C, A)
         brute = mc_enumerate(convolution_algebra(C, A).algebra)
         assert sorted(staged, key=str) == sorted(brute, key=str)
+
+
+def test_staged_refusal_reports_the_count_it_compared():
+    # End(k^2) against the dual of I^2: at budget 256 a later stage refuses
+    # because its affine points times the partial solutions exceed the budget
+    F = GF(2)
+    A = endomorphism_algebra(GradedSpace.make([("u", 0), ("w", 0)], F))
+    C = dualize_algebra(make_interval(F, 2).algebra)
+    with pytest.raises(BudgetExceeded) as e:
+        mc_hom_enumerate(C, A, budget=256)
+    assert e.value.required > e.value.budget
 
 
 def test_conilpotency_degree():

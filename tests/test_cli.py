@@ -192,3 +192,10 @@ def test_tower_cli(tmp_path, capsys):
     code, rep = run_cli(capsys, ["tower", str(f)])
     assert code == 0
     assert rep["steps"] == 3
+
+
+@pytest.mark.parametrize("field", ["4", "abc"])
+def test_interval_bad_field_is_an_input_error(capsys, field):
+    code, rep = run_cli(capsys, ["interval", "2", "--field", field])
+    assert code == 2
+    assert field in rep["error"]

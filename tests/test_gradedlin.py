@@ -1,8 +1,10 @@
+import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
+from reference_linalg import apply_rows, dense, kernel_set, reference_solve, span_set
 
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import (
@@ -132,8 +134,10 @@ def test_rref_deterministic():
 @pytest.mark.parametrize("p", [2, 3])
 def test_linear_system_matches_solve_and_kernel_basis(p):
     # one reduction of the columns answers every right-hand side: the same
-    # particular solution as solve, the same kernel as kernel_basis (entry
-    # for entry, in the same key order), and residues linear in b
+    # particular solution and kernel as a plain elimination of the rows
+    # (entry for entry, in the same key order), for LinearSystem and for
+    # the row-form solve and kernel_basis; the kernel spans the null space
+    # and b is solvable iff brute force hits it; residues are linear in b
     F = GF(p)
     rng = random.Random(200 + p)
     for _ in range(80):
@@ -149,7 +153,11 @@ def test_linear_system_matches_solve_and_kernel_basis(p):
         rows = [{a: c[i] for a, c in enumerate(cols) if i in c} for i in range(nrows)]
         system = LinearSystem(F, cols, nrows)
         as_items = lambda vs: [list(v.items()) for v in vs]
-        assert as_items(system.kernel) == as_items(kernel_basis(F, rows, ncols))
+        reference = reference_solve(F, rows, [F.zero()] * nrows, ncols)[1]
+        assert as_items(system.kernel) == as_items(reference)
+        assert as_items(kernel_basis(F, rows, ncols)) == as_items(reference)
+        assert span_set(p, system.kernel, ncols) == kernel_set(p, rows, ncols)
+        images = {apply_rows(p, rows, x) for x in itertools.product(range(p), repeat=ncols)}
         targets = []
         for _ in range(6):
             h = {a: rng.randint(0, p - 1) for a in range(ncols)}
@@ -159,12 +167,16 @@ def test_linear_system_matches_solve_and_kernel_basis(p):
             noise = {i: rng.randint(1, p - 1) for i in range(nrows) if rng.random() < 0.2}
             targets += [image, vec_add(F, image, noise)]
         for b in targets:
-            expected = solve(F, rows, [b.get(i, F.zero()) for i in range(nrows)], ncols)
+            rhs = [b.get(i, F.zero()) for i in range(nrows)]
+            expected = reference_solve(F, rows, rhs, ncols)
             got = system.solution(system.residue(b))
+            assert (got is None) == (dense(b, nrows) not in images)
             if expected is None:
-                assert got is None
+                assert got is None and solve(F, rows, rhs, ncols) is None
             else:
                 assert list(got.items()) == list(expected[0].items())
+                sol, kernel = solve(F, rows, rhs, ncols)
+                assert as_items([sol] + kernel) == as_items([expected[0]] + reference)
         for b1, b2 in zip(targets, targets[1:]):
             assert system.residue(vec_add(F, b1, b2)) == vec_add(
                 F, system.residue(b1), system.residue(b2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference_linalg import dense, reference_rref, span_set
 
 from curvlab.algebra import (
     compose_morphisms,
@@ -113,6 +114,16 @@ def test_css_decompose_K():
         assert len(dec.factors) == 1
         assert dec.factors[0].kind == "type2"
         assert reassemble_check(dec)
+
+
+def test_css_decompose_splits_over_q():
+    # the central idempotents over Q split products, as they do over F_p
+    dec = css_decompose(direct_product(ground_algebra(QQ), ground_algebra(QQ)))
+    assert [f.kind for f in dec.factors] == ["type1", "type1"]
+    assert reassemble_check(dec)
+    dec = css_decompose(direct_product(ground_algebra(QQ), acyclic_k_algebra(QQ)))
+    assert sorted(f.kind for f in dec.factors) == ["type1", "type2"]
+    assert reassemble_check(dec)
 
 
 def test_css_decompose_product_mixed():
@@ -238,8 +249,9 @@ def test_d_injective_on_J_when_Jminus_zero():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_echelon_basis_matches_rref(p):
-    # the incremental basis behind graded_radical and _ideal_closure: its
-    # rows are the rref of what was added, and contains() is span membership
+    # the incremental basis behind rref, graded_radical and _ideal_closure:
+    # its rows are those of a plain elimination of what was added, and
+    # contains() is membership in the span enumerated by brute force
     F = GF(p)
     rng = random.Random(100 + p)
     for _ in range(60):
@@ -254,16 +266,20 @@ def test_echelon_basis_matches_rref(p):
         added = []
         for _ in range(rng.randint(0, 8)):
             v = sparse_row()
-            rank_before = len(rref(F, added, ncols)[0])
+            rank_before = len(reference_rref(F, added, ncols)[0])
             added.append(v)
-            grew = len(rref(F, added, ncols)[0]) > rank_before
+            grew = len(reference_rref(F, added, ncols)[0]) > rank_before
             assert basis.add(v) == grew
-            assert basis.rows() == rref(F, added, ncols)[0]
-        assert len(basis) == len(rref(F, added, ncols)[0])
+            assert basis.rows() == reference_rref(F, added, ncols)[0]
+            assert rref(F, added, ncols) == reference_rref(F, added, ncols)
+        assert len(basis) == len(reference_rref(F, added, ncols)[0])
+        span = span_set(p, added, ncols)
+        assert len(span) == p ** len(basis)
         for _ in range(6):
             v = sparse_row()
-            expected = len(rref(F, added + [v], ncols)[0]) == len(basis)
+            expected = len(reference_rref(F, added + [v], ncols)[0]) == len(basis)
             assert basis.contains(v) == expected == in_span(F, added, v, ncols)
+            assert expected == (dense(v, ncols) in span)
         for r, q in zip(added, added[1:]):
             assert basis.contains(vec_add(F, r, vec_scale(F, p - 1, q)))
 
