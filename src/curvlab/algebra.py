@@ -9,15 +9,14 @@ Conventions (fixed globally, see README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .budget import default_budget
 from .fields import FieldSpec
 from .gradedlin import (
-    BudgetExceeded,
     GradedMap,
     GradedSpace,
+    enumerate_affine,
     vec_add,
     vec_eq,
     vec_is_zero,
@@ -40,9 +39,6 @@ class CurvedAlgebra:
     mult: Dict[Tuple[int, int], dict]
     d: GradedMap
     h: dict
-
-    # cached single-term product tables for the fast validator path
-    _prod_cache: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def field(self) -> FieldSpec:
@@ -101,24 +97,6 @@ class CurvedAlgebra:
 
     # -- validation ----------------------------------------------------------
 
-    def _single_term_tables(self):
-        """(idx, coef) tables when every basis product has at most one term."""
-        if self._prod_cache is not None:
-            return self._prod_cache
-        n = self.dim
-        idx = [[-1] * n for _ in range(n)]
-        coef = [[None] * n for _ in range(n)]
-        ok = True
-        for (i, j), col in self.mult.items():
-            nz = [(k, c) for k, c in col.items() if not self.field.is_zero(c)]
-            if len(nz) > 1:
-                ok = False
-                break
-            if nz:
-                idx[i][j], coef[i][j] = nz[0]
-        object.__setattr__(self, "_prod_cache", (ok, idx, coef))
-        return self._prod_cache
-
     def validate(self, max_violations: int = 8) -> List[str]:
         """Exact axiom check; returns a list of violation descriptions."""
         F = self.field
@@ -159,118 +137,23 @@ class CurvedAlgebra:
                 report(f"1*{self.label(i)} != {self.label(i)}")
             if not vec_eq(F, self.product(e, self.unit), e):
                 report(f"{self.label(i)}*1 != {self.label(i)}")
-        # associativity
-        ok_fast, pidx, pcoef = self._single_term_tables()
-        if ok_fast and F.is_prime_field and n >= 24:
-            bad = _assoc_check_numpy(self, pidx, pcoef)
-            if bad is not None:
-                i, j, k = bad
-                report(
-                    f"associativity fails on "
-                    f"({self.label(i)},{self.label(j)},{self.label(k)})"
-                )
-        elif ok_fast:
-            for i in range(n):
-                row_i = pidx[i]
-                for j in range(n):
-                    ij = row_i[j]
-                    cij = pcoef[i][j]
-                    for k in range(n):
-                        jk = pidx[j][k]
-                        left_idx = pidx[ij][k] if ij >= 0 else -1
-                        right_idx = pidx[i][jk] if jk >= 0 else -1
-                        lc = (
-                            F.mul(cij, pcoef[ij][k])
-                            if ij >= 0 and pidx[ij][k] >= 0
-                            else None
-                        )
-                        rc = (
-                            F.mul(pcoef[j][k], pcoef[i][jk])
-                            if jk >= 0 and pidx[i][jk] >= 0
-                            else None
-                        )
-                        lz = lc is None or F.is_zero(lc)
-                        rz = rc is None or F.is_zero(rc)
-                        if lz and rz:
-                            continue
-                        if lz != rz or left_idx != right_idx or not F.is_zero(F.sub(lc, rc)):
-                            report(
-                                f"associativity fails on "
-                                f"({self.label(i)},{self.label(j)},{self.label(k)})"
-                            )
-                            if len(out) >= max_violations:
-                                return out
-        else:
-            for i in range(n):
-                ei = self.space.basis_vector(i)
-                for j in range(n):
-                    ej = self.space.basis_vector(j)
-                    pij = self.product(ei, ej)
-                    for k in range(n):
-                        ek = self.space.basis_vector(k)
-                        lhs = self.product(pij, ek)
-                        rhs = self.product(ei, self.product(ej, ek))
-                        if not vec_eq(F, lhs, rhs):
-                            report(
-                                f"associativity fails on "
-                                f"({self.label(i)},{self.label(j)},{self.label(k)})"
-                            )
-                            if len(out) >= max_violations:
-                                return out
-        # d degree 1 is enforced by GradedMap; Leibniz
-        if ok_fast:
-            dcols = [self.d.entries.get(i, {}) for i in range(n)]
-            for i in range(n):
-                di = dcols[i]
-                si = F.one() if self.degree(i) % 2 == 0 else F.neg(F.one())
-                row_i = pidx[i]
-                cf_i = pcoef[i]
-                for j in range(n):
-                    m = row_i[j]
-                    diff: dict = {}
-                    if m >= 0:
-                        cij = cf_i[j]
-                        for r, dv in dcols[m].items():
-                            diff[r] = F.mul(cij, dv)
-                    for a, va in di.items():
-                        q = pidx[a][j]
-                        if q >= 0:
-                            c = F.mul(va, pcoef[a][j])
-                            s = F.sub(diff.get(q, F.zero()), c)
-                            if F.is_zero(s):
-                                diff.pop(q, None)
-                            else:
-                                diff[q] = s
-                    for b, vb in dcols[j].items():
-                        q = row_i[b]
-                        if q >= 0:
-                            c = F.mul(si, F.mul(vb, cf_i[b]))
-                            s = F.sub(diff.get(q, F.zero()), c)
-                            if F.is_zero(s):
-                                diff.pop(q, None)
-                            else:
-                                diff[q] = s
-                    if diff:
-                        report(f"Leibniz fails on ({self.label(i)},{self.label(j)})")
-                        if len(out) >= max_violations:
-                            return out
-        else:
-            for i in range(n):
-                ei = self.space.basis_vector(i)
-                di = self.d.apply(ei)
-                si = F.one() if self.degree(i) % 2 == 0 else F.neg(F.one())
-                for j in range(n):
-                    ej = self.space.basis_vector(j)
-                    lhs = self.d.apply(self.product(ei, ej))
-                    rhs = vec_add(
-                        F,
-                        self.product(di, ej),
-                        vec_scale(F, si, self.product(ei, self.d.apply(ej))),
-                    )
-                    if not vec_eq(F, lhs, rhs):
-                        report(f"Leibniz fails on ({self.label(i)},{self.label(j)})")
-                        if len(out) >= max_violations:
-                            return out
+        # associativity and Leibniz (d degree 1 is enforced by GradedMap)
+        prod: Dict[int, Dict[int, dict]] = {}
+        for (m, k), col in _nonzero_part(F, self.mult).items():
+            prod.setdefault(m, {})[k] = col
+        dcol = _nonzero_part(F, self.d.entries)
+        for i, j, k in _associativity_failures(F, prod):
+            report(
+                f"associativity fails on "
+                f"({self.label(i)},{self.label(j)},{self.label(k)})"
+            )
+            if len(out) >= max_violations:
+                return out
+        signs = [-1 if self.degree(i) % 2 else 1 for i in range(n)]
+        for i, j in _leibniz_failures(F, prod, dcol, signs):
+            report(f"Leibniz fails on ({self.label(i)},{self.label(j)})")
+            if len(out) >= max_violations:
+                return out
         # d(h) = 0
         if not vec_is_zero(F, self.d.apply(self.h)):
             report("d(h) != 0")
@@ -309,42 +192,88 @@ class CurvedAlgebra:
         return self.space.indices_of_degree(n)
 
 
-def _assoc_check_numpy(A: "CurvedAlgebra", pidx, pcoef):
-    """Vectorized associativity for prime-field single-term products.
+# The axiom checks below work on the nonzero structure constants only:
+# prod[m][k] is e_m e_k and dcol[m] is d e_m.  Sums are taken with plain
+# + and *, exact on ints mod p and on Fractions, and tested by F.is_zero.
 
-    Returns a violating triple or None.  Products are encoded as index and
-    coefficient tables with -1 / 0 denoting zero products.
-    """
-    import numpy as np
 
-    F = A.field
-    p = F.characteristic
-    n = A.dim
-    IDX = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    CF = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if pidx[i][j] >= 0:
-                IDX[i, j] = pidx[i][j]
-                CF[i, j] = int(pcoef[i][j]) % p
-    rows = np.arange(n)
-    for k in range(n):
-        # left: (e_i e_j) e_k; right: e_i (e_j e_k)
-        IJ = IDX[:n, :n]  # (i, j) -> index of e_i e_j
-        IJ_safe = np.where(IJ < 0, n, IJ)
-        left_idx = IDX[IJ_safe, k]
-        left_cf = (CF[:n, :n] * CF[IJ_safe, k]) % p
-        JK = IDX[:n, k]  # j -> index of e_j e_k
-        JK_safe = np.where(JK < 0, n, JK)
-        right_idx = IDX[rows[:, None], JK_safe[None, :]]
-        right_cf = (CF[rows[:, None], JK_safe[None, :]] * CF[:n, k][None, :]) % p
-        lz = left_cf == 0
-        rz = right_cf == 0
-        mismatch = (lz != rz) | (~lz & ((left_idx != right_idx) | (left_cf != right_cf)))
-        if mismatch.any():
-            i, j = np.argwhere(mismatch)[0]
-            return int(i), int(j), k
-    return None
+def _nonzero_part(F: FieldSpec, table: dict) -> dict:
+    out = {}
+    for key, col in table.items():
+        nz = {r: c for r, c in col.items() if not F.is_zero(c)}
+        if nz:
+            out[key] = nz
+    return out
+
+
+def _associativity_failures(F: FieldSpec, prod: dict):
+    """The (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), in lexicographic
+    order.  Both sides are empty sums unless e_m e_k != 0 for a term e_m
+    of e_i e_j, or e_i e_m != 0 for a term e_m of e_j e_k, so only those
+    triples are tested."""
+    into: Dict[int, List[Tuple[int, int]]] = {}  # (j, k) with e_m in e_j e_k
+    for j, row in prod.items():
+        for k, col in row.items():
+            for m in col:
+                into.setdefault(m, []).append((j, k))
+    for i in sorted(prod):
+        row_i = prod[i]
+        cands: Dict[int, set] = {}
+        for j, pij in row_i.items():
+            for m in pij:
+                cands.setdefault(j, set()).update(prod.get(m, ()))
+        for m in row_i:
+            for j, k in into.get(m, ()):
+                cands.setdefault(j, set()).add(k)
+        for j in sorted(cands):
+            pij, row_j = row_i.get(j, {}), prod.get(j, {})
+            for k in sorted(cands[j]):
+                acc: dict = {}
+                for m, c in pij.items():
+                    for r, x in prod.get(m, {}).get(k, {}).items():
+                        acc[r] = acc.get(r, 0) + c * x
+                for m, c in row_j.get(k, {}).items():
+                    for r, x in row_i.get(m, {}).items():
+                        acc[r] = acc.get(r, 0) - c * x
+                if not all(map(F.is_zero, acc.values())):
+                    yield i, j, k
+
+
+def _leibniz_failures(F: FieldSpec, prod: dict, dcol: dict, signs: List[int]):
+    """The (i, j) with d(e_i e_j) != d(e_i) e_j + (-1)^|i| e_i d(e_j), in
+    lexicographic order; signs[i] is (-1)^|i|.  As above, only the pairs
+    where some side has a term are tested."""
+    left_of: Dict[int, List[int]] = {}  # the i with e_i e_b != 0
+    for i, row in prod.items():
+        for b in row:
+            left_of.setdefault(b, []).append(i)
+    cands: Dict[int, set] = {}
+    for i, row in prod.items():
+        for j, col in row.items():
+            if any(m in dcol for m in col):
+                cands.setdefault(i, set()).add(j)
+    for i, di in dcol.items():
+        for a in di:
+            cands.setdefault(i, set()).update(prod.get(a, ()))
+    for j, dj in dcol.items():
+        for b in dj:
+            for i in left_of.get(b, ()):
+                cands.setdefault(i, set()).add(j)
+    for i in sorted(cands):
+        row_i, di = prod.get(i, {}), dcol.get(i, {})
+        for j in sorted(cands[i]):
+            acc: dict = {}
+            for m, c in row_i.get(j, {}).items():
+                for r, x in dcol.get(m, {}).items():
+                    acc[r] = acc.get(r, 0) + c * x
+            for a, c in di.items():
+                for r, x in prod.get(a, {}).get(j, {}).items():
+                    acc[r] = acc.get(r, 0) - c * x
+            for b, c in dcol.get(j, {}).items():
+                for r, x in row_i.get(b, {}).items():
+                    acc[r] = acc.get(r, 0) - signs[i] * c * x
+            if not all(map(F.is_zero, acc.values())):
+                yield i, j
 
 
 @dataclass
@@ -368,23 +297,8 @@ def mc_enumerate(A: CurvedAlgebra, budget: Optional[int] = None) -> List[dict]:
     F = A.field
     if not F.is_prime_field:
         raise ValueError("mc_enumerate requires a prime field; over Q use mc_polynomial_system")
-    budget = default_budget() if budget is None else budget
-    idx = A.degree_indices(1)
-    total = F.characteristic ** len(idx)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    sols = []
-    p = F.characteristic
-    for n in range(total):
-        m = n
-        x = {}
-        for i in idx:
-            c = m % p
-            m //= p
-            if c:
-                x[i] = c
-        if A.is_mc(x):
-            sols.append(x)
+    units = [A.space.basis_vector(i) for i in A.degree_indices(1)]
+    sols = [x for x in enumerate_affine(F, {}, units, budget) if A.is_mc(x)]
     sols.sort(key=lambda v: vec_key(v, A.dim))
     return sols
 

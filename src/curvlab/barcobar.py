@@ -33,6 +33,7 @@ from .convolution import convolution_algebra
 from .gradedlin import (
     BudgetExceeded,
     LinearSystem,
+    enumerate_affine,
     rref,
     span_rank,
     vec_is_zero,
@@ -154,24 +155,12 @@ def mc_hom_enumerate(
     # stage-0 brute force
     p = F.characteristic
     s0 = stage_vars.get(0, [])
-    total0 = p ** len(s0)
-    if total0 > budget:
-        raise BudgetExceeded(total0, budget)
     sols: List[dict] = []
-    branches = [{}]
-    for n in range(total0):
-        m = n
-        X = {}
-        for k in s0:
-            c = m % p
-            m //= p
-            if c:
-                X[k] = c
+    for X in enumerate_affine(F, {}, [E.space.basis_vector(k) for k in s0], budget):
         if residual_rows(X, 0):
             continue
         # solve higher stages
         partials = [X]
-        ok = True
         for s in range(1, maxstage + 1):
             vs = stage_vars.get(s, [])
             new_partials = []
@@ -197,8 +186,6 @@ def mc_hom_enumerate(
                 required = p ** len(ker) * max(1, len(new_partials) + len(partials))
                 if required > budget:
                     raise BudgetExceeded(required, budget)
-                from .gradedlin import enumerate_affine
-
                 for pt in enumerate_affine(F, part, ker, budget):
                     Q = dict(P)
                     for a, c in pt.items():

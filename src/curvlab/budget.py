@@ -2,6 +2,10 @@
 
 Searches refuse (never silently truncate) when the state count would exceed
 the budget.  Default is 2^16 states, overridable via CURVLAB_MAX_ENUM.
+Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
+enumerator, which resolves a budget of None to `default_budget()`; only the
+joint count of a gauge search and the staged count of `mc_hom_enumerate`
+are checked where they are made.
 """
 
 from __future__ import annotations

@@ -82,8 +82,8 @@ def fail_budget(e: BudgetExceeded) -> int:
     return 3
 
 
-def base_report(check: str) -> dict:
-    return {"check": check, "budget": default_budget()}
+def base_report(args, check: str) -> dict:
+    return {"check": check, "budget": args.max_enum or default_budget()}
 
 
 def _field(args) -> FieldSpec:
@@ -149,7 +149,7 @@ def _load_morphism(path: str) -> CurvedMorphism:
 
 def cmd_validate(args) -> int:
     obj, _ = load_path(args.file)
-    rep = base_report("curved (co)algebra axioms: d(h)=0 and d^2=[h,-] exact")
+    rep = base_report(args, "curved (co)algebra axioms: d(h)=0 and d^2=[h,-] exact")
     if isinstance(obj, PresentedCurvedAlgebra):
         obj = obj.materialize().algebra
     bad = obj.validate()
@@ -165,7 +165,7 @@ def cmd_interval(args) -> int:
         return fail_input(f"bad --field {args.field!r}: {e}")
     n = None if args.n == "inf" else int(args.n)
     I = make_interval(F, n, truncation=args.truncate)
-    rep = base_report("interval algebra: dim 2n+1, dims (2,...,2,1) per degree")
+    rep = base_report(args, "interval algebra: dim 2n+1, dims (2,...,2,1) per degree")
     rep["n"] = args.n
     rep["dimension"] = I.algebra.dim
     rep["basis"] = [[l, d] for l, d in I.algebra.space.basis]
@@ -179,7 +179,7 @@ def cmd_interval(args) -> int:
 
 def cmd_mc_enum(args) -> int:
     A = _load_algebra(args.file)
-    rep = base_report("Maurer-Cartan solutions of h + dx + x^2 = 0")
+    rep = base_report(args, "Maurer-Cartan solutions of h + dx + x^2 = 0")
     if not A.field.is_prime_field:
         rep["polynomial_system"] = mc_polynomial_system(A)
         return emit(rep, 0)
@@ -191,7 +191,7 @@ def cmd_mc_enum(args) -> int:
 
 def cmd_moduli(args) -> int:
     A = _load_algebra(args.file)
-    rep = base_report("MC moduli: isomorphism classes in H^0 of the MC dg category")
+    rep = base_report(args, "MC moduli: isomorphism classes in H^0 of the MC dg category")
     classes = moduli_set(A, budget=args.max_enum or None)
     rep["classes"] = len(classes)
     rep["members"] = [[_pretty(A, x) for x in cls] for cls in classes]
@@ -202,7 +202,7 @@ def cmd_homotopy(args) -> int:
     A = _load_algebra(args.file)
     x = _element(A, args.x)
     y = _element(A, args.y)
-    rep = base_report(f"{args.n}-homotopy of MC elements through the interval algebra")
+    rep = base_report(args, f"{args.n}-homotopy of MC elements through the interval algebra")
     H = n_homotopy_search(A, x, y, args.n, budget=args.max_enum or None)
     if H is None:
         rep["found"] = False
@@ -216,7 +216,7 @@ def cmd_homotopy(args) -> int:
 def cmd_twist(args) -> int:
     A = _load_algebra(args.file)
     x = _element(A, args.x)
-    rep = base_report("twist by an MC element: d^x = d + [x,-], curvature 0")
+    rep = base_report(args, "twist by an MC element: d^x = d + [x,-], curvature 0")
     try:
         Ax, iso = twist_algebra(A, x)
     except ValueError as e:
@@ -235,7 +235,7 @@ def cmd_tensor(args) -> int:
     A = _load_algebra(args.file)
     B = _load_algebra(args.file2)
     T = tensor_algebras(A, B)
-    rep = base_report("tensor product with Koszul signs and curvature h@1 + 1@h")
+    rep = base_report(args, "tensor product with Koszul signs and curvature h@1 + 1@h")
     rep["dimension"] = T.dim
     rep["valid"] = T.validate() == []
     if args.export:
@@ -249,7 +249,7 @@ def cmd_convolve(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     A = _load_algebra(args.algebra)
     conv = convolution_algebra(C, A)
-    rep = base_report("convolution algebra Hom(C,A): fg = m(f@g)Delta")
+    rep = base_report(args, "convolution algebra Hom(C,A): fg = m(f@g)Delta")
     rep["dimension"] = conv.algebra.dim
     rep["valid"] = conv.algebra.validate() == []
     from .convolution import convolution_tensor_comparison
@@ -261,7 +261,7 @@ def cmd_convolve(args) -> int:
 def cmd_cobar(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     w = C.space.index(args.coaugmentation) if args.coaugmentation else 0
-    rep = base_report("truncated cobar construction on the coaugmentation coideal")
+    rep = base_report(args, "truncated cobar construction on the coaugmentation coideal")
     om = cobar(C, w, args.truncate)
     rep["dimensions_per_degree"] = {
         str(d): c for d, c in sorted(om.presentation.word_counts_by_degree().items())
@@ -273,7 +273,7 @@ def cmd_cobar(args) -> int:
 
 def cmd_bar_dual(args) -> int:
     A = _load_algebra(args.algebra)
-    rep = base_report("truncated dual bar construction (tensor algebra on the shifted dual)")
+    rep = base_report(args, "truncated dual bar construction (tensor algebra on the shifted dual)")
     w = A.space.index(args.splitting) if args.splitting else None
     bd = bar_dual(A, args.truncate, w_index=w)
     rep["dimensions_per_degree"] = {
@@ -288,7 +288,7 @@ def cmd_adjunction_check(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     A = _load_algebra(args.algebra)
     w = C.space.index(args.coaugmentation) if args.coaugmentation else 0
-    rep = base_report("bar-cobar morphism counts through MC sets of Hom(C,A)")
+    rep = base_report(args, "bar-cobar morphism counts through MC sets of Hom(C,A)")
     try:
         rep.update(
             adjunction_count_check(
@@ -302,7 +302,7 @@ def cmd_adjunction_check(args) -> int:
 
 def cmd_twisted(args) -> int:
     A = _load_algebra(args.algebra)
-    rep = base_report("twisted modules: differentials are MC elements of A@End(V)")
+    rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = GradedSpace.make(json.loads(args.module), A.field)
     amb_needed = json.loads(args.xi)
     from .twisted import ambient_algebra
@@ -348,13 +348,13 @@ def cmd_obstruction(args) -> int:
     ext = extension_from_total(A, ideal)
     x = ext.B.element_from_labels(json.loads(args.x))
     if args.action == "class":
-        rep = base_report("obstruction cocycle nu(x) = del(x) + xi(x,x)")
+        rep = base_report(args, "obstruction cocycle nu(x) = del(x) + xi(x,x)")
         nu, cert = obstruction_class(ext, x)
         rep["nu"] = {ext.L.space.basis[i][0]: ext.field.format_coeff(c) for i, c in sorted(nu.items())}
         rep["cocycle_certificate"] = cert
         return emit(rep, 0 if cert else 1)
     if args.action == "lift":
-        rep = base_report("MC lifting along a square-zero extension")
+        rep = base_report(args, "MC lifting along a square-zero extension")
         verdict = try_lift(ext, x)
         rep["verdict"] = verdict[0]
         if verdict[0] == "lift":
@@ -368,7 +368,7 @@ def cmd_obstruction(args) -> int:
         }
         return emit(rep, 1)
     if args.action == "gauge-lift":
-        rep = base_report("semisplit gauge transport l' = f l g - del(f) g + del(y) h2")
+        rep = base_report(args, "semisplit gauge transport l' = f l g - del(f) g + del(y) h2")
         y = ext.B.element_from_labels(json.loads(args.y))
         quad = find_gauge_quadruple(ext.B, x, y, budget=args.max_enum or None)
         if quad is None:
@@ -396,7 +396,7 @@ def _total_cache(ext):
 
 def cmd_radical(args) -> int:
     A = _load_algebra(args.file)
-    rep = base_report("graded radical and internal curved radical J_- = {x in J : dx in J}")
+    rep = base_report(args, "graded radical and internal curved radical J_- = {x in J : dx in J}")
     try:
         J = graded_radical(A, budget=args.max_enum or None)
         Jm = internal_curved_radical(A, budget=args.max_enum or None, radical=J)
@@ -409,7 +409,7 @@ def cmd_radical(args) -> int:
 
 def cmd_css_decompose(args) -> int:
     A = _load_algebra(args.file)
-    rep = base_report("curved semisimple decomposition into type-1/type-2 factors")
+    rep = base_report(args, "curved semisimple decomposition into type-1/type-2 factors")
     try:
         B, pi, Jm = css_quotient(A, budget=args.max_enum or None)
         dec = css_decompose(B, budget=args.max_enum or None)
@@ -431,7 +431,7 @@ def cmd_css_decompose(args) -> int:
 
 def cmd_css_section(args) -> int:
     pi = _load_morphism(args.morphism)
-    rep = base_report("section of a surjection of curved semisimple algebras")
+    rep = base_report(args, "section of a surjection of curved semisimple algebras")
     try:
         sec = css_section(pi, budget=args.max_enum or None)
     except (ValueError, AssertionError) as e:
@@ -448,7 +448,7 @@ def cmd_css_section(args) -> int:
 
 def cmd_tower(args) -> int:
     pi = _load_morphism(args.morphism)
-    rep = base_report("nilpotent kernel factored through square-zero steps")
+    rep = base_report(args, "nilpotent kernel factored through square-zero steps")
     try:
         steps = nilpotent_tower(pi)
     except ValueError as e:
@@ -464,7 +464,7 @@ def cmd_tower(args) -> int:
 
 def cmd_omega_cat(args) -> int:
     C = _load_coalgebra(args.coalgebra)
-    rep = base_report("categorical cobar of a pointed coalgebra with split coradical")
+    rep = base_report(args, "categorical cobar of a pointed coalgebra with split coradical")
     try:
         D = omega_cat(C, budget=args.max_enum or None)
     except ValueError as e:
@@ -489,14 +489,14 @@ def cmd_omega_cat(args) -> int:
         rep["hom_cohomology"] = {}
         for x in D.objects:
             for y in D.objects:
-                H, _ = hom_window_cohomology(D, x, y, lo, hi, word_bound=args.words)
+                H = hom_window_cohomology(D, x, y, lo, hi, word_bound=args.words)
                 rep["hom_cohomology"][f"{x}->{y}"] = {str(n): H[n] for n in sorted(H)}
     return emit(rep, 0)
 
 
 def cmd_alg_mc(args) -> int:
     C = _load_coalgebra(args.coalgebra)
-    rep = base_report("reduced MC algebra of the categorical cobar")
+    rep = base_report(args, "reduced MC algebra of the categorical cobar")
     D = omega_cat(C, budget=args.max_enum or None)
     P = alg_mc(D, args.basepoint, truncation=args.truncate)
     rep["generators"] = [[a.label, a.degree] for a in P.arrows]
@@ -509,7 +509,7 @@ def cmd_alg_mc(args) -> int:
 def cmd_fib_check(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     g = _load_morphism(args.morphism)
-    rep = base_report("strong-fibration witness: hom surjectivity + H^0 iso lifting")
+    rep = base_report(args, "strong-fibration witness: hom surjectivity + H^0 iso lifting")
     try:
         rep.update(is_fibration_mcdg(C, g, budget=args.max_enum or None))
     except BudgetExceeded as e:
@@ -529,7 +529,7 @@ def cmd_rectify(args) -> int:
     convs = _conv(Csub, A)
     X = convb.algebra.element_from_labels(json.loads(args.x))
     g0 = convs.algebra.element_from_labels(json.loads(args.g0))
-    rep = base_report("rectification of a homotopy-commutative triangle")
+    rep = base_report(args, "rectification of a homotopy-commutative triangle")
     try:
         res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum or None)
     except BudgetExceeded as e:
@@ -552,7 +552,7 @@ def cmd_lift(args) -> int:
     convCpAp = _conv(Cp, g.target)
     u = convCA.algebra.element_from_labels(json.loads(args.u))
     up = convCpAp.algebra.element_from_labels(json.loads(args.uprime))
-    rep = base_report("lifting solver for an injection against a fibration")
+    rep = base_report(args, "lifting solver for an injection against a fibration")
     try:
         res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum or None)
     except BudgetExceeded as e:
@@ -564,7 +564,7 @@ def cmd_lift(args) -> int:
 
 def cmd_uncurve(args) -> int:
     A = _load_algebra(args.file)
-    rep = base_report("uncurving route through A @ End(k + k[1]) and the matrix twist")
+    rep = base_report(args, "uncurving route through A @ End(k + k[1]) and the matrix twist")
     B, x, (incl, iso) = uncurve_morita(A)
     rep["dimension"] = B.dim
     rep["valid"] = B.validate() == [] and vec_is_zero(B.field, B.h)
@@ -677,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    import os
-
-    if args.max_enum:
-        os.environ["CURVLAB_MAX_ENUM"] = str(args.max_enum)
     try:
         return args.fn(args)
     except DocumentError as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .budget import default_budget
 from .fields import FieldSpec
 
 
@@ -301,27 +302,47 @@ def kernel_basis(F: FieldSpec, rows: List[dict], ncols: int) -> List[dict]:
     return res[1]
 
 
-def enumerate_affine(F: FieldSpec, particular: dict, kernel: List[dict], budget: int):
-    """All points of an affine subspace over F_p, deterministically ordered."""
+def enumerate_affine(
+    F: FieldSpec, particular: dict, kernel: List[dict], budget: Optional[int] = None
+):
+    """The points particular + sum_a c_a kernel[a] (c_a in 0..p-1) of an
+    affine subspace over F_p, as a lazy iterator.
+
+    The n-th point takes the base-p digits of n as its coefficients, with
+    kernel[0] the lowest digit; `GaugeClasses.quadruple` relies on this
+    order.  Each point is a copy of `particular` to which c_a kernel[a] is
+    added in place in kernel order, a coordinate that becomes zero being
+    dropped, so keys come in the order that `vec_add` chains give.  This is
+    where searches apply their budget (`None` means `default_budget()`):
+    the call itself raises BudgetExceeded(p ** len(kernel), budget), before
+    any point is produced.
+    """
     if not F.is_prime_field:
         raise ValueError("affine enumeration needs a finite field")
-    p = F.characteristic
-    total = p ** len(kernel)
+    budget = default_budget() if budget is None else budget
+    total = F.characteristic ** len(kernel)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    pts = []
-    coeffs = [0] * len(kernel)
+    return _affine_points(F.characteristic, particular, kernel, total)
+
+
+def _affine_points(p: int, particular: dict, kernel: List[dict], total: int):
     for n in range(total):
-        m = n
-        for i in range(len(kernel)):
-            coeffs[i] = m % p
-            m //= p
         v = dict(particular)
-        for c, k in zip(coeffs, kernel):
-            if c:
-                v = vec_add(F, v, vec_scale(F, c, k))
-        pts.append(v)
-    return pts
+        for k in kernel:
+            n, c = divmod(n, p)  # next base-p digit
+            if not c:
+                continue
+            for i, x in k.items():
+                t = c * x % p
+                if not t:
+                    continue
+                s = (v.get(i, 0) + t) % p
+                if s:
+                    v[i] = s
+                else:
+                    v.pop(i, None)
+        yield v
 
 
 class BudgetExceeded(Exception):

@@ -223,7 +223,7 @@ class GaugeClasses:
 
         gbasis = [{idx0[a]: c for a, c in k.items()} for k in kerg]
         minus_one = vec_scale(F, F.neg(F.one()), A.unit)
-        gs = enumerate_affine(F, {}, kerg, budget)
+        gs = list(enumerate_affine(F, {}, kerg, budget))
         for fc in enumerate_affine(F, {}, kerf, budget):
             f = {idx0[a]: c for a, c in fc.items()}
             steps: List[dict] = []
@@ -405,7 +405,6 @@ def n_homotopy_search(
             return cand
     if not F.is_prime_field:
         return None
-    budget = default_budget() if budget is None else budget
     comp, I = interval_component_indices(A, n)
     T = interval_tensor(A, n)
     # free coordinates: degree-1 entries of T away from the e/f components
@@ -420,18 +419,8 @@ def n_homotopy_search(
         for k in T.degree_indices(1)
         if divmod(k, nI)[1] not in (I.space.index("e_e"), I.space.index("e_f"))
     ]
-    total = F.characteristic ** len(free)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    p = F.characteristic
-    for m in range(total):
-        mm = m
-        X = dict(fixed)
-        for k in free:
-            c = mm % p
-            mm //= p
-            if c:
-                X[k] = c
+    units = [T.space.basis_vector(k) for k in free]
+    for X in enumerate_affine(F, fixed, units, budget):
         if T.is_mc(X):
             return NHomotopy(A, n, X)
     return None

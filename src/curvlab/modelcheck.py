@@ -205,6 +205,7 @@ def hom_window_cohomology(D: FreeDgCategory, x, y, lo, hi, word_bound=8):
     evaluated exactly - no truncation clipping.  A nonzero value can only
     overestimate the true cohomology (a class may die via a longer potential);
     zeros and the degree-0 count are exact certificates at this length scale.
+    Returns {degree: dimension} for lo <= degree <= hi.
     """
     pres = D.presentation
     F = pres.field
@@ -258,7 +259,7 @@ def hom_window_cohomology(D: FreeDgCategory, x, y, lo, hi, word_bound=8):
                 bnd_rows.append({posn[i]: c for i, c in img.items()})
         bnd_red, _ = rref(F, bnd_rows, len(short_idx))
         out[n] = len(kern) - len(bnd_red)
-    return out, False
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .algebra import CurvedAlgebra, CurvedMorphism
 from .gradedlin import (
     GradedMap,
     GradedSpace,
+    enumerate_affine,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -278,22 +279,16 @@ def try_lift(ext: SquareZeroExtension, x: dict):
 
 
 def exhaustive_lift_search(ext: SquareZeroExtension, x: dict) -> Optional[dict]:
-    """Brute-force oracle over F_p: search all l in L^1 for an MC lift."""
+    """Brute-force oracle over F_p: search all l in L^1 for an MC lift,
+    within the default budget."""
     F = ext.field
     if not F.is_prime_field:
         raise ValueError("exhaustive search needs a finite field")
     A, pi = build_total(ext)
     nB = ext.B.dim
     idx = [m for m in range(ext.L.space.dim) if ext.L.space.degree(m) == 1]
-    p = F.characteristic
-    for n in range(p ** len(idx)):
-        m = n
-        xl = dict(x)
-        for k in idx:
-            c = m % p
-            m //= p
-            if c:
-                xl[nB + k] = c
+    units = [A.space.basis_vector(nB + k) for k in idx]
+    for xl in enumerate_affine(F, x, units):
         if A.is_mc(xl):
             return xl
     return None

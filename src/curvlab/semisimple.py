@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .algebra import CurvedAlgebra, CurvedMorphism, _bracket
-from .budget import default_budget
 from .gradedlin import (
-    BudgetExceeded,
     EchelonBasis,
     GradedMap,
     GradedSpace,
     LinearSystem,
+    enumerate_affine,
     in_span,
     kernel_basis,
     rref,
@@ -91,23 +90,10 @@ def graded_radical(A: CurvedAlgebra, budget: Optional[int] = None) -> List[dict]
     """
     F = A.field
     if F.is_prime_field:
-        budget = default_budget() if budget is None else budget
-        total = F.characteristic**A.dim
-        if total > budget:
-            raise BudgetExceeded(total, budget)
         members = EchelonBasis(F, A.dim)
-        p = F.characteristic
-        for n in range(total):
-            m = n
-            v = {}
-            for i in range(A.dim):
-                c = m % p
-                m //= p
-                if c:
-                    v[i] = c
-            if not v:
-                continue
-            if members.contains(v):
+        units = [A.space.basis_vector(i) for i in range(A.dim)]
+        for v in enumerate_affine(F, {}, units, budget):
+            if not v or members.contains(v):
                 continue
             ideal = _ideal_closure(A, [v])
             if _ideal_is_nilpotent(A, ideal):
@@ -244,37 +230,18 @@ class CurvedFactor:
     square_root_of_zero: Optional[dict] = None  # type2: the dx = 1 generator
 
 
-def _is_graded_simple(R: CurvedAlgebra) -> bool:
+def _is_graded_simple(R: CurvedAlgebra, budget=None) -> bool:
     """No proper nonzero two-sided ideal generated by a basis-span element.
 
     Checking ideal closures of all nonzero elements is exponential over F_p
     and unavailable over Q, so this checks the standard criterion instead:
     the algebra is semisimple (zero radical) with a single central
     idempotent block (connected center in degree 0)."""
-    F = R.field
-    if graded_radical(R):
+    if graded_radical(R, budget):
         return False
-    # center of degree 0 must be spanned by the unit alone for a simple
-    # graded algebra over a field with no proper central idempotents; a
-    # field-extension center also counts as simple, so test idempotents.
     # R has d = 0 (the caller twists it away first), so dz = 0 holds for
-    # every z and the d-closed center is the center.
-    deg0 = R.degree_indices(0)
-    ker = _closed_center(R)
-    if F.is_prime_field:
-        from .gradedlin import enumerate_affine
-
-        idems = []
-        for pt in enumerate_affine(F, {}, ker, 2**14):
-            z = {}
-            for a, c in pt.items():
-                z = vec_add(F, z, vec_scale(F, c, R.space.basis_vector(deg0[a])))
-            if z and vec_eq(F, R.product(z, z), z):
-                idems.append(z)
-        # only 0 is excluded above; simple <=> the unit is the only one
-        return len(idems) == 1
-    # over Q: simple iff the center splitter finds a single block
-    return len(_central_idempotents_rational(R)) == 1
+    # every z and the closed center is the center.
+    return len(_central_curved_idempotents(R, budget)) == 1
 
 
 def _closed_center(B: CurvedAlgebra) -> List[dict]:
@@ -310,12 +277,12 @@ def _unit_preimage(R: CurvedAlgebra, J: List[dict]) -> Optional[dict]:
     return x
 
 
-def _verify_type2_form(W: CurvedAlgebra):
+def _verify_type2_form(W: CurvedAlgebra, budget=None):
     """W is S (x) K: the radical is S.x for the dx = 1 element, d kills the
     complement S = dJ, and d: J -> S is a bimodule isomorphism.  Returns
     (S basis rows, x) or raises."""
     F = W.field
-    J = graded_radical(W)
+    J = graded_radical(W, budget=budget)
     if not J:
         raise AssertionError("type-2 normal form has zero radical")
     S_rows = [W.d.apply(r) for r in J]
@@ -359,20 +326,8 @@ def _central_curved_idempotents(B: CurvedAlgebra, budget=None) -> List[dict]:
     # linearly to cut the search for idempotents
     varidx = B.degree_indices(0)
     ker = _closed_center(B)
-    budget = default_budget() if budget is None else budget
-    total = F.characteristic ** len(ker)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
     out = []
-    p = F.characteristic
-    for n in range(total):
-        m = n
-        v: dict = {}
-        for kv in ker:
-            c = m % p
-            m //= p
-            if c:
-                v = vec_add(F, v, vec_scale(F, c, kv))
+    for v in enumerate_affine(F, {}, ker, budget):
         z = {varidx[a]: c for a, c in v.items()}
         if vec_is_zero(F, z):
             continue
@@ -584,7 +539,7 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             N, iso = twist_algebra(R, mb)
             if not vec_is_zero(F, N.h) or not N.d.is_zero():
                 raise AssertionError("type-1 normal form is not a zero-d simple algebra")
-            if not _is_graded_simple(N):
+            if not _is_graded_simple(N, budget):
                 raise AssertionError("type-1 factor is not graded simple")
             factors.append(CurvedFactor("type1", z, R, basis_in_B, mb, N))
         else:
@@ -596,7 +551,7 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             if not R.is_mc(mhx):
                 raise AssertionError("type-2 twist candidate -hx is not MC")
             W, iso = twist_algebra(R, mhx)
-            S_rows, xw = _verify_type2_form(W)
+            S_rows, xw = _verify_type2_form(W, budget)
             factors.append(
                 CurvedFactor("type2", z, R, basis_in_B, mhx, W, S_rows, xw)
             )

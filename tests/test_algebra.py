@@ -19,6 +19,7 @@ from curvlab.algebra import (
     uncurve_morita,
 )
 from curvlab.interval import make_interval
+from reference_algebra import reference_validate
 
 
 def curved_ku() -> CurvedAlgebra:
@@ -225,3 +226,16 @@ def test_direct_product():
     P = direct_product(ground_algebra(F), ground_algebra(F))
     assert P.validate() == []
     assert P.dim == 2
+
+
+def test_validate_sees_products_changed_after_an_earlier_validate():
+    A = make_interval(GF(2), 3).algebra
+    assert A.validate() == []
+    s, t = A.space.index("s"), A.space.index("t")
+    A.mult[(s, t)] = {}
+    bad = A.validate()
+    assert bad == ["associativity fails on (s,t,s)"] + [
+        f"Leibniz fails on ({a},{b})"
+        for a, b in (("e_e", "t"), ("e_f", "t"), ("s", "e_e"), ("s", "e_f"), ("s", "t"))
+    ]
+    assert bad == reference_validate(A)

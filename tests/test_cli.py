@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -199,3 +200,15 @@ def test_interval_bad_field_is_an_input_error(capsys, field):
     code, rep = run_cli(capsys, ["interval", "2", "--field", field])
     assert code == 2
     assert field in rep["error"]
+
+
+def test_max_enum_leaves_the_environment_alone(monkeypatch, capsys):
+    # set before deleting, so that undoing the monkeypatch also removes a
+    # value that main() might leave behind
+    monkeypatch.setenv("CURVLAB_MAX_ENUM", "1")
+    monkeypatch.delenv("CURVLAB_MAX_ENUM")
+    code, rep = run_cli(capsys, ["--max-enum", "7", "interval", "2"])
+    assert code == 0 and rep["budget"] == 7
+    assert "CURVLAB_MAX_ENUM" not in os.environ
+    code, rep = run_cli(capsys, ["interval", "2"])
+    assert code == 0 and rep["budget"] == 65536

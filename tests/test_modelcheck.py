@@ -86,7 +86,7 @@ def test_omega_cat_I3_window_cohomology():
         ("e_f'", "e_e'"),
         ("e_f'", "e_f'"),
     ):
-        H, clipped = hom_window_cohomology(D, x, y, -3, 0, word_bound=8)
+        H = hom_window_cohomology(D, x, y, -3, 0, word_bound=8)
         assert H[0] == 1, (x, y, H)
         assert H[-1] == 0 and H[-2] == 0 and H[-3] == 0, (x, y, H)
 

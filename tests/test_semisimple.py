@@ -311,3 +311,17 @@ def test_ideal_closure_matches_fixpoint():
                     break
                 rows = grown
             assert _ideal_closure(A, [v]) == rows
+
+
+def test_css_decompose_applies_its_budget_to_every_search(monkeypatch):
+    # criterion 5's second algebra: two type-1 factors and one type-2 factor,
+    # so the simplicity test and the type-2 check both search; a default
+    # budget of 1 refuses any search that does not get the caller's budget
+    rng = random.Random(53)
+    for _ in range(2):
+        A = random_curved_algebra(rng, GF(2), maxdim=8)
+    B, _, _ = css_quotient(A)
+    expected = [f.kind for f in css_decompose(B).factors]
+    assert expected == ["type1", "type1", "type2"]
+    monkeypatch.setenv("CURVLAB_MAX_ENUM", "1")
+    assert [f.kind for f in css_decompose(B, budget=2**16).factors] == expected
