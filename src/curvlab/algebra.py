@@ -60,16 +60,13 @@ class CurvedAlgebra:
         return self.mult.get((i, j), {})
 
     def product(self, u: dict, v: dict) -> dict:
-        F = self.field
+        add_scaled, mult = self.field.add_scaled, self.mult
         out: dict = {}
         for i, a in u.items():
-            if F.is_zero(a):
-                continue
             for j, b in v.items():
-                c = F.mul(a, b)
-                if F.is_zero(c):
-                    continue
-                out = vec_add(F, out, vec_scale(F, c, self.basis_product(i, j)))
+                col = mult.get((i, j))
+                if col:
+                    add_scaled(out, a * b, col)
         return out
 
     def commutator(self, u: dict, v: dict) -> dict:
@@ -79,8 +76,9 @@ class CurvedAlgebra:
         dv = self.space.element_degree(v)
         if du is None or dv is None:
             return {}
-        sign = F.neg(F.one()) if (du * dv) % 2 else F.one()
-        return vec_sub(self.field, self.product(u, v), vec_scale(F, sign, self.product(v, u)))
+        out = self.product(u, v)
+        F.add_scaled(out, F.one() if (du * dv) % 2 else F.neg(F.one()), self.product(v, u))
+        return out
 
     def scalar(self, c) -> dict:
         return vec_scale(self.field, c, self.unit)
@@ -409,8 +407,9 @@ class CurvedMorphism:
 
 def _bracket(B: CurvedAlgebra, x: dict, a: dict, degx: int, dega: int) -> dict:
     F = B.field
-    sign = F.neg(F.one()) if (degx * dega) % 2 else F.one()
-    return vec_sub(F, B.product(x, a), vec_scale(F, sign, B.product(a, x)))
+    out = B.product(x, a)
+    F.add_scaled(out, F.one() if (degx * dega) % 2 else F.neg(F.one()), B.product(a, x))
+    return out
 
 
 def identity_morphism(A: CurvedAlgebra) -> CurvedMorphism:

@@ -36,6 +36,7 @@ from .gradedlin import (
     enumerate_affine,
     rref,
     span_rank,
+    vec_add,
     vec_is_zero,
     vec_key,
     vec_scale,
@@ -166,18 +167,10 @@ def mc_hom_enumerate(
             new_partials = []
             for P in partials:
                 base = residual_rows(P, s)
-                cols = []
-                for k in vs:
-                    probe = dict(P)
-                    probe[k] = F.add(probe.get(k, F.zero()), F.one())
-                    diff = {}
-                    pr = residual_rows(probe, s)
-                    keys = set(pr) | set(base)
-                    for kk in keys:
-                        d = F.sub(pr.get(kk, F.zero()), base.get(kk, F.zero()))
-                        if not F.is_zero(d):
-                            diff[kk] = d
-                    cols.append(diff)
+                cols = [
+                    vec_sub(F, residual_rows(vec_add(F, P, E.space.basis_vector(k)), s), base)
+                    for k in vs
+                ]
                 system = LinearSystem(F, cols, E.dim)
                 part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
                 if part is None:
@@ -188,16 +181,15 @@ def mc_hom_enumerate(
                     raise BudgetExceeded(required, budget)
                 for pt in enumerate_affine(F, part, ker, budget):
                     Q = dict(P)
-                    for a, c in pt.items():
-                        if not F.is_zero(c):
-                            Q[vs[a]] = c
+                    for a, c in F.nonzero(pt).items():
+                        Q[vs[a]] = c
                     new_partials.append(Q)
             partials = new_partials
             if not partials:
                 break
         for X2 in partials:
             if vec_is_zero(F, E.mc_residual(X2)):
-                sols.append({k: c for k, c in X2.items() if not F.is_zero(c)})
+                sols.append(F.nonzero(X2))
     # dedupe + deterministic order
     uniq = {}
     for x in sols:
@@ -397,7 +389,7 @@ def morphisms_via_mc(
             img = dict(phi.get(i, {}))
             e = C.counit.get(i, F.zero())
             if not F.is_zero(e):
-                img = vec_sub(F, img, vec_scale(F, e, b))
+                F.add_scaled(img, F.mul(F.neg(F.one()), e), b)  # img -= e b
             gen_images[f"g{C.label(i)}"] = img
         stable = _truncation_stable(A, list(gen_images.values()), N)
         out.append(CobarMorphismData(x, b, gen_images, stable))
@@ -463,7 +455,8 @@ def conilpotency_degree(C: CurvedCoalgebra, budget=None) -> Optional[int]:
     F = C.field
     Astar = dualize_coalgebra(C)
     rad = graded_radical(Astar, budget=budget)
-    if span_rank(F, rad, Astar.dim) != Astar.dim - 1:
+    rank = span_rank(F, rad, Astar.dim)
+    if rank != Astar.dim - 1:
         return None
     k = 1
     cur = rad
@@ -474,10 +467,10 @@ def conilpotency_degree(C: CurvedCoalgebra, budget=None) -> Optional[int]:
                 p = Astar.product(u, v)
                 if p:
                     nxt.append(p)
-        nxt, _ = rref(F, nxt, Astar.dim)
-        if nxt and span_rank(F, nxt, Astar.dim) == span_rank(F, cur, Astar.dim):
+        nxt, _ = rref(F, nxt, Astar.dim)  # echelon rows: their number is the rank
+        if nxt and len(nxt) == rank:
             return None
-        cur = nxt
+        cur, rank = nxt, len(nxt)
         k += 1
     return k
 

@@ -190,6 +190,7 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict], budget=None):
     # check it is an ideal and nilpotent
     powers = [ann]
     cur = ann
+    rank = span_rank(F, ann, A.dim)
     while cur:
         nxt_rows = []
         for u in cur:
@@ -197,8 +198,8 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict], budget=None):
                 p = A.product(u, v)
                 if p:
                     nxt_rows.append(p)
-        red, _ = rref(F, nxt_rows, A.dim)
-        if red and span_rank(F, cur, A.dim) == span_rank(F, red, A.dim):
+        red, _ = rref(F, nxt_rows, A.dim)  # echelon rows: their number is the rank
+        if red and rank == len(red):
             raise ValueError(
                 "quotient is not conilpotent: dual kernel power stabilized at a "
                 f"nonzero ideal (witness {A.space.basis[sorted(red[0])[0]][0]})"
@@ -206,7 +207,7 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict], budget=None):
         if not red:
             break
         powers.append(red)
-        cur = red
+        cur, rank = red, len(red)
     return _tower_chain(F, sub_basis, powers, C)
 
 
@@ -218,8 +219,9 @@ def _tower_chain(F, sub_basis, powers, C):
     # deduplicate consecutive equal-rank steps
     from .gradedlin import span_rank
 
+    ranks = [span_rank(F, step, C.dim) for step in chain]
     out = [chain[0]]
-    for step in chain[1:]:
-        if span_rank(F, step, C.dim) != span_rank(F, out[-1], C.dim):
+    for step, rank, prev in zip(chain[1:], ranks[1:], ranks):
+        if rank != prev:
             out.append(step)
     return out

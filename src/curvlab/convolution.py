@@ -69,29 +69,31 @@ def convolution_algebra(C: CurvedCoalgebra, A: CurvedAlgebra) -> ConvolutionAlge
     def pidx(ci, ai):
         return ci * nA + ai
 
-    # product: (phi psi)(x) = sum (-1)^{|psi||x1|} phi(x1) psi(x2)
+    # product: (phi psi)(x) = sum (-1)^{|psi||x1|} phi(x1) psi(x2); the x
+    # with Delta(x) having a (c1, c2) component, in ascending order, give
+    # the terms pidx(x, k) of the column, each once
+    m1, one = F.neg(F.one()), F.one()
+    through: Dict[Tuple[int, int], list] = {}
+    for x in range(C.dim):
+        for pair, coeff in F.nonzero(C.comult.get(x, {})).items():
+            through.setdefault(pair, []).append((x, coeff))
     mult: Dict[Tuple[int, int], dict] = {}
     for c1 in range(C.dim):
         for a1 in range(A.dim):
             for c2 in range(C.dim):
+                xs = through.get((c1, c2))
+                if not xs:
+                    continue
                 for a2 in range(A.dim):
+                    prod = A.basis_product(a1, a2)
+                    if not prod:
+                        continue
                     deg_psi = A.degree(a2) - C.space.degree(c2)
+                    sgn = m1 if (deg_psi * C.space.degree(c1)) % 2 else one
                     col: dict = {}
-                    # find all x with Delta(x) having a (c1, c2) component
-                    for x in range(C.dim):
-                        coeff = C.comult.get(x, {}).get((c1, c2))
-                        if coeff is None or F.is_zero(coeff):
-                            continue
-                        sgn = (
-                            F.neg(F.one())
-                            if (deg_psi * C.space.degree(c1)) % 2
-                            else F.one()
-                        )
-                        val = F.mul(sgn, coeff)
-                        for k, pc in A.basis_product(a1, a2).items():
-                            kk = pidx(x, k)
-                            col[kk] = F.add(col.get(kk, F.zero()), F.mul(val, pc))
-                    col = {k: v for k, v in col.items() if not F.is_zero(v)}
+                    for x, coeff in xs:
+                        for k, t in F.scale(F.mul(sgn, coeff), prod).items():
+                            col[pidx(x, k)] = t
                     if col:
                         mult[(pidx(c1, a1), pidx(c2, a2))] = col
     # differential

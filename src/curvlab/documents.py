@@ -27,7 +27,9 @@ Presented documents:
      "curvature": [[["s","t"], coeff], ...]}
 
 Coefficients are integers or strings: decimal integers mod p, or "p/q" over
-the rationals.
+the rationals.  A document of any other shape (not an object, a row of the
+wrong length, a table that is not an object, a coefficient that is not in
+the field, ...) raises DocumentError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, Tuple
 
 from .algebra import CurvedAlgebra
 from .coalgebra import CurvedCoalgebra
-from .fields import FieldSpec
+from .fields import CoefficientError, FieldSpec
 from .gradedlin import GradedMap, GradedSpace
 from .presented import Arrow, PresentedCurvedAlgebra
 
@@ -46,9 +48,22 @@ class DocumentError(ValueError):
     pass
 
 
+def _rows(doc: dict, key: str, labels: int) -> list:
+    """doc[key] as a list of rows: `labels` label strings, then a coefficient."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == labels + 1 and all(isinstance(l, str) for l in r[:labels])
+        for r in rows
+    ):
+        raise DocumentError(f"{key!r} must be a list of rows of {labels} labels and a coefficient")
+    return rows
+
+
 def load_document(doc: dict):
     """Parse a document into (object, annotations); object is a
     CurvedAlgebra, CurvedCoalgebra or PresentedCurvedAlgebra."""
+    if not isinstance(doc, dict):
+        raise DocumentError("a document must be a JSON object")
     try:
         F = FieldSpec.from_doc(doc["field"])
     except (KeyError, ValueError) as e:
@@ -72,9 +87,14 @@ def load_document(doc: dict):
     idx = {l: i for i, (l, _) in enumerate(basis)}
 
     def coeff(c):
-        return F.parse_coeff(c)
+        try:
+            return F.parse_coeff(c)
+        except CoefficientError as e:
+            raise DocumentError(str(e))
 
-    def vec(d: dict) -> dict:
+    def vec(key: str, d) -> dict:
+        if not isinstance(d, dict):
+            raise DocumentError(f"{key!r} must be an object {{label: coefficient}}")
         out = {}
         for l, c in d.items():
             if l not in idx:
@@ -85,7 +105,7 @@ def load_document(doc: dict):
         return out
 
     entries: Dict[int, dict] = {}
-    for row in doc.get("differential", []):
+    for row in _rows(doc, "differential", 2):
         a, b, c = row
         if a not in idx or b not in idx:
             raise DocumentError(f"unknown label in differential row {row}")
@@ -101,7 +121,7 @@ def load_document(doc: dict):
         raise DocumentError(f"bad differential: {e}")
     if kind == "algebra":
         mult: Dict[Tuple[int, int], dict] = {}
-        for row in doc.get("mult", []):
+        for row in _rows(doc, "mult", 3):
             a, b, c, v = row
             for l in (a, b, c):
                 if l not in idx:
@@ -114,15 +134,15 @@ def load_document(doc: dict):
             mult[key][idx[c]] = F.add(mult[key].get(idx[c], F.zero()), vv)
         A = CurvedAlgebra(
             space,
-            vec(doc.get("unit", {})),
+            vec("unit", doc.get("unit", {})),
             mult,
             dmap,
-            vec(doc.get("curvature", {})),
+            vec("curvature", doc.get("curvature", {})),
         )
         return A, ann
     if kind == "coalgebra":
         comult: Dict[int, Dict[Tuple[int, int], object]] = {}
-        for row in doc.get("mult", []):
+        for row in _rows(doc, "mult", 3):
             a, b, c, v = row  # Delta(a) has term (b, c) with coefficient v
             for l in (a, b, c):
                 if l not in idx:
@@ -136,9 +156,9 @@ def load_document(doc: dict):
         C = CurvedCoalgebra(
             space,
             comult,
-            vec(doc.get("counit", doc.get("unit", {}))),
+            vec("counit", doc.get("counit", doc.get("unit", {}))),
             dmap,
-            vec(doc.get("curvature", {})),
+            vec("curvature", doc.get("curvature", {})),
         )
         return C, ann
     raise DocumentError(f"unknown kind {kind!r}")
@@ -176,7 +196,7 @@ def _load_presented(doc: dict, F: FieldSpec) -> PresentedCurvedAlgebra:
             d_on_arrows=da,
             h=combo(doc.get("curvature", [])),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad presented document: {e}")
 
 

@@ -67,7 +67,7 @@ class GradedSpace:
 
     def element_degree(self, v: Dict[int, object]) -> Optional[int]:
         """Degree of a homogeneous element, None for 0; raises if mixed."""
-        degs = {self.degree(i) for i, c in v.items() if not self.field.is_zero(c)}
+        degs = {self.degree(i) for i in self.field.nonzero(v)}
         if not degs:
             return None
         if len(degs) > 1:
@@ -86,27 +86,22 @@ def shift(space: GradedSpace, k: int) -> GradedSpace:
 
 def vec_add(F: FieldSpec, u: dict, v: dict) -> dict:
     out = dict(u)
-    for i, c in v.items():
-        s = F.add(out.get(i, F.zero()), c)
-        if F.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
+    F.add_scaled(out, 1, v)
     return out
 
 
 def vec_sub(F: FieldSpec, u: dict, v: dict) -> dict:
-    return vec_add(F, u, vec_scale(F, F.neg(F.one()), v))
+    out = dict(u)
+    F.add_scaled(out, -F.one(), v)
+    return out
 
 
 def vec_scale(F: FieldSpec, c, v: dict) -> dict:
-    if F.is_zero(c):
-        return {}
-    return {i: F.mul(c, x) for i, x in v.items() if not F.is_zero(F.mul(c, x))}
+    return F.scale(c, v)
 
 
 def vec_is_zero(F: FieldSpec, v: dict) -> bool:
-    return all(F.is_zero(c) for c in v.values())
+    return not v or not F.nonzero(v)
 
 
 def vec_eq(F: FieldSpec, u: dict, v: dict) -> bool:
@@ -120,25 +115,6 @@ def vec_key(v: dict, dim: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # row reduction
-
-
-def _sub_multiple(F: FieldSpec, res: dict, c, row: dict) -> None:
-    """res -= c * row, in place, dropping the entries that become zero."""
-    if F.is_prime_field:
-        p = F.characteristic
-        for i, x in row.items():
-            s = (res.get(i, 0) - c * x) % p
-            if s:
-                res[i] = s
-            else:
-                res.pop(i, None)
-        return
-    for i, x in row.items():
-        s = F.sub(res.get(i, F.zero()), F.mul(c, x))
-        if F.is_zero(s):
-            res.pop(i, None)
-        else:
-            res[i] = s
 
 
 class EchelonBasis:
@@ -169,10 +145,9 @@ class EchelonBasis:
         Every row is zero in the other rows' pivot columns, so one pass
         over the pivot columns of v clears them all.
         """
-        F = self.F
-        res = {i: c for i, c in v.items() if not F.is_zero(c)}
+        res = self.F.nonzero(v)
         for col in [i for i in res if i in self._pivot_rows]:
-            _sub_multiple(F, res, res[col], self._pivot_rows[col])
+            self.F.add_scaled(res, -res[col], self._pivot_rows[col])
         return res
 
     def contains(self, v: dict) -> bool:
@@ -186,12 +161,11 @@ class EchelonBasis:
         if not cols:
             return False
         col = min(cols)
-        inv = F.inv(res[col])
-        res = {i: F.mul(inv, c) for i, c in res.items()}
+        res = F.scale(F.inv(res[col]), res)
         for row in self._pivot_rows.values():
             c = row.get(col)
             if c is not None:
-                _sub_multiple(F, row, c, res)
+                F.add_scaled(row, -c, res)
         self._pivot_rows[col] = res
         return True
 
@@ -222,14 +196,15 @@ class LinearSystem:
         self.nrows = nrows
         self._basis = EchelonBasis(F, nrows)
         self.kernel: List[dict] = []
+        one = F.one()
         for a, col in enumerate(columns):
             tagged = dict(col)
-            tagged[nrows + a] = F.one()
+            tagged[nrows + a] = one
             res = self._basis.reduce(tagged)
             if any(i < nrows for i in res):
                 self._basis.add(res)
                 continue
-            k = {a: F.one()}
+            k = {a: one}
             for i in sorted(res):
                 if i != nrows + a:
                     k[i - nrows] = res[i]
@@ -242,7 +217,7 @@ class LinearSystem:
         """The particular solution for the b with residue res, or None."""
         if any(i < self.nrows for i in res):
             return None
-        return {i - self.nrows: self.F.neg(c) for i, c in sorted(res.items())}
+        return self.F.scale(-1, {i - self.nrows: c for i, c in sorted(res.items())})
 
 
 def span_rank(F: FieldSpec, rows: List[dict], ncols: int) -> int:
@@ -323,25 +298,17 @@ def enumerate_affine(
     total = F.characteristic ** len(kernel)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    return _affine_points(F.characteristic, particular, kernel, total)
+    return _affine_points(F, particular, kernel, total)
 
 
-def _affine_points(p: int, particular: dict, kernel: List[dict], total: int):
+def _affine_points(F: FieldSpec, particular: dict, kernel: List[dict], total: int):
+    p = F.characteristic
     for n in range(total):
         v = dict(particular)
         for k in kernel:
             n, c = divmod(n, p)  # next base-p digit
-            if not c:
-                continue
-            for i, x in k.items():
-                t = c * x % p
-                if not t:
-                    continue
-                s = (v.get(i, 0) + t) % p
-                if s:
-                    v[i] = s
-                else:
-                    v.pop(i, None)
+            if c:
+                F.add_scaled(v, c, k)
         yield v
 
 
@@ -378,9 +345,7 @@ class GradedMap:
         F = self.source.field
         for j, col in self.entries.items():
             sd = self.source.degree(j)
-            for i, c in col.items():
-                if F.is_zero(c):
-                    continue
+            for i in F.nonzero(col):
                 if self.target.degree(i) != sd + self.degree:
                     raise ValueError(
                         f"entry {self.source.basis[j][0]} -> {self.target.basis[i][0]} "
@@ -392,13 +357,12 @@ class GradedMap:
         return self.source.field
 
     def apply(self, v: dict) -> dict:
-        F = self.field
+        add_scaled, entries = self.field.add_scaled, self.entries
         out: dict = {}
         for j, c in v.items():
-            col = self.entries.get(j)
-            if not col or F.is_zero(c):
-                continue
-            out = vec_add(F, out, vec_scale(F, c, col))
+            col = entries.get(j)
+            if col:
+                add_scaled(out, c, col)
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":

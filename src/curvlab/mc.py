@@ -43,9 +43,9 @@ def hom_complex(A: CurvedAlgebra, x: dict, y: dict) -> Complex:
     entries = {}
     for i in range(A.dim):
         ei = A.space.basis_vector(i)
-        col = vec_add(F, A.d.apply(ei), A.product(y, ei))
-        sgn = F.one() if A.degree(i) % 2 == 0 else F.neg(F.one())
-        col = vec_sub(F, col, vec_scale(F, sgn, A.product(ei, x)))
+        col = A.d.apply(ei)
+        F.add_scaled(col, 1, A.product(y, ei))
+        F.add_scaled(col, F.neg(F.one()) if A.degree(i) % 2 == 0 else F.one(), A.product(ei, x))
         if col:
             entries[i] = col
     d = GradedMap(A.space, A.space, 1, entries)
@@ -63,11 +63,8 @@ def twisted_differential(A: CurvedAlgebra, x: dict) -> GradedMap:
     entries = {}
     for i in range(A.dim):
         ei = A.space.basis_vector(i)
-        br = vec_sub(
-            F,
-            A.product(x, ei),
-            vec_scale(F, F.one() if A.degree(i) % 2 == 0 else F.neg(F.one()), A.product(ei, x)),
-        )
+        br = A.product(x, ei)
+        F.add_scaled(br, F.neg(F.one()) if A.degree(i) % 2 == 0 else F.one(), A.product(ei, x))
         col = vec_add(F, A.d.apply(ei), br)
         if col:
             entries[i] = col
@@ -160,7 +157,7 @@ class GaugeClasses:
         """The data of x, built once per element; the columns of d^x on
         degree -1 are d^x(e_j) = de_j + xe_j + e_jx."""
         A, F = self.A, self.A.field
-        key = tuple(sorted((i, c) for i, c in x.items() if not F.is_zero(c)))
+        key = tuple(sorted(F.nonzero(x).items()))
         if key not in self._elements:
             if not A.is_mc(x):
                 raise ValueError("hom_complex requires Maurer-Cartan endpoints")

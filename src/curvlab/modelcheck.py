@@ -534,10 +534,11 @@ def rectify_cofibration(
             "witness": "triangle is not homotopy commutative (no gauge r(X) ~ g0)",
         }
     cands = mc_hom_enumerate(Cp, A, budget=budget)
+    gauge = GaugeClasses(convb.algebra, budget)  # X's data is built once
     for xt in cands:
         if not vec_eq(F, restrict_element(convb, convs, idual, xt), g0):
             continue
-        if find_gauge_quadruple(convb.algebra, X, xt, budget=budget) is not None:
+        if gauge.quadruple(X, xt) is not None:
             return {"verdict": True, "lift": xt, "search_complete": True}
     return {"verdict": False, "search_complete": True, "witness": "exhausted"}
 

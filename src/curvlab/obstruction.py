@@ -148,11 +148,11 @@ class SquareZeroExtension:
             for j in range(B.dim):
                 b = B.space.basis_vector(j)
                 lhs = self.partial.apply(B.product(a, b))
-                lhs = vec_sub(F, lhs, L.act_right(self.partial.apply(a), b))
-                lhs = vec_sub(F, lhs, vec_scale(F, sa, L.act_left(a, self.partial.apply(b))))
-                lhs = vec_add(F, lhs, L.dL.apply(self.xi_of(a, b)))
-                lhs = vec_add(F, lhs, self.xi_of(B.d.apply(a), b))
-                lhs = vec_add(F, lhs, vec_scale(F, sa, self.xi_of(a, B.d.apply(b))))
+                F.add_scaled(lhs, F.neg(F.one()), L.act_right(self.partial.apply(a), b))
+                F.add_scaled(lhs, F.neg(sa), L.act_left(a, self.partial.apply(b)))
+                F.add_scaled(lhs, 1, L.dL.apply(self.xi_of(a, b)))
+                F.add_scaled(lhs, 1, self.xi_of(B.d.apply(a), b))
+                F.add_scaled(lhs, sa, self.xi_of(a, B.d.apply(b)))
                 if not vec_is_zero(F, lhs):
                     out.append(f"condition (3) fails on ({B.label(i)},{B.label(j)})")
                     done = True

@@ -17,13 +17,15 @@ from .algebra import (
     tensor_algebras,
 )
 from .fields import FieldSpec
-from .gradedlin import Complex, GradedMap, GradedSpace, kernel_basis, vec_add, vec_scale
+from .gradedlin import Complex, GradedMap, GradedSpace, kernel_basis, vec_add
 from .interval import make_interval
 from .obstruction import Bimodule, SquareZeroExtension, build_total
 
 
 def random_complex(rng: random.Random, F: FieldSpec, maxdim: int = 6, degs=(-1, 0, 1, 2)):
-    """Random (V, d) with d^2 = 0, by rejection."""
+    """Random (V, d) with d^2 = 0, by rejection.  The nonzero entries of d
+    are drawn uniformly from F_p^*, and are 1 over Q."""
+    prime = F.is_prime_field
     while True:
         n = rng.randint(1, maxdim)
         basis = [(f"v{i}", rng.choice(degs)) for i in range(n)]
@@ -33,7 +35,7 @@ def random_complex(rng: random.Random, F: FieldSpec, maxdim: int = 6, degs=(-1, 
             col = {}
             for i in range(n):
                 if V.degree(i) == V.degree(j) + 1 and rng.random() < 0.5:
-                    c = rng.randint(1, F.characteristic - 1) if F.is_prime_field else 1
+                    c = rng.randint(1, F.characteristic - 1) if prime else 1
                     col[i] = F.coerce(c)
             if col:
                 entries[j] = col
@@ -288,7 +290,7 @@ def random_square_zero_extension(
         vec: dict = {}
         for c, k in zip(coeffs, ker):
             if c:
-                vec = vec_add(F, vec, vec_scale(F, F.coerce(c), k))
+                F.add_scaled(vec, F.coerce(c), k)
         partial_entries: Dict[int, dict] = {}
         xi: Dict[Tuple[int, int], dict] = {}
         for a, val in vec.items():

@@ -158,7 +158,7 @@ def internal_curved_radical(A: CurvedAlgebra, budget=None, radical=None) -> List
     for k in ker:
         v = {}
         for a, c in k.items():
-            v = vec_add(F, v, vec_scale(F, c, Jred[a]))
+            F.add_scaled(v, c, Jred[a])
         if v:
             out.append(v)
     closure = EchelonBasis(F, A.dim, out)
@@ -273,7 +273,7 @@ def _unit_preimage(R: CurvedAlgebra, J: List[dict]) -> Optional[dict]:
         return None
     x: dict = {}
     for a, c in sol.items():
-        x = vec_add(F, x, vec_scale(F, c, J[a]))
+        F.add_scaled(x, c, J[a])
     return x
 
 
@@ -354,7 +354,7 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
     for k in _closed_center(B):
         v: dict = {}
         for a, c in k.items():
-            v = vec_add(F, v, vec_scale(F, c, B.space.basis_vector(deg0[a])))
+            F.add_scaled(v, c, B.space.basis_vector(deg0[a]))
         center.append(v)
 
     lam = sympy.symbols("lam")
@@ -366,7 +366,7 @@ def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
             out = B.product(out, w)
             cc = Fraction(str(sympy.nsimplify(c)))
             if cc:
-                out = vec_add(F, out, vec_scale(F, Fraction(cc), e))
+                F.add_scaled(out, cc, e)
         return out
 
     def split_block(e):
@@ -614,7 +614,7 @@ def css_section(pi: CurvedMorphism, budget=None) -> CurvedMorphism:
         assert sol is not None
         v: dict = {}
         for a, c in sol.items():
-            v = vec_add(F, v, vec_scale(F, c, comp_red[a]))
+            F.add_scaled(v, c, comp_red[a])
         if v:
             entries[j] = v
     sec = CurvedMorphism(Bq, A, GradedMap(Bq.space, A.space, 0, entries), {}, unital=False)

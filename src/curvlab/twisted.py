@@ -25,11 +25,8 @@ from .gradedlin import (
     Complex,
     GradedMap,
     GradedSpace,
-    vec_add,
     vec_eq,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 
 
@@ -149,9 +146,9 @@ def module_hom_complex(M: TwistedModule, N: TwistedModule) -> Complex:
     for a, k in enumerate(hom_keys):
         v = {k: F.one()}
         deg = amb.space.degree(k)
-        col_big = vec_add(F, amb.d.apply(v), amb.product(xiN, v))
-        sgn = F.one() if deg % 2 == 0 else F.neg(F.one())
-        col_big = vec_sub(F, col_big, vec_scale(F, sgn, amb.product(v, xiM)))
+        col_big = amb.d.apply(v)
+        F.add_scaled(col_big, 1, amb.product(xiN, v))
+        F.add_scaled(col_big, F.neg(F.one()) if deg % 2 == 0 else F.one(), amb.product(v, xiM))
         col = {}
         for kk, c in col_big.items():
             if kk in pos:
@@ -198,11 +195,8 @@ def endomorphism_complex_is_dg_algebra(M: TwistedModule) -> bool:
             dxy = c.d.apply(comp(x, y))
             degx = c.space.degree(a)
             sgn = F.one() if degx % 2 == 0 else F.neg(F.one())
-            rhs = vec_add(
-                F,
-                comp(c.d.apply(x), y),
-                vec_scale(F, sgn, comp(x, c.d.apply(y))),
-            )
+            rhs = comp(c.d.apply(x), y)
+            F.add_scaled(rhs, sgn, comp(x, c.d.apply(y)))
             if not vec_eq(F, dxy, rhs):
                 return False
     return True

@@ -1,8 +1,106 @@
-"""Reference axiom check for the tests of `CurvedAlgebra.validate`: every
-check on basis vectors through `product` and `d.apply`, associativity as a
-plain triple loop over (i, j, k) and Leibniz as a double loop over (i, j)."""
+"""Reference arithmetic and axiom check for the tests of the field kernels
+and of `CurvedAlgebra.validate`.
+
+The sparse helpers below are the generic per-coefficient arithmetic that
+`vec_add`, `vec_scale`, `CurvedAlgebra.product`, `GradedMap.apply` and
+`EchelonBasis.reduce` had before the field classes carried their own
+kernels: one scalar field call per coefficient, and every accumulation
+rebuilding the whole dict as `out = vec_add(F, out, vec_scale(F, c, v))`.
+
+The axiom check works on basis vectors through `product` and `d.apply`,
+associativity as a plain triple loop over (i, j, k) and Leibniz as a
+double loop over (i, j)."""
 
 from curvlab.gradedlin import vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub
+
+
+def reference_vec_add(F, u, v):
+    out = dict(u)
+    for i, c in v.items():
+        s = F.add(out.get(i, F.zero()), c)
+        if F.is_zero(s):
+            out.pop(i, None)
+        else:
+            out[i] = s
+    return out
+
+
+def reference_vec_scale(F, c, v):
+    if F.is_zero(c):
+        return {}
+    return {i: F.mul(c, x) for i, x in v.items() if not F.is_zero(F.mul(c, x))}
+
+
+def reference_vec_sub(F, u, v):
+    return reference_vec_add(F, u, reference_vec_scale(F, F.neg(F.one()), v))
+
+
+def reference_add_scaled(F, out, c, v):
+    """out + c v as the accumulation step of the old loops (a new dict)."""
+    return reference_vec_add(F, out, reference_vec_scale(F, c, v))
+
+
+def reference_product(A, u, v):
+    F = A.field
+    out = {}
+    for i, a in u.items():
+        if F.is_zero(a):
+            continue
+        for j, b in v.items():
+            c = F.mul(a, b)
+            if F.is_zero(c):
+                continue
+            out = reference_add_scaled(F, out, c, A.mult.get((i, j), {}))
+    return out
+
+
+def reference_apply(M, v):
+    F = M.field
+    out = {}
+    for j, c in v.items():
+        col = M.entries.get(j)
+        if not col or F.is_zero(c):
+            continue
+        out = reference_add_scaled(F, out, c, col)
+    return out
+
+
+def _reference_sub_multiple(F, res, c, row):
+    """res -= c * row, in place, dropping the entries that become zero."""
+    for i, x in row.items():
+        s = F.sub(res.get(i, F.zero()), F.mul(c, x))
+        if F.is_zero(s):
+            res.pop(i, None)
+        else:
+            res[i] = s
+
+
+def reference_reduce(F, pivot_rows, v):
+    """v minus its components along the rows {pivot column: row} of a
+    reduced echelon basis, one row operation per pivot column of v."""
+    res = {i: c for i, c in v.items() if not F.is_zero(c)}
+    for col in [i for i in res if i in pivot_rows]:
+        _reference_sub_multiple(F, res, res[col], pivot_rows[col])
+    return res
+
+
+def reference_echelon(F, ncols, rows):
+    """The {pivot column: row} table of `EchelonBasis(F, ncols, rows)`."""
+    pivot_rows = {}
+    for v in rows:
+        res = reference_reduce(F, pivot_rows, v)
+        cols = [i for i in res if i < ncols]
+        if not cols:
+            continue
+        col = min(cols)
+        inv = F.inv(res[col])
+        res = {i: F.mul(inv, c) for i, c in res.items()}
+        for row in pivot_rows.values():
+            c = row.get(col)
+            if c is not None:
+                _reference_sub_multiple(F, row, c, res)
+        pivot_rows[col] = res
+    return pivot_rows
 
 
 def reference_validate(A, max_violations=8):

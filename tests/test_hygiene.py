@@ -1,9 +1,13 @@
-"""Every module-level import in src/curvlab is used by its module.
+"""Two `ast` scans of src/curvlab (no linter ships with the project).
 
-No linter ships with the project, so this is a small `ast` scan: a name
-bound by a top-level `import` or `from ... import` must occur as a name
-(or as the base of an attribute access) somewhere else in the module.
-`__init__.py` re-exports by importing and is skipped.
+Every module-level import is used by its module: a name bound by a
+top-level `import` or `from ... import` must occur as a name (or as the
+base of an attribute access) somewhere else in the module.  `__init__.py`
+re-exports by importing and is skipped.
+
+No `vec_add` or `vec_sub` call takes a `vec_scale(...)` call as an
+argument: that builds a scaled copy and then a new sum for every term, where
+`F.add_scaled(out, c, v)` adds c*v to `out` in place.
 """
 
 import ast
@@ -37,3 +41,34 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _call_name(node):
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def scaled_accumulations(source: str):
+    """Line numbers of vec_add/vec_sub calls with a vec_scale(...) argument."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _call_name(node) in ("vec_add", "vec_sub")
+        and any(isinstance(a, ast.Call) and _call_name(a) == "vec_scale" for a in node.args)
+    )
+
+
+def test_scan_finds_a_scaled_accumulation():
+    src = (
+        "out = vec_add(F, out, vec_scale(F, c, v))\n"
+        "w = gl.vec_sub(F, u,\n    gl.vec_scale(F, c, v))\n"
+        "x = vec_add(F, u, v)\n"
+        "F.add_scaled(out, c, v)\n"
+    )
+    assert scaled_accumulations(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scaled_accumulation(path):
+    assert scaled_accumulations(path.read_text(encoding="utf-8")) == []

@@ -363,3 +363,33 @@ def test_memoized_fibration_refuses_like_the_search():
             is_fibration_mcdg(C, g, budget=budget)
         assert (memo.value.required, memo.value.budget) == (required, budget)
     assert is_fibration_mcdg(C, g, budget=required)["verdict"] is True
+
+
+def test_rectify_cofibration_builds_one_gauge_memo(monkeypatch):
+    """Every candidate lift is compared with X through one `GaugeClasses` of
+    the big convolution algebra, so X's data is built once per call.  Here
+    the third candidate is the first one gauge-equivalent to X."""
+    from curvlab import mc, modelcheck
+
+    F = GF(2)
+    V = GradedSpace.make([("v", 1)], F)
+    A = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    Cs = dualize_algebra(ground_algebra(F))
+    Cb = dualize_algebra(make_interval(F, 1).algebra)
+    idual = inclusion_dual_for_subcoalgebra(Cb, Cs, {"1'": "e_e'"})
+    X = mc_hom_enumerate(Cb, A)[2]
+    g0 = mc_hom_enumerate(Cs, A)[0]
+    built = []
+
+    class Counting(mc.GaugeClasses):
+        def __init__(self, B, budget=None):
+            built.append(B.dim)
+            super().__init__(B, budget)
+
+    monkeypatch.setattr(mc, "GaugeClasses", Counting)
+    monkeypatch.setattr(modelcheck, "GaugeClasses", Counting)
+    rep = rectify_cofibration(Cs, Cb, idual, A, X, g0)
+    big = convolution_algebra(Cb, A).algebra
+    assert rep["verdict"] is True
+    assert built.count(big.dim) == 1
+    assert find_gauge_quadruple(big, X, rep["lift"]) is not None

@@ -1,9 +1,16 @@
-"""Property tests: the affine enumerator against itertools.product, and the
-axiom check against the reference loops of reference_algebra.py."""
+"""Property tests: the field kernels and the sparse arithmetic on them
+against the generic per-coefficient loops of reference_algebra.py, the
+affine enumerator against itertools.product, the axiom check against the
+reference loops, and the CLI exit codes on mutated documents."""
 
+import contextlib
 import copy
+import io
 import itertools
+import json
+import os
 import random
+import tempfile
 from functools import lru_cache
 
 import pytest
@@ -11,14 +18,138 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.algebra import tensor_algebras
+from curvlab.cli import main
+from curvlab.documents import dump_algebra
 from curvlab.fields import GF, QQ
-from curvlab.gradedlin import BudgetExceeded, enumerate_affine, vec_add, vec_scale
+from curvlab.gradedlin import (
+    BudgetExceeded,
+    EchelonBasis,
+    enumerate_affine,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from curvlab.interval import make_interval
 from curvlab.randgen import random_curved_algebra
-from reference_algebra import reference_validate
+from reference_algebra import (
+    reference_add_scaled,
+    reference_apply,
+    reference_echelon,
+    reference_product,
+    reference_reduce,
+    reference_validate,
+    reference_vec_add,
+    reference_vec_scale,
+    reference_vec_sub,
+)
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
+KERNEL_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
 SETTINGS = dict(deadline=None, database=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# field kernels and sparse arithmetic against the generic reference
+
+
+def coefficients(F, nonzero=False):
+    """Zero, negative and (mod p) unreduced coefficients; over Q both ints
+    and Fractions, so that a change of coefficient type shows."""
+    if F.is_prime_field:
+        p = F.characteristic
+        cs = st.integers(-2 * p, 2 * p)
+        return cs.filter(lambda c: c % p) if nonzero else cs
+    cs = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    return cs.filter(bool) if nonzero else cs
+
+
+def vectors(F, dim=6, nonzero=False):
+    return st.dictionaries(st.integers(0, dim - 1), coefficients(F, nonzero), max_size=dim)
+
+
+def typed(v: dict) -> list:
+    """Keys in order with the value and the type of each coefficient."""
+    return [(i, type(c).__name__, c) for i, c in v.items()]
+
+
+field_names = st.sampled_from(sorted(KERNEL_FIELDS))
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(st.data())
+def test_add_scaled_and_vec_sub_match_reference(data):
+    F = KERNEL_FIELDS[data.draw(field_names)]
+    out, v = data.draw(vectors(F)), data.draw(vectors(F))
+    c = data.draw(coefficients(F))
+    acc = dict(out)
+    F.add_scaled(acc, c, v)
+    assert typed(acc) == typed(reference_add_scaled(F, out, c, v))
+    assert typed(vec_sub(F, out, v)) == typed(reference_vec_sub(F, out, v))
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.data())
+def test_scale_and_vec_scale_match_reference(data):
+    F = KERNEL_FIELDS[data.draw(field_names)]
+    v, c = data.draw(vectors(F)), data.draw(coefficients(F))
+    ref = typed(reference_vec_scale(F, c, v))
+    assert typed(F.scale(c, v)) == ref
+    assert typed(vec_scale(F, c, v)) == ref
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.data())
+def test_vec_add_matches_reference(data):
+    """u may hold zero and unreduced coefficients; a zero coefficient of v
+    is skipped (see test_vec_add_skips_a_zero_coefficient_of_v)."""
+    F = KERNEL_FIELDS[data.draw(field_names)]
+    u, v = data.draw(vectors(F)), data.draw(vectors(F, nonzero=True))
+    assert typed(vec_add(F, u, v)) == typed(reference_vec_add(F, u, v))
+
+
+def test_vec_add_skips_a_zero_coefficient_of_v():
+    F = GF(3)
+    assert vec_add(F, {0: 3, 1: 4}, {0: 0, 1: 3}) == {0: 3, 1: 4}
+    assert vec_add(F, {0: 3}, {0: 1}) == {0: 1}
+
+
+@lru_cache(maxsize=None)
+def kernel_algebra(field: str, index: int):
+    F = KERNEL_FIELDS[field]
+    if index < 2:
+        return make_interval(F, index + 1).algebra
+    return random_curved_algebra(random.Random(2000 + index), F, maxdim=6)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_product_and_apply_match_reference(data):
+    field = data.draw(field_names)
+    F = KERNEL_FIELDS[field]
+    A = copy.deepcopy(kernel_algebra(field, data.draw(st.integers(0, 4))))
+    n = A.dim
+    for _ in range(data.draw(st.integers(0, 2))):  # zero, negative, unreduced constants
+        key = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+        A.mult[key] = data.draw(vectors(F, n))
+    if A.d.entries and data.draw(st.booleans()):
+        A.d.entries[data.draw(st.sampled_from(sorted(A.d.entries)))] = data.draw(vectors(F, n))
+    u, v = data.draw(vectors(F, n)), data.draw(vectors(F, n))
+    assert typed(A.product(u, v)) == typed(reference_product(A, u, v))
+    assert typed(A.d.apply(u)) == typed(reference_apply(A.d, u))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_echelon_basis_matches_reference(data):
+    F = KERNEL_FIELDS[data.draw(field_names)]
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(vectors(F, ncols + 2), max_size=6))
+    E = EchelonBasis(F, ncols, rows)
+    ref = reference_echelon(F, ncols, rows)
+    assert list(E._pivot_rows) == list(ref)
+    assert [typed(r) for r in E._pivot_rows.values()] == [typed(r) for r in ref.values()]
+    v = data.draw(vectors(F, ncols + 2))
+    assert typed(E.reduce(v)) == typed(reference_reduce(F, ref, v))
 
 
 # ---------------------------------------------------------------------------
@@ -115,3 +246,77 @@ def test_validate_matches_reference_from_dim_24(case):
     A, max_violations = case
     assert A.dim >= 24
     assert A.validate(max_violations) == reference_validate(A, max_violations)
+
+
+# ---------------------------------------------------------------------------
+# CLI exit codes on mutated documents
+
+
+def exported(field: str) -> dict:
+    n = {"F2": 2, "F3": 1, "Q": 1}[field]
+    return dump_algebra(make_interval(FIELDS[field], n).algebra)
+
+
+BAD_VALUES = [None, 5, "abc", [1], {"a": 1}, 1.5, True]
+BAD_COEFFICIENTS = ["abc", [1], None, 1.5, {"a": 1}, True, "1/0"]
+
+
+@st.composite
+def mutated_document(draw):
+    """(document, malformed): one mutation of an exported interval document.
+    A malformed one has a shape no document may have; the others change a
+    coefficient or drop an optional table and stay well formed."""
+    doc = exported(draw(st.sampled_from(sorted(FIELDS))))
+    prime = doc["field"]["kind"] == "prime-field"
+    kind = draw(st.sampled_from(
+        ["top", "table", "rows", "row-length", "coefficient", "label", "value", "drop"]))
+    rows = [k for k in ("mult", "differential") if doc[k]]
+    if kind == "top":
+        return draw(st.sampled_from([[doc], 5, "doc", None])), True
+    if kind == "table":
+        doc[draw(st.sampled_from(["unit", "curvature"]))] = draw(
+            st.sampled_from([v for v in BAD_VALUES if not isinstance(v, dict)]))
+        return doc, True
+    if kind == "rows":
+        doc[draw(st.sampled_from(["mult", "differential"]))] = draw(
+            st.sampled_from([v for v in BAD_VALUES if not isinstance(v, list)]))
+        return doc, True
+    if kind == "drop":
+        key = draw(st.sampled_from(["field", "basis", "mult", "differential", "unit", "curvature"]))
+        del doc[key]
+        return doc, key in ("field", "basis")
+    key = draw(st.sampled_from(rows))
+    row = doc[key][draw(st.integers(0, len(doc[key]) - 1))]
+    if kind == "row-length":
+        if draw(st.booleans()):
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            row.append("x")
+        return doc, True
+    if kind == "label":
+        row[draw(st.integers(0, len(row) - 2))] = draw(st.sampled_from(["nowhere", 3, ["a"], None]))
+        return doc, True
+    if kind == "coefficient":
+        row[-1] = draw(st.sampled_from(BAD_COEFFICIENTS))
+        return doc, True
+    row[-1] = draw(st.integers(-3, 3)) if prime else draw(st.sampled_from([-2, 0, 3, "1/2", "-5/3"]))
+    return doc, False
+
+
+@settings(max_examples=120, **SETTINGS)
+@given(mutated_document(), st.sampled_from(["validate", "mc-enum", "radical"]))
+def test_cli_exit_codes_on_mutated_documents(case, command):
+    """0, 1, 2 or 3 on every document, 2 on every malformed one, and never
+    an uncaught exception (which the command line would print as a
+    traceback)."""
+    doc, malformed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main([command, path])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2, 3)
+    if malformed:
+        assert code == 2 and "error" in report
