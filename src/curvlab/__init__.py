@@ -7,7 +7,7 @@ All arithmetic is exact (arbitrary-precision rationals or prime fields);
 every enumeration is budgeted and deterministic.
 """
 
-from .fields import GF, QQ, FieldSpec
+from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
 from .gradedlin import (
     BudgetExceeded,
     Complex,

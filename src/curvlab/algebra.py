@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .fields import FieldSpec
+from .fields import FieldSpec, PrimeFieldRequired
 from .gradedlin import (
     GradedMap,
     GradedSpace,
@@ -294,7 +294,7 @@ def mc_enumerate(A: CurvedAlgebra, budget: Optional[int] = None) -> List[dict]:
     """
     F = A.field
     if not F.is_prime_field:
-        raise ValueError("mc_enumerate requires a prime field; over Q use mc_polynomial_system")
+        raise PrimeFieldRequired("mc_enumerate requires a prime field; over Q use mc_polynomial_system")
     units = [A.space.basis_vector(i) for i in A.degree_indices(1)]
     sols = [x for x in enumerate_affine(F, {}, units, budget) if A.is_mc(x)]
     sols.sort(key=lambda v: vec_key(v, A.dim))

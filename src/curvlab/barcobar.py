@@ -30,10 +30,12 @@ from .algebra import CurvedAlgebra
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra
+from .fields import PrimeFieldRequired
 from .gradedlin import (
     BudgetExceeded,
     LinearSystem,
     enumerate_affine,
+    in_span,
     rref,
     span_rank,
     vec_add,
@@ -50,19 +52,14 @@ from .semisimple import graded_radical
 # coradical filtration and staged MC enumeration in convolution algebras
 
 
-def coradical_filtration_stages(C: CurvedCoalgebra, budget=None) -> Optional[List[int]]:
+def coradical_filtration_stages(C: CurvedCoalgebra) -> Optional[List[int]]:
     """Stage of each basis vector in the coradical filtration, or None when
     the basis is not filtration-aligned (callers then fall back to brute force).
     """
     from .coalgebra import coradical
 
     F = C.field
-    try:
-        cor = coradical(C, budget=budget)
-    except BudgetExceeded:
-        return None
-    from .gradedlin import in_span
-
+    cor = coradical(C)
     stage = [None] * C.dim
     cur_rows = [dict(r) for r in cor]
     # stage 0: basis vectors inside the coradical
@@ -117,11 +114,11 @@ def mc_hom_enumerate(
 
     F = A.field
     if not F.is_prime_field:
-        raise ValueError("MC enumeration requires a prime field")
+        raise PrimeFieldRequired("MC enumeration requires a prime field")
     budget = default_budget() if budget is None else budget
     conv = convolution_algebra(C, A)
     E = conv.algebra
-    stages = coradical_filtration_stages(C, budget=budget)
+    stages = coradical_filtration_stages(C)
     deg1 = E.degree_indices(1)
     if stages is None:
         return mc_enumerate(E, budget=budget)
@@ -449,12 +446,12 @@ def bar_dual(A: CurvedAlgebra, N: int, w_index: Optional[int] = None) -> Truncat
     return TruncatedDualBar(A, N, w, cobar(C, w, N))
 
 
-def conilpotency_degree(C: CurvedCoalgebra, budget=None) -> Optional[int]:
+def conilpotency_degree(C: CurvedCoalgebra) -> Optional[int]:
     """Smallest k with rad(C*)^k = 0 when C* is local (coradical k); None
     when C is not conilpotent."""
     F = C.field
     Astar = dualize_coalgebra(C)
-    rad = graded_radical(Astar, budget=budget)
+    rad = graded_radical(Astar)
     rank = span_rank(F, rad, Astar.dim)
     if rank != Astar.dim - 1:
         return None
@@ -514,8 +511,8 @@ def adjunction_count_check(
             for d in bar_data
             if _truncation_stable(Cstar_alg, list(d.gen_images.values()), N)
         )
-    conil_C = conilpotency_degree(C, budget=budget)
-    conil_A = conilpotency_degree(Astar_coalg, budget=budget)
+    conil_C = conilpotency_degree(C)
+    conil_A = conilpotency_degree(Astar_coalg)
 
     def stabilized(counts):
         vals = list(counts.values())

@@ -5,7 +5,9 @@ the budget.  Default is 2^16 states, overridable via CURVLAB_MAX_ENUM.
 Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
 enumerator, which resolves a budget of None to `default_budget()`; only the
 joint count of a gauge search and the staged count of `mc_hom_enumerate`
-are checked where they are made.
+are checked where they are made.  Radicals (and so coradicals, css
+quotients and conilpotency degrees) are computed by linear algebra and take
+no budget; the central idempotents of `css_decompose` are still enumerated.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 emit deterministic JSON reports.
 
 Exit codes: 0 success / true verdict; 1 false verdict (with witnesses);
-2 input error; 3 budget refusal.
+2 input error (a malformed document, or one over Q given to a command that
+enumerates a prime field); 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .documents import (
     load_document,
     load_path,
 )
-from .fields import GF, QQ, FieldSpec
+from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
 from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_is_zero
 from .interval import make_interval
 from .mc import (
@@ -397,11 +398,8 @@ def _total_cache(ext):
 def cmd_radical(args) -> int:
     A = _load_algebra(args.file)
     rep = base_report(args, "graded radical and internal curved radical J_- = {x in J : dx in J}")
-    try:
-        J = graded_radical(A, budget=args.max_enum or None)
-        Jm = internal_curved_radical(A, budget=args.max_enum or None, radical=J)
-    except BudgetExceeded as e:
-        return fail_budget(e)
+    J = graded_radical(A)
+    Jm = internal_curved_radical(A, radical=J)
     rep["radical"] = [_pretty(A, r) for r in J]
     rep["internal_curved_radical"] = [_pretty(A, r) for r in Jm]
     return emit(rep, 0)
@@ -411,7 +409,7 @@ def cmd_css_decompose(args) -> int:
     A = _load_algebra(args.file)
     rep = base_report(args, "curved semisimple decomposition into type-1/type-2 factors")
     try:
-        B, pi, Jm = css_quotient(A, budget=args.max_enum or None)
+        B, pi, Jm = css_quotient(A)
         dec = css_decompose(B, budget=args.max_enum or None)
     except BudgetExceeded as e:
         return fail_budget(e)
@@ -466,7 +464,7 @@ def cmd_omega_cat(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     rep = base_report(args, "categorical cobar of a pointed coalgebra with split coradical")
     try:
-        D = omega_cat(C, budget=args.max_enum or None)
+        D = omega_cat(C)
     except ValueError as e:
         rep["verdict"] = False
         rep["witness"] = str(e)
@@ -497,7 +495,14 @@ def cmd_omega_cat(args) -> int:
 def cmd_alg_mc(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     rep = base_report(args, "reduced MC algebra of the categorical cobar")
-    D = omega_cat(C, budget=args.max_enum or None)
+    try:
+        D = omega_cat(C)
+    except ValueError as e:
+        rep["verdict"] = False
+        rep["witness"] = str(e)
+        return emit(rep, 1)
+    if args.basepoint not in D.objects:
+        return fail_input(f"basepoint {args.basepoint!r} is not an object of the categorical cobar")
     P = alg_mc(D, args.basepoint, truncation=args.truncate)
     rep["generators"] = [[a.label, a.degree] for a in P.arrows]
     rep["dimensions_per_degree"] = {
@@ -687,6 +692,8 @@ def main(argv=None) -> int:
         return fail_input(f"invalid JSON: {e}")
     except BudgetExceeded as e:
         return fail_budget(e)
+    except PrimeFieldRequired as e:
+        return fail_input(str(e))
     except KeyError as e:
         return fail_input(f"missing key or label: {e}")
 

@@ -9,7 +9,7 @@ the two axiom sets exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import CurvedAlgebra, tensor_algebras
 from .fields import FieldSpec
@@ -152,7 +152,7 @@ def subspace_to_annihilator_basis(F, rows: List[dict], dim: int) -> List[dict]:
     return kernel_basis(F, rows, dim)
 
 
-def coradical(C: CurvedCoalgebra, budget: Optional[int] = None):
+def coradical(C: CurvedCoalgebra):
     """Maximal cosemisimple subcoalgebra = annihilator of rad(C*).
 
     Returns (indices-description) as a list of coefficient vectors spanning
@@ -161,20 +161,20 @@ def coradical(C: CurvedCoalgebra, budget: Optional[int] = None):
     from .semisimple import graded_radical
 
     A = dualize_coalgebra(C)
-    J = graded_radical(A, budget=budget)
+    J = graded_radical(A)
     return subspace_to_annihilator_basis(C.field, [dict(r) for r in J], C.dim)
 
 
-def curved_coradical(C: CurvedCoalgebra, budget: Optional[int] = None):
+def curved_coradical(C: CurvedCoalgebra):
     """Annihilator of the internal curved radical of C*."""
     from .semisimple import internal_curved_radical
 
     A = dualize_coalgebra(C)
-    Jm = internal_curved_radical(A, budget=budget)
+    Jm = internal_curved_radical(A)
     return subspace_to_annihilator_basis(C.field, [dict(r) for r in Jm], C.dim)
 
 
-def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict], budget=None):
+def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict]):
     """Factor a conilpotent extension span(sub_basis) -> C through cosquare-zero steps.
 
     Dualizes to the kernel-power tower of C* ->> (sub)*; returns the list of

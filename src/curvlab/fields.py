@@ -55,6 +55,10 @@ class CoefficientError(ValueError):
     """A document coefficient that is not an element of the field."""
 
 
+class PrimeFieldRequired(ValueError):
+    """A search over the elements of a finite field was asked for over Q."""
+
+
 class FieldSpec:
     """Ground field: kind is 'rationals' or 'prime-field' (with characteristic p).
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .budget import default_budget
-from .fields import FieldSpec
+from .fields import FieldSpec, PrimeFieldRequired
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def enumerate_affine(
     any point is produced.
     """
     if not F.is_prime_field:
-        raise ValueError("affine enumeration needs a finite field")
+        raise PrimeFieldRequired("affine enumeration needs a finite field")
     budget = default_budget() if budget is None else budget
     total = F.characteristic ** len(kernel)
     if total > budget:

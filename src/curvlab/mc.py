@@ -15,6 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism, mc_enumerate, tensor_algebras
 from .budget import default_budget
+from .fields import PrimeFieldRequired
 from .gradedlin import (
     BudgetExceeded,
     Complex,
@@ -191,7 +192,7 @@ class GaugeClasses:
         the budget count; returns the element data and chain map bases."""
         F = self.A.field
         if not F.is_prime_field:
-            raise ValueError("gauge search requires a prime field")
+            raise PrimeFieldRequired("gauge search requires a prime field")
         budget = default_budget() if self.budget is None else self.budget
         ex, ey = self._element(x), self._element(y)
         kerf, kerg = self._chain_map_basis(ex, ey), self._chain_map_basis(ey, ex)

@@ -63,7 +63,7 @@ class FreeDgCategory:
         return self.presentation.d_on_arrows.get(label, {})
 
 
-def omega_cat(C: CurvedCoalgebra, budget: Optional[int] = None) -> FreeDgCategory:
+def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
     F = C.field
     A = dualize_coalgebra(C)
     grouplikes = C.grouplike_basis_indices()
@@ -72,7 +72,7 @@ def omega_cat(C: CurvedCoalgebra, budget: Optional[int] = None) -> FreeDgCategor
     from .semisimple import graded_radical
     from .gradedlin import in_span
 
-    rad = graded_radical(A, budget=budget)
+    rad = graded_radical(A)
     others = [i for i in range(C.dim) if i not in grouplikes]
     for i in others:
         if not in_span(F, rad, A.space.basis_vector(i), A.dim):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism
+from .fields import PrimeFieldRequired
 from .gradedlin import (
     GradedMap,
     GradedSpace,
@@ -283,7 +284,7 @@ def exhaustive_lift_search(ext: SquareZeroExtension, x: dict) -> Optional[dict]:
     within the default budget."""
     F = ext.field
     if not F.is_prime_field:
-        raise ValueError("exhaustive search needs a finite field")
+        raise PrimeFieldRequired("exhaustive search needs a finite field")
     A, pi = build_total(ext)
     nB = ext.B.dim
     idx = [m for m in range(ext.L.space.dim) if ext.L.space.degree(m) == 1]

@@ -17,7 +17,7 @@ from .algebra import (
     tensor_algebras,
 )
 from .fields import FieldSpec
-from .gradedlin import Complex, GradedMap, GradedSpace, kernel_basis, vec_add
+from .gradedlin import Complex, GradedMap, GradedSpace, LinearSystem, kernel_basis, vec_add
 from .interval import make_interval
 from .obstruction import Bimodule, SquareZeroExtension, build_total
 
@@ -136,6 +136,45 @@ def curved_twist_by_any(A: CurvedAlgebra, z: dict) -> CurvedAlgebra:
     d = GradedMap(A.space, A.space, 1, entries)
     h = vec_add(F, vec_add(F, A.h, A.d.apply(z)), A.product(z, z))
     return CurvedAlgebra(A.space, dict(A.unit), A.mult, d, h)
+
+
+def rebased_algebra(rng: random.Random, A: CurvedAlgebra) -> CurvedAlgebra:
+    """A in a random homogeneous basis b_j = e_j + sum_{i > j} c_ij e_i, the
+    i of the degree of j, each c_ij nonzero with probability 1/2 (uniform
+    in F_p^*, 1 over Q).  The change is unitriangular, so invertible, and
+    an ideal spanned by basis vectors of A is spanned by non-monomial rows
+    of the result."""
+    F, n = A.field, A.dim
+    prime = F.is_prime_field
+    basis = []
+    for j in range(n):
+        b = {j: F.one()}
+        for i in range(j + 1, n):
+            if A.degree(i) == A.degree(j) and rng.random() < 0.5:
+                b[i] = F.coerce(rng.randint(1, F.characteristic - 1) if prime else 1)
+        basis.append(b)
+    system = LinearSystem(F, basis, n)
+
+    def coords(v: dict) -> dict:
+        return system.solution(system.residue(v))
+
+    space = GradedSpace.make([(A.label(j), A.degree(j)) for j in range(n)], F)
+    mult = {}
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis):
+            col = coords(A.product(u, v))
+            if col:
+                mult[(a, b)] = col
+    entries = {}
+    for a, u in enumerate(basis):
+        col = coords(A.d.apply(u))
+        if col:
+            entries[a] = col
+    d = GradedMap(space, space, 1, entries)
+    B = CurvedAlgebra(space, coords(A.unit), mult, d, coords(A.h))
+    bad = B.validate()
+    assert not bad, f"rebasing produced an invalid algebra: {bad}"
+    return B
 
 
 # ---------------------------------------------------------------------------

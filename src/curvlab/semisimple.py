@@ -1,10 +1,14 @@
 """Radicals, curved radicals, curved semisimple decomposition, sections,
 and nilpotent towers for finite-dimensional curved algebras.
 
-Radical computation: over Q the Dickson trace-form criterion on the regular
-representation; over F_p, elementwise enumeration (an element lies in the
-radical iff the two-sided ideal it generates is nilpotent), budget-bounded.
-Homogeneity of the radical is verified, not assumed.
+Radical computation: one routine for both fields, the trace-form ideal
+sequence of Cohen-Ivanyos-Wales ("Finding the radical of an algebra of
+linear transformations", JPAA 117-118, 1997) on the left regular
+representation.  Over Q it is Dickson's criterion rad = {x : Tr(L_{xy}) = 0
+for all y}; over F_p it refines that criterion by the traces of p^i-th
+powers of integer lifts, for p^i <= dim.  Each step is one kernel, so no
+radical is enumerated and none takes a budget.  Homogeneity of the radical
+is verified, not assumed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .gradedlin import (
     LinearSystem,
     enumerate_affine,
     in_span,
-    kernel_basis,
     rref,
     solve_linear,
     span_rank,
@@ -36,90 +39,108 @@ from .gradedlin import (
 # radical
 
 
-def _ideal_closure(A: CurvedAlgebra, gens: List[dict]) -> List[dict]:
-    """Basis (rref rows) of the two-sided ideal generated by gens.
-
-    Built with a work queue over one incremental echelon basis: each vector
-    that enlarges the span is multiplied once on each side by every basis
-    vector, and a product joins the queue only if reducing it against the
-    basis leaves a nonzero residue.
-    """
-    ideal = EchelonBasis(A.field, A.dim)
-    queue = [dict(g) for g in gens if ideal.add(g)]
-    while queue:
-        r = queue.pop()
-        for j in range(A.dim):
-            ej = A.space.basis_vector(j)
-            for p in (A.product(r, ej), A.product(ej, r)):
-                if p and ideal.add(p):
-                    queue.append(p)
-    return ideal.rows()
-
-
-def _ideal_is_nilpotent(A: CurvedAlgebra, ideal_rows: List[dict]) -> bool:
-    F = A.field
-    cur = ideal_rows
-    for _ in range(A.dim + 1):
-        if not cur:
-            return True
-        nxt = []
-        for u in cur:
-            for v in ideal_rows:
-                p = A.product(u, v)
-                if p:
-                    nxt.append(p)
-        nxt, _ = rref(F, nxt, A.dim)
-        if nxt and span_rank(F, nxt, A.dim) >= span_rank(F, cur, A.dim):
-            # power stabilized at nonzero span: not nilpotent
-            if span_rank(F, nxt, A.dim) == span_rank(F, cur, A.dim) and all(
-                in_span(F, cur, r, A.dim) for r in nxt
-            ):
-                return False
-        cur = nxt
-    return not cur
-
-
-def graded_radical(A: CurvedAlgebra, budget: Optional[int] = None) -> List[dict]:
+def graded_radical(A: CurvedAlgebra) -> List[dict]:
     """Basis (rref rows) of the radical of the underlying graded algebra.
 
-    Over F_p every nonzero vector is visited in base-p order.  The radical
-    found so far is kept as one incremental echelon basis, so a vector is
-    tested for membership by a single reduction and skipped if it is
-    already inside; otherwise its ideal closure is tested for nilpotency
-    and, if nilpotent, added to the basis.
+    The trace-form ideal sequence of Cohen-Ivanyos-Wales on the left
+    regular representation L: I_{-1} = A and, for i = 0, 1, ... while
+    p^i <= dim A,
+
+        I_i = {x in I_{i-1} : g_i(xy) = 0 for every basis vector y},
+        g_i(x) = (Tr(L~_x^(p^i)) mod p^(i+1)) / p^i,
+
+    where L~_x is the integer lift (entries 0..p-1) of the matrix of L_x.
+    The last I_i is the radical.  Step 0 is Dickson's trace form
+    g_0(x) = Tr(L_x), which is the radical in characteristic 0, so over Q
+    the sequence stops there.  Each g_i is linear on the ideal I_{i-1}, so
+    it is evaluated once per echelon row of I_{i-1} and extended to the
+    products xy by their coordinates; each step is one kernel.
     """
-    F = A.field
-    if F.is_prime_field:
-        members = EchelonBasis(F, A.dim)
-        units = [A.space.basis_vector(i) for i in range(A.dim)]
-        for v in enumerate_affine(F, {}, units, budget):
-            if not v or members.contains(v):
-                continue
-            ideal = _ideal_closure(A, [v])
-            if _ideal_is_nilpotent(A, ideal):
-                for r in ideal:
-                    members.add(r)
-        rad = members.rows()
+    F, n = A.field, A.dim
+    rows = [A.space.basis_vector(i) for i in range(n)]
+    i = 0
+    while rows and (i == 0 or F.is_prime_field and F.characteristic**i <= n):
+        rows = _trace_form_step(A, rows, i)
+        i += 1
+    _assert_homogeneous(A, rows)
+    return rows
+
+
+def _trace_form_step(A: CurvedAlgebra, rows: List[dict], i: int) -> List[dict]:
+    """I_i from the echelon rows of I_{i-1} (see `graded_radical`).
+
+    Column y of L_r is r e_y.  A vector v of I_{i-1} is the sum of v[c] times
+    the row with pivot c, so g_i(v) is the sum of v[c] g_i(row c).  The
+    unknowns of the kernel are the coefficients of x over the rows, and its
+    equation y reads g_i(x e_y) = 0.
+    """
+    F, n = A.field, A.dim
+    units = [A.space.basis_vector(y) for y in range(n)]
+    regular = [[A.product(r, e) for e in units] for r in rows]
+    if i == 0:
+        traces = []
+        for L in regular:
+            t = F.zero()
+            for y, col in enumerate(L):
+                t = F.add(t, col.get(y, F.zero()))
+            traces.append(t)
     else:
-        # Dickson (char 0): rad = {x : tr(L_x L_y) = 0 for all basis y}
-        gram_rows = []
-        for i in range(A.dim):
-            ei = A.space.basis_vector(i)
-            row = {}
-            for j in range(A.dim):
-                ej = A.space.basis_vector(j)
-                t = F.zero()
-                for k in range(A.dim):
-                    ek = A.space.basis_vector(k)
-                    v = A.product(ei, A.product(ej, ek))
-                    t = F.add(t, v.get(k, F.zero()))
-                if not F.is_zero(t):
-                    row[j] = t
-            gram_rows.append(row)
-        rad = kernel_basis(F, gram_rows, A.dim)
-        rad, _ = rref(F, rad, A.dim)
-    _assert_homogeneous(A, rad)
-    return rad
+        traces = [_lifted_trace_form(F.characteristic, L, i) for L in regular]
+    g = {min(r): t for r, t in zip(rows, traces) if not F.is_zero(t)}
+    columns = []
+    for L in regular:
+        col = {}
+        for y, v in enumerate(L):
+            t = F.zero()
+            for c, x in v.items():
+                if c in g:
+                    t = F.add(t, F.mul(x, g[c]))
+            if not F.is_zero(t):
+                col[y] = t
+        columns.append(col)
+    out = []
+    for k in LinearSystem(F, columns, n).kernel:
+        v: dict = {}
+        for a, c in k.items():
+            F.add_scaled(v, c, rows[a])
+        out.append(v)
+    return EchelonBasis(F, n, out).rows()
+
+
+def _lifted_trace_form(p: int, L: List[dict], i: int) -> int:
+    """g_i of the matrix with columns L over F_p, i >= 1.
+
+    The power is taken as i repeated p-th powers of the lift, with sparse
+    integer columns reduced mod p^(i+1).  Tr(M~^(p^i)) mod p^(i+1) depends
+    only on M mod p; on I_{i-1} it is divisible by p^i, and a remainder is
+    an internal error.
+    """
+    q = p ** (i + 1)
+    P = {j: col for j, col in enumerate(L) if col}
+    for _ in range(i):
+        base = P
+        for _ in range(p - 1):
+            P = _matmul(P, base, q)
+    t = sum(col.get(j, 0) for j, col in P.items()) % q
+    if t % p**i:
+        raise AssertionError("trace form is not divisible by p^i (internal error)")
+    return t // p**i
+
+
+def _matmul(X: Dict[int, dict], Y: Dict[int, dict], q: int) -> Dict[int, dict]:
+    """X Y mod q for sparse integer matrices given by their nonzero columns."""
+    out = {}
+    for j, ycol in Y.items():
+        acc: Dict[int, int] = {}
+        for k, c in ycol.items():
+            xcol = X.get(k)
+            if xcol:
+                for r, x in xcol.items():
+                    acc[r] = acc.get(r, 0) + c * x
+        col = {r: s % q for r, s in acc.items() if s % q}
+        if col:
+            out[j] = col
+    return out
 
 
 def _assert_homogeneous(A: CurvedAlgebra, rows: List[dict]):
@@ -136,18 +157,18 @@ def _assert_homogeneous(A: CurvedAlgebra, rows: List[dict]):
     assert r1 == r2, "computed radical is not homogeneous (internal error)"
 
 
-def semisimple_check(A: CurvedAlgebra, budget=None) -> bool:
-    return not graded_radical(A, budget=budget)
+def semisimple_check(A: CurvedAlgebra) -> bool:
+    return not graded_radical(A)
 
 
 # ---------------------------------------------------------------------------
 # curved radicals and the css quotient
 
 
-def internal_curved_radical(A: CurvedAlgebra, budget=None, radical=None) -> List[dict]:
+def internal_curved_radical(A: CurvedAlgebra, radical=None) -> List[dict]:
     """J_- = {x in J : dx in J}; closed under d, hence a curved ideal."""
     F = A.field
-    J = graded_radical(A, budget=budget) if radical is None else radical
+    J = graded_radical(A) if radical is None else radical
     if not J:
         return []
     # x = sum c_a J_a is in J_- iff dx reduces to zero modulo span(J)
@@ -204,12 +225,12 @@ def quotient_algebra(A: CurvedAlgebra, ideal_rows: List[dict], tag: str = "q"):
     return B, pi
 
 
-def css_quotient(A: CurvedAlgebra, budget=None):
+def css_quotient(A: CurvedAlgebra):
     """A / J_-: curved semisimple quotient with its projection."""
-    Jm = internal_curved_radical(A, budget=budget)
+    Jm = internal_curved_radical(A)
     B, pi = quotient_algebra(A, Jm)
     # re-check Prop-style characterization: internal curved radical vanishes
-    if internal_curved_radical(B, budget=budget):
+    if internal_curved_radical(B):
         raise AssertionError("css quotient has nonvanishing internal curved radical")
     return B, pi, Jm
 
@@ -237,7 +258,7 @@ def _is_graded_simple(R: CurvedAlgebra, budget=None) -> bool:
     and unavailable over Q, so this checks the standard criterion instead:
     the algebra is semisimple (zero radical) with a single central
     idempotent block (connected center in degree 0)."""
-    if graded_radical(R, budget):
+    if graded_radical(R):
         return False
     # R has d = 0 (the caller twists it away first), so dz = 0 holds for
     # every z and the closed center is the center.
@@ -277,12 +298,12 @@ def _unit_preimage(R: CurvedAlgebra, J: List[dict]) -> Optional[dict]:
     return x
 
 
-def _verify_type2_form(W: CurvedAlgebra, budget=None):
+def _verify_type2_form(W: CurvedAlgebra):
     """W is S (x) K: the radical is S.x for the dx = 1 element, d kills the
     complement S = dJ, and d: J -> S is a bimodule isomorphism.  Returns
     (S basis rows, x) or raises."""
     F = W.field
-    J = graded_radical(W, budget=budget)
+    J = graded_radical(W)
     if not J:
         raise AssertionError("type-2 normal form has zero radical")
     S_rows = [W.d.apply(r) for r in J]
@@ -488,8 +509,8 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
     from .algebra import twist_algebra
 
     F = B.field
-    J = graded_radical(B, budget=budget)
-    Jm = internal_curved_radical(B, budget=budget, radical=J)
+    J = graded_radical(B)
+    Jm = internal_curved_radical(B, radical=J)
     if Jm:
         raise ValueError("algebra is not curved semisimple (internal curved radical nonzero)")
     idems = _central_curved_idempotents(B, budget=budget)
@@ -526,7 +547,7 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
     factors = []
     for fi, z in enumerate(ortho):
         R, basis_in_B = _corner_algebra(B, z, tag=f"c{fi}_")
-        JR = graded_radical(R, budget=budget)
+        JR = graded_radical(R)
         if not JR:
             # type 1: R# semisimple (and curved-indecomposable => simple);
             # d is inner: d = [b,-], and -b is MC; twisting kills d and h.
@@ -551,7 +572,7 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             if not R.is_mc(mhx):
                 raise AssertionError("type-2 twist candidate -hx is not MC")
             W, iso = twist_algebra(R, mhx)
-            S_rows, xw = _verify_type2_form(W, budget)
+            S_rows, xw = _verify_type2_form(W)
             factors.append(
                 CurvedFactor("type2", z, R, basis_in_B, mhx, W, S_rows, xw)
             )
@@ -593,7 +614,7 @@ def css_section(pi: CurvedMorphism, budget=None) -> CurvedMorphism:
     """
     A, Bq = pi.source, pi.target
     F = A.field
-    if internal_curved_radical(A, budget=budget) or internal_curved_radical(Bq, budget=budget):
+    if internal_curved_radical(A) or internal_curved_radical(Bq):
         raise ValueError("css_section requires curved semisimple source and target")
     decA = css_decompose(A, budget=budget)
     # factors inside the kernel of pi vs complement

@@ -120,6 +120,14 @@ def test_alg_mc_report(tmp_path, capsys):
     assert ["x[e_f']", 1] in rep["generators"]
 
 
+def test_alg_mc_basepoint_must_be_an_object(tmp_path, capsys):
+    f = tmp_path / "I3p2.json"
+    run_cli(capsys, ["interval", "3", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, ["alg-mc", str(f), "--basepoint", "s'"])
+    assert code == 2
+    assert "s'" in rep["error"]
+
+
 def test_radical_and_css(tmp_path, capsys):
     f = tmp_path / "I3p2.json"
     run_cli(capsys, ["interval", "3", "--field", "2", "--export", str(f)])
@@ -130,6 +138,30 @@ def test_radical_and_css(tmp_path, capsys):
     assert code == 0
     assert rep["reassembles"]
     assert [fa["kind"] for fa in rep["factors"]] == ["type1", "type1"]
+
+
+def test_radical_past_the_enumeration_budget(tmp_path, capsys):
+    # I_2 (x) I_2 over F_2 has 2^25 elements, more than the default budget
+    # of 2^16; the radical is computed, not enumerated, so it takes none
+    from curvlab.algebra import tensor_algebras
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    I2 = make_interval(GF(2), 2).algebra
+    f = tmp_path / "I2I2.json"
+    f.write_text(json.dumps(dump_algebra(tensor_algebras(I2, I2))))
+    code, rep = run_cli(capsys, ["radical", str(f)])
+    assert code == 0
+    assert len(rep["radical"]) == 25 - 4
+
+
+def test_prime_field_command_over_Q_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "I3.json"
+    run_cli(capsys, ["interval", "3", "--export", str(f)])
+    code, rep = run_cli(capsys, ["moduli", str(f)])
+    assert code == 2
+    assert "prime field" in rep["error"]
 
 
 def test_input_error_exit_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Two `ast` scans of src/curvlab (no linter ships with the project).
+"""Three `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -8,6 +8,11 @@ re-exports by importing and is skipped.
 No `vec_add` or `vec_sub` call takes a `vec_scale(...)` call as an
 argument: that builds a scaled copy and then a new sum for every term, where
 `F.add_scaled(out, c, v)` adds c*v to `out` in place.
+
+No private helper is orphaned: every module-level function or class whose
+name starts with one underscore is referenced (as a name, an attribute or
+an imported name) somewhere in src/curvlab outside its own definition.  A
+helper that only tests use belongs in a tests/reference_*.py module.
 """
 
 import ast
@@ -72,3 +77,56 @@ def test_scan_finds_a_scaled_accumulation():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scaled_accumulation(path):
     assert scaled_accumulations(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree):
+    """Module-level `_name` functions and classes (not dunders) by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def references(node):
+    """Names, attribute names and imported names occurring under node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def orphaned_helpers(sources):
+    """Sorted (module, name) of private helpers that no code outside their
+    own definition refers to; sources maps module names to source text."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    defined = {(m, name) for m, tree in trees.items() for name in private_definitions(tree)}
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            refs = references(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                refs.discard(node.name)  # recursion is not a use
+            used |= refs
+    return sorted((m, name) for m, name in defined if name not in used)
+
+
+def test_scan_finds_an_orphaned_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _self(n):\n    return _self(n - 1)\n\n"
+        "class _Gone:\n    pass\n\ndef __dunder__():\n    pass\n",
+        "b": "from .a import _used\n\ndef _via_attr():\n    pass\n\nx = obj._via_attr\n",
+    }
+    assert orphaned_helpers(sources) == [("a", "_Gone"), ("a", "_self")]
+
+
+def test_no_orphaned_private_helper():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_helpers(sources) == []

@@ -1,7 +1,8 @@
 """Property tests: the field kernels and the sparse arithmetic on them
 against the generic per-coefficient loops of reference_algebra.py, the
 affine enumerator against itertools.product, the axiom check against the
-reference loops, and the CLI exit codes on mutated documents."""
+reference loops, the radical against the enumerating reference of
+reference_semisimple.py, and the CLI exit codes on mutated documents."""
 
 import contextlib
 import copy
@@ -30,7 +31,8 @@ from curvlab.gradedlin import (
     vec_sub,
 )
 from curvlab.interval import make_interval
-from curvlab.randgen import random_curved_algebra
+from curvlab.randgen import random_curved_algebra, rebased_algebra
+from curvlab.semisimple import graded_radical
 from reference_algebra import (
     reference_add_scaled,
     reference_apply,
@@ -42,6 +44,7 @@ from reference_algebra import (
     reference_vec_scale,
     reference_vec_sub,
 )
+from reference_semisimple import reference_radical
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
 KERNEL_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
@@ -246,6 +249,28 @@ def test_validate_matches_reference_from_dim_24(case):
     A, max_violations = case
     assert A.dim >= 24
     assert A.validate(max_violations) == reference_validate(A, max_violations)
+
+
+# ---------------------------------------------------------------------------
+# graded_radical
+
+
+RADICAL_FIELDS = {"F2": (GF(2), 8), "F3": (GF(3), 5), "F5": (GF(5), 5), "Q": (QQ, 8)}
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(st.sampled_from(sorted(RADICAL_FIELDS)), st.integers(0, 2**32 - 1), st.booleans())
+def test_graded_radical_matches_reference(field, seed, rebase):
+    """The trace-form sequence gives the rows of the enumeration (F_p, within
+    the default budget) and of the Dickson Gram kernel (Q), in values,
+    coefficient types and key order; also in a random non-monomial basis."""
+    F, maxdim = RADICAL_FIELDS[field]
+    rng = random.Random(seed)
+    A = random_curved_algebra(rng, F, maxdim=maxdim)
+    if rebase:
+        A = rebased_algebra(rng, A)
+    rows = graded_radical(A)
+    assert [typed(r) for r in rows] == [typed(r) for r in reference_radical(A)]
 
 
 # ---------------------------------------------------------------------------

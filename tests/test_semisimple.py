@@ -2,6 +2,7 @@ import random
 
 import pytest
 from reference_linalg import dense, reference_rref, span_set
+from reference_semisimple import _ideal_closure, is_nilpotent_ideal, reference_radical
 
 from curvlab.algebra import (
     compose_morphisms,
@@ -10,6 +11,7 @@ from curvlab.algebra import (
     ground_algebra,
     identity_morphism,
     square_zero_algebra,
+    tensor_algebras,
 )
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import (
@@ -25,7 +27,12 @@ from curvlab.gradedlin import (
     vec_scale,
 )
 from curvlab.interval import make_interval
-from curvlab.randgen import acyclic_k_algebra, curved_ku_algebra, random_curved_algebra
+from curvlab.randgen import (
+    acyclic_k_algebra,
+    curved_ku_algebra,
+    random_curved_algebra,
+    rebased_algebra,
+)
 from curvlab.semisimple import (
     css_decompose,
     css_quotient,
@@ -56,6 +63,45 @@ def test_radical_I3():
         for r in J:
             idx |= set(r)
         assert idx == {A.space.index(l) for l in ("s", "t", "st", "ts", "sts")}
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 2, 2), (3, 1, 2)])
+def test_radical_past_the_enumeration_budget(p, n, m):
+    # I_2 (x) I_2 over F_2 (2^25 elements) and I_1 (x) I_2 over F_3 (3^15):
+    # the enumeration refused both at the default budget of 2^16.  The
+    # quotient is (k x k) (x) (k x k) = k^4.
+    F = GF(p)
+    A = tensor_algebras(make_interval(F, n).algebra, make_interval(F, m).algebra)
+    assert F.characteristic**A.dim > 2**16
+    J = graded_radical(A)
+    assert len(J) == A.dim - 4
+    assert is_nilpotent_ideal(A, J)
+
+
+def _non_monomial_case(name):
+    F = GF(2)
+    E = endomorphism_algebra(GradedSpace.make([("w0", 0), ("w1", 0)], F))
+    V = GradedSpace.make([("v", 0)], F)
+    kv = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    I1 = make_interval(F, 1).algebra
+    return {
+        "M2(kv)": lambda: tensor_algebras(E, kv),
+        "End2xI1": lambda: direct_product(E, I1),
+        "End2xk": lambda: direct_product(E, ground_algebra(F)),
+        "kvxI1": lambda: direct_product(kv, I1),
+    }[name]()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["M2(kv)", "End2xI1", "End2xk", "kvxI1"])
+def test_radical_in_a_non_monomial_basis(name, seed):
+    # over F_2: M_2(k[v]/v^2), End(k^2) x I_1, End(k^2) x k, k[v]/v^2 x I_1.
+    # In a random unitriangular basis the rows of every I_i are sums of
+    # basis vectors, so the steps i >= 1 must read coordinates at pivots
+    # and raise to exactly the p^i-th power; these are cases where either
+    # slip changes the radical
+    B = rebased_algebra(random.Random(seed), _non_monomial_case(name))
+    assert graded_radical(B) == reference_radical(B)
 
 
 def test_radical_square_zero():
@@ -249,7 +295,8 @@ def test_d_injective_on_J_when_Jminus_zero():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_echelon_basis_matches_rref(p):
-    # the incremental basis behind rref, graded_radical and _ideal_closure:
+    # the incremental basis behind rref, graded_radical and the reference
+    # radical's ideal closures:
     # its rows are those of a plain elimination of what was added, and
     # contains() is membership in the span enumerated by brute force
     F = GF(p)
@@ -287,8 +334,6 @@ def test_echelon_basis_matches_rref(p):
 def test_ideal_closure_matches_fixpoint():
     # the work-queue closure against the plain fixpoint: multiply the whole
     # span by every basis vector on both sides until the rank stops growing
-    from curvlab.semisimple import _ideal_closure
-
     F = GF(2)
     rng = random.Random(7)
     for _ in range(6):
