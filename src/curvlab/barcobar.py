@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra
+from .algebra import CurvedAlgebra, mc_enumerate
 from .budget import default_budget
-from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
+from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra
 from .fields import PrimeFieldRequired
 from .gradedlin import (
@@ -56,8 +56,6 @@ def coradical_filtration_stages(C: CurvedCoalgebra) -> Optional[List[int]]:
     """Stage of each basis vector in the coradical filtration, or None when
     the basis is not filtration-aligned (callers then fall back to brute force).
     """
-    from .coalgebra import coradical
-
     F = C.field
     cor = coradical(C)
     stage = [None] * C.dim
@@ -110,8 +108,6 @@ def mc_hom_enumerate(
     algebra); falls back to plain enumeration when the filtration is not
     basis-aligned.  Deterministic output order.
     """
-    from .algebra import mc_enumerate
-
     F = A.field
     if not F.is_prime_field:
         raise PrimeFieldRequired("MC enumeration requires a prime field")

@@ -6,8 +6,8 @@ Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
 enumerator, which resolves a budget of None to `default_budget()`; only the
 joint count of a gauge search and the staged count of `mc_hom_enumerate`
 are checked where they are made.  Radicals (and so coradicals, css
-quotients and conilpotency degrees) are computed by linear algebra and take
-no budget; the central idempotents of `css_decompose` are still enumerated.
+quotients and conilpotency degrees) and the central idempotents of
+`css_decompose` are computed by linear algebra and take no budget.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .algebra import (
 from .barcobar import adjunction_count_check, bar_dual, cobar
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, dualize_algebra
-from .convolution import convolution_algebra
+from .convolution import convolution_algebra, convolution_tensor_comparison
 from .documents import (
     DocumentError,
     dump_algebra,
@@ -33,7 +33,7 @@ from .documents import (
     load_path,
 )
 from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
-from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_is_zero
+from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, cohomology, vec_is_zero
 from .interval import make_interval
 from .mc import (
     find_gauge_quadruple,
@@ -51,6 +51,7 @@ from .modelcheck import (
     rectify_cofibration,
 )
 from .obstruction import (
+    build_total,
     extension_from_total,
     lift_along_gauge,
     obstruction_class,
@@ -64,8 +65,9 @@ from .semisimple import (
     graded_radical,
     internal_curved_radical,
     nilpotent_tower,
+    reassemble_check,
 )
-from .twisted import induce, make_twisted, module_hom_complex
+from .twisted import ambient_algebra, induce, make_twisted, module_hom_complex
 
 
 def emit(report: dict, code: int = 0) -> int:
@@ -253,8 +255,6 @@ def cmd_convolve(args) -> int:
     rep = base_report(args, "convolution algebra Hom(C,A): fg = m(f@g)Delta")
     rep["dimension"] = conv.algebra.dim
     rep["valid"] = conv.algebra.validate() == []
-    from .convolution import convolution_tensor_comparison
-
     rep["matches_dual_tensor"] = convolution_tensor_comparison(conv)
     return emit(rep, 0 if rep["valid"] and rep["matches_dual_tensor"] else 1)
 
@@ -306,8 +306,6 @@ def cmd_twisted(args) -> int:
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = GradedSpace.make(json.loads(args.module), A.field)
     amb_needed = json.loads(args.xi)
-    from .twisted import ambient_algebra
-
     amb = ambient_algebra(A, V)
     xi = amb.element_from_labels(amb_needed)
     if args.action == "make":
@@ -322,8 +320,6 @@ def cmd_twisted(args) -> int:
     if args.action == "hom":
         M = make_twisted(A, V, xi)
         c = module_hom_complex(M, M)
-        from .gradedlin import cohomology
-
         H = cohomology(c, args.lo, args.hi)
         rep["cohomology"] = {str(n): H[n]["dim"] for n in sorted(H)}
         return emit(rep, 0)
@@ -389,8 +385,6 @@ def cmd_obstruction(args) -> int:
 
 
 def _total_cache(ext):
-    from .obstruction import build_total
-
     A, _ = build_total(ext)
     return A
 
@@ -410,9 +404,7 @@ def cmd_css_decompose(args) -> int:
     rep = base_report(args, "curved semisimple decomposition into type-1/type-2 factors")
     try:
         B, pi, Jm = css_quotient(A)
-        dec = css_decompose(B, budget=args.max_enum or None)
-    except BudgetExceeded as e:
-        return fail_budget(e)
+        dec = css_decompose(B)
     except ValueError as e:
         rep["verdict"] = False
         rep["witness"] = str(e)
@@ -421,8 +413,6 @@ def cmd_css_decompose(args) -> int:
     rep["factors"] = [
         {"kind": f.kind, "dimension": f.algebra.dim} for f in dec.factors
     ]
-    from .semisimple import reassemble_check
-
     rep["reassembles"] = reassemble_check(dec)
     return emit(rep, 0 if rep["reassembles"] else 1)
 
@@ -431,7 +421,7 @@ def cmd_css_section(args) -> int:
     pi = _load_morphism(args.morphism)
     rep = base_report(args, "section of a surjection of curved semisimple algebras")
     try:
-        sec = css_section(pi, budget=args.max_enum or None)
+        sec = css_section(pi)
     except (ValueError, AssertionError) as e:
         rep["verdict"] = False
         rep["witness"] = str(e)
@@ -528,10 +518,8 @@ def cmd_rectify(args) -> int:
     A = _load_algebra(args.algebra)
     label_map = json.loads(args.labels)
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
-    from .convolution import convolution_algebra as _conv
-
-    convb = _conv(Cp, A)
-    convs = _conv(Csub, A)
+    convb = convolution_algebra(Cp, A)
+    convs = convolution_algebra(Csub, A)
     X = convb.algebra.element_from_labels(json.loads(args.x))
     g0 = convs.algebra.element_from_labels(json.loads(args.g0))
     rep = base_report(args, "rectification of a homotopy-commutative triangle")
@@ -551,10 +539,8 @@ def cmd_lift(args) -> int:
     g = _load_morphism(args.morphism)
     label_map = json.loads(args.labels)
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
-    from .convolution import convolution_algebra as _conv
-
-    convCA = _conv(Csub, g.source)
-    convCpAp = _conv(Cp, g.target)
+    convCA = convolution_algebra(Csub, g.source)
+    convCpAp = convolution_algebra(Cp, g.target)
     u = convCA.algebra.element_from_labels(json.loads(args.u))
     up = convCpAp.algebra.element_from_labels(json.loads(args.uprime))
     rep = base_report(args, "lifting solver for an injection against a fibration")
@@ -562,7 +548,7 @@ def cmd_lift(args) -> int:
         res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum or None)
     except BudgetExceeded as e:
         return fail_budget(e)
-    big = _conv(Cp, g.source).algebra
+    big = convolution_algebra(Cp, g.source).algebra
     rep.update({k: (_pretty(big, v) if k == "lift" else v) for k, v in res.items()})
     return emit(rep, 0 if res.get("verdict") else 1)
 

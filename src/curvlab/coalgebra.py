@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import CurvedAlgebra, tensor_algebras
 from .fields import FieldSpec
-from .gradedlin import GradedMap, GradedSpace, rref, transpose
+from .gradedlin import GradedMap, GradedSpace, kernel_basis, rref, span_rank, transpose
 
 
 @dataclass
@@ -147,8 +147,6 @@ def tensor_coalgebras(C: CurvedCoalgebra, D: CurvedCoalgebra) -> CurvedCoalgebra
 
 def subspace_to_annihilator_basis(F, rows: List[dict], dim: int) -> List[dict]:
     """Basis of {x : <x, r> = 0 for all r in rows} (coordinates in the dual)."""
-    from .gradedlin import kernel_basis
-
     return kernel_basis(F, rows, dim)
 
 
@@ -181,8 +179,6 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict]):
     intermediate subspace bases, smallest first, ending with all of C.
     Raises with a witness when the dual kernel is not nilpotent.
     """
-    from .gradedlin import in_span, span_rank
-
     F = C.field
     A = dualize_coalgebra(C)
     # dual kernel: annihilator of the subcoalgebra
@@ -217,8 +213,6 @@ def _tower_chain(F, sub_basis, powers, C):
         chain.append(subspace_to_annihilator_basis(F, [dict(r) for r in P], C.dim))
     chain.append([C.space.basis_vector(i) for i in range(C.dim)])
     # deduplicate consecutive equal-rank steps
-    from .gradedlin import span_rank
-
     ranks = [span_rank(F, step, C.dim) for step in chain]
     out = [chain[0]]
     for step, rank, prev in zip(chain[1:], ranks[1:], ranks):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism, tensor_algebras
-from .coalgebra import CurvedCoalgebra, dualize_coalgebra
+from .coalgebra import CurvedCoalgebra, dualize_coalgebra, tensor_coalgebras
 from .gradedlin import GradedMap, GradedSpace, vec_eq
 
 
@@ -274,8 +274,6 @@ def hom_tensor_iso(
     the map phi -> (c -> (d -> phi(c@d))) on basis elements with the sign
     (-1)^{|d| |c|}; returns (iso morphism, source conv, target conv).
     """
-    from .coalgebra import tensor_coalgebras
-
     F = A.field
     CD = tensor_coalgebras(C, D)
     src = convolution_algebra(CD, A)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra
+from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra, tensor_algebras
 from .fields import FieldSpec
 from .gradedlin import GradedMap, vec_eq, vec_is_zero
 from .presented import Arrow, PresentedCurvedAlgebra
@@ -164,8 +164,6 @@ def interval_diagonal(F: FieldSpec, n: int):
     element of the killed ideal whose image under the I^infinity diagonal
     does not lie in (ideal @ C + C @ ideal).
     """
-    from .algebra import tensor_algebras
-
     big = 2 * n + 2
     Iinf = make_interval(F, None, truncation=big).algebra
     T = tensor_algebras(Iinf, Iinf)
@@ -286,8 +284,6 @@ def _tensor_projection(T, T1, proj, In):
 
 def _coassociativity_defect(I1, T1, Delta: GradedMap):
     """(Delta x 1)Delta - (1 x Delta)Delta on the basis; [] when zero."""
-    from .algebra import tensor_algebras
-
     F = I1.field
     T2 = tensor_algebras(T1, I1)  # (I1 @ I1) @ I1, labels "a@b@c"
     bad = []

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism, mc_enumerate, tensor_algebras
+from .algebra import (
+    CurvedAlgebra,
+    CurvedMorphism,
+    compose_morphisms,
+    mc_enumerate,
+    tensor_algebras,
+)
 from .budget import default_budget
 from .fields import PrimeFieldRequired
 from .gradedlin import (
@@ -23,6 +29,7 @@ from .gradedlin import (
     LinearSystem,
     cohomology,
     enumerate_affine,
+    solve_linear,
     vec_add,
     vec_eq,
     vec_is_zero,
@@ -361,8 +368,6 @@ def square_zero_three_homotopy(A: CurvedAlgebra, x: dict, xp: dict) -> Optional[
     """
     F = A.field
     target = vec_sub(F, x, xp)
-    from .gradedlin import solve_linear
-
     sol = solve_linear(A.d, target)
     if sol is None:
         return None
@@ -576,8 +581,6 @@ def map_homotopy_check(
     F = B.field
     ev0 = tensor_with_interval_morphism(B, n, 0)
     ev1 = tensor_with_interval_morphism(B, n, 1)
-    from .algebra import compose_morphisms
-
     h0 = compose_morphisms(ev0, h)
     h1 = compose_morphisms(ev1, h)
     witness = None
@@ -634,8 +637,6 @@ def map_homotopy_check_coalgebra(
     F = B.field
     ev0 = tensor_with_interval_morphism(B, n, 0)
     ev1 = tensor_with_interval_morphism(B, n, 1)
-    from .algebra import compose_morphisms
-
     h0 = compose_morphisms(ev0, hdual)
     h1 = compose_morphisms(ev1, hdual)
     witness = None

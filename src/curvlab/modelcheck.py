@@ -20,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra
+from .algebra import (
+    CurvedAlgebra,
+    CurvedMorphism,
+    _bracket,
+    direct_product,
+    ground_algebra,
+    square_zero_algebra,
+)
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra, induced_convolution_morphism
 from .fields import FieldSpec
@@ -29,6 +36,7 @@ from .gradedlin import (
     GradedMap,
     GradedSpace,
     LinearSystem,
+    in_span,
     rref,
     span_rank,
     vec_add,
@@ -36,8 +44,8 @@ from .gradedlin import (
     vec_is_zero,
 )
 from .barcobar import mc_hom_enumerate
-from .mc import GaugeClasses, find_gauge_quadruple
-from .presented import Arrow, PresentedCurvedAlgebra
+from .mc import GaugeClasses, find_gauge_quadruple, interval_tensor
+from .presented import Arrow, PresentedCurvedAlgebra, free_algebra_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +78,6 @@ def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
     if not grouplikes:
         raise ValueError("omega_cat needs a split coradical of grouplike basis vectors")
     from .semisimple import graded_radical
-    from .gradedlin import in_span
 
     rad = graded_radical(A)
     others = [i for i in range(C.dim) if i not in grouplikes]
@@ -112,7 +119,6 @@ def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
             piece = A.product(A.product(uof[v], dv), uof[w])
             zeta = vec_add(F, zeta, piece)
     zeta2 = A.product(zeta, zeta)
-    from .algebra import _bracket
 
     def dt(vvec: dict, deg: int) -> dict:
         return vec_add(F, A.d.apply(vvec), _bracket(A, zeta, vvec, 1, deg))
@@ -310,8 +316,6 @@ def alg_mc(D: FreeDgCategory, basepoint: str, truncation: int = 4) -> PresentedC
         combo = {k: c for k, c in combo.items() if not F.is_zero(c)}
         if combo:
             d_gens[a.label] = combo
-    from .presented import free_algebra_presentation
-
     return free_algebra_presentation(
         F,
         gens,
@@ -390,7 +394,6 @@ def _split_word(lbl: str, labels: List[str]) -> List[str]:
 
 
 def standard_coalgebra_battery(F: FieldSpec) -> List[Tuple[str, CurvedCoalgebra]]:
-    from .algebra import square_zero_algebra
     from .interval import make_interval
 
     V1 = GradedSpace.make([("v", 1)], F)
@@ -487,9 +490,7 @@ def is_fibration_mcdg(
 
 def endpoint_projection(A: CurvedAlgebra, n: int = 3) -> CurvedMorphism:
     """pi_0 x pi_1: A @ I^n -> A x A."""
-    from .algebra import direct_product
     from .interval import make_interval
-    from .mc import interval_tensor
 
     F = A.field
     T = interval_tensor(A, n)

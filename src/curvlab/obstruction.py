@@ -20,6 +20,7 @@ from .gradedlin import (
     GradedMap,
     GradedSpace,
     enumerate_affine,
+    solve_linear,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -262,8 +263,6 @@ def try_lift(ext: SquareZeroExtension, x: dict):
     if not cert:
         raise AssertionError("nu(x) failed its cocycle certificate")
     dxL = twisted_L_differential(ext, x)
-    from .gradedlin import solve_linear
-
     target = vec_scale(F, F.neg(F.one()), nu)
     sol = solve_linear(dxL, target)
     if sol is None:

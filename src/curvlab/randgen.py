@@ -10,6 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     CurvedAlgebra,
+    _bracket,
     direct_product,
     endomorphism_algebra,
     ground_algebra,
@@ -124,8 +125,6 @@ def random_curved_algebra(
 
 def curved_twist_by_any(A: CurvedAlgebra, z: dict) -> CurvedAlgebra:
     """(A, d + [z,-], h + dz + z^2) for an arbitrary degree-1 z."""
-    from .algebra import _bracket
-
     F = A.field
     entries = {}
     for i in range(A.dim):

@@ -9,6 +9,15 @@ for all y}; over F_p it refines that criterion by the traces of p^i-th
 powers of integer lifts, for p^i <= dim.  Each step is one kernel, so no
 radical is enumerated and none takes a budget.  Homogeneity of the radical
 is verified, not assumed.
+
+Curved semisimple decomposition splits 1 by the primitive idempotents of
+the closed centre Z (degree 0, central, dz = 0), found by one refinement
+for both fields.  Over F_p the splitters are a basis of the kernel of the
+linear map z -> z^p - z on Z (Berlekamp, Bell Syst. Tech. J. 46, 1967;
+Eberly-Giesbrecht, ISSAC 1996), which is the F_p-span of the primitive
+idempotents; over Q they are a basis of Z, split by the CRT idempotents of
+their minimal polynomials.  Nothing is enumerated, so no part of the css
+pipeline takes a budget.
 """
 
 from __future__ import annotations
@@ -16,13 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .algebra import CurvedAlgebra, CurvedMorphism, _bracket
+from .algebra import (
+    CurvedAlgebra,
+    CurvedMorphism,
+    _bracket,
+    compose_morphisms,
+    identity_morphism,
+    twist_algebra,
+)
 from .gradedlin import (
     EchelonBasis,
     GradedMap,
     GradedSpace,
     LinearSystem,
-    enumerate_affine,
     in_span,
     rref,
     solve_linear,
@@ -152,7 +167,7 @@ def _assert_homogeneous(A: CurvedAlgebra, rows: List[dict]):
         for i, c in r.items():
             bydeg.setdefault(A.degree(i), {})[i] = c
         homog.extend(bydeg.values())
-    r1 = span_rank(F, rows, A.dim)
+    r1 = len(rows)  # echelon rows: their number is the rank
     r2 = span_rank(F, homog, A.dim)
     assert r1 == r2, "computed radical is not homogeneous (internal error)"
 
@@ -251,20 +266,6 @@ class CurvedFactor:
     square_root_of_zero: Optional[dict] = None  # type2: the dx = 1 generator
 
 
-def _is_graded_simple(R: CurvedAlgebra, budget=None) -> bool:
-    """No proper nonzero two-sided ideal generated by a basis-span element.
-
-    Checking ideal closures of all nonzero elements is exponential over F_p
-    and unavailable over Q, so this checks the standard criterion instead:
-    the algebra is semisimple (zero radical) with a single central
-    idempotent block (connected center in degree 0)."""
-    if graded_radical(R):
-        return False
-    # R has d = 0 (the caller twists it away first), so dz = 0 holds for
-    # every z and the closed center is the center.
-    return len(_central_curved_idempotents(R, budget)) == 1
-
-
 def _closed_center(B: CurvedAlgebra) -> List[dict]:
     """Kernel basis, over the degree-0 basis, of the z with z e_i = e_i z
     for every basis vector e_i and dz = 0.  Row i * dim + k of the system
@@ -298,12 +299,11 @@ def _unit_preimage(R: CurvedAlgebra, J: List[dict]) -> Optional[dict]:
     return x
 
 
-def _verify_type2_form(W: CurvedAlgebra):
-    """W is S (x) K: the radical is S.x for the dx = 1 element, d kills the
-    complement S = dJ, and d: J -> S is a bimodule isomorphism.  Returns
+def _verify_type2_form(W: CurvedAlgebra, J: List[dict]):
+    """W is S (x) K: the radical J is S.x for the dx = 1 element, d kills
+    the complement S = dJ, and d: J -> S is a bimodule isomorphism.  Returns
     (S basis rows, x) or raises."""
     F = W.field
-    J = graded_radical(W)
     if not J:
         raise AssertionError("type-2 normal form has zero radical")
     S_rows = [W.d.apply(r) for r in J]
@@ -338,110 +338,139 @@ class CurvedDecomposition:
     factors: List[CurvedFactor]
 
 
-def _central_curved_idempotents(B: CurvedAlgebra, budget=None) -> List[dict]:
-    """All idempotents of the degree-0 center killed by d."""
+def _primitive_central_idempotents(B: CurvedAlgebra) -> List[dict]:
+    """The primitive idempotents of the closed centre Z of B, sorted.
+
+    One refinement for both fields: blocks = [1], and every splitter splits
+    every block once.  Over F_p the splitters are a kernel basis of the
+    linear map z -> z^p - z on Z, whose kernel is the F_p-span of the
+    primitive idempotents; two primitives in one block would take the same
+    value on every splitter, so after the last one each block is primitive.
+    Over Q the splitters are the basis of Z.  A piece of a block under one
+    splitter has a prime-power minimal polynomial under every earlier one,
+    so a single pass reaches the fixpoint of repeated splitting.
+    """
     F = B.field
-    if not F.is_prime_field:
-        return _central_idempotents_rational(B)
-    # center of B#: z with ze_i = e_iz for all i and dz = 0, solved
-    # linearly to cut the search for idempotents
-    varidx = B.degree_indices(0)
-    ker = _closed_center(B)
+    deg0 = B.degree_indices(0)
+    center = []
+    for k in _closed_center(B):
+        z: dict = {}
+        for a, c in k.items():
+            F.add_scaled(z, c, B.space.basis_vector(deg0[a]))
+        center.append(z)
+    if F.is_prime_field:
+        splitters, split = _berlekamp_splitters(B, center), _split_by_eigenvalues
+    else:
+        splitters, split = center, _split_by_minimal_polynomial
+    blocks = [dict(B.unit)]
+    for b in splitters:
+        blocks = [piece for e in blocks for piece in split(B, e, b)]
+    blocks = [e for e in blocks if e]
+    if F.is_prime_field:
+        blocks = [_from_center_coordinates(F, e, center) for e in blocks]
+    return sorted(blocks, key=lambda v: sorted(v.items(), key=str))
+
+
+def _berlekamp_splitters(B: CurvedAlgebra, center: List[dict]) -> List[dict]:
+    """A basis of {z in Z : z^p = z}, from the basis `center` of Z."""
+    F = B.field
+    columns = []
+    for z in center:
+        w = z
+        for _ in range(F.characteristic - 1):
+            w = B.product(w, z)
+        F.add_scaled(w, -1, z)
+        columns.append(w)
     out = []
-    for v in enumerate_affine(F, {}, ker, budget):
-        z = {varidx[a]: c for a, c in v.items()}
-        if vec_is_zero(F, z):
-            continue
-        if vec_eq(F, B.product(z, z), z):
-            out.append(z)
+    for k in LinearSystem(F, columns, B.dim).kernel:
+        b: dict = {}
+        for a, c in k.items():
+            F.add_scaled(b, c, center[a])
+        out.append(b)
     return out
 
 
-def _central_idempotents_rational(B: CurvedAlgebra) -> List[dict]:
-    """Over Q: split 1 inside the degree-0 d-closed center.
+def _split_by_eigenvalues(B: CurvedAlgebra, e: dict, b: dict) -> List[dict]:
+    """The nonzero e - e (b - lam)^(p-1), lam = 0 .. p-1, for b^p = b in Z.
 
-    Minimal polynomials of center elements are factored over Q; coprime
-    factorizations give CRT idempotents.  A center that is a nontrivial
-    field extension yields no further splitting (the caller reports an
-    unsplit simple factor when the partition of unity fails).
-    """
+    With b = sum_i lam_i e_i over the primitive idempotents, (b - lam)^(p-1)
+    is the sum of the e_i with lam_i != lam, so the piece for lam is the sum
+    of the e_i below e with lam_i = lam."""
+    F = B.field
+    p = F.characteristic
+    pieces = []
+    for lam in range(p):
+        shifted = dict(b)
+        F.add_scaled(shifted, -lam, B.unit)
+        w = e
+        for _ in range(p - 1):
+            w = B.product(w, shifted)
+        piece = dict(e)
+        F.add_scaled(piece, -1, w)
+        if piece:
+            pieces.append(piece)
+    return pieces
+
+
+def _from_center_coordinates(F, e: dict, center: List[dict]) -> dict:
+    """e in Z rebuilt as the sum of its coordinates times `center`, added in
+    order.  A kernel vector of `LinearSystem` is 1 at its free variable,
+    listed first, and 0 at the other free variables, so the coordinate on
+    center[t] is the entry of e at the first key of center[t]."""
+    out: dict = {}
+    for z in center:
+        F.add_scaled(out, e.get(next(iter(z)), 0), z)
+    return out
+
+
+def _split_by_minimal_polynomial(B: CurvedAlgebra, e: dict, z: dict) -> List[dict]:
+    """Over Q: the CRT idempotents of the coprime prime-power factors of the
+    minimal polynomial of ez in eBe, or [e] when it is a prime power.  A
+    block whose centre is a field extension of Q is not split: its factor
+    is simple over Q."""
     from fractions import Fraction
 
     import sympy
 
     F = B.field
-    deg0 = B.degree_indices(0)
-    center = []
-    for k in _closed_center(B):
-        v: dict = {}
-        for a, c in k.items():
-            F.add_scaled(v, c, B.space.basis_vector(deg0[a]))
-        center.append(v)
-
     lam = sympy.symbols("lam")
-
-    def poly_at(coeffs, w, e):
-        """Evaluate a polynomial (sympy coeff list, highest first) at w in eBe."""
-        out: dict = {}
-        for c in coeffs:
-            out = B.product(out, w)
+    w = B.product(e, z)
+    # minimal polynomial of w in eBe: powers until dependence
+    pows = [dict(e)]
+    span = EchelonBasis(F, B.dim, pows)
+    while True:
+        nxt = B.product(pows[-1], w)
+        if not span.add(nxt):
+            break
+        pows.append(nxt)
+    # solve nxt = sum c_a pows[a]
+    system = LinearSystem(F, pows, B.dim)
+    sol = system.solution(system.residue(nxt))
+    assert sol is not None
+    # minimal poly: lam^n - sum c_a lam^a
+    n = len(pows)
+    p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol.get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
+    fac = sympy.factor_list(p)[1]
+    if len(fac) < 2:
+        return [e]
+    pieces = []
+    for q, m in fac:
+        qm = sympy.Poly(q**m, lam)
+        rest = sympy.Poly(sympy.quo(p, qm), lam)
+        u, v, g = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
+        if sympy.simplify(g - 1) != 0:
+            return [e]
+        # the idempotent v(w) rest(w), evaluated by Horner in eBe
+        piece: dict = {}
+        for c in sympy.Poly(sympy.expand(v * rest.as_expr()), lam).all_coeffs():
+            piece = B.product(piece, w)
             cc = Fraction(str(sympy.nsimplify(c)))
             if cc:
-                F.add_scaled(out, cc, e)
-        return out
-
-    def split_block(e):
-        """Split a central idempotent e using the center elements; may keep it."""
-        for z in center:
-            w = B.product(e, z)
-            # minimal polynomial of w in eBe: powers until dependence
-            pows = [dict(e)]
-            span = EchelonBasis(F, B.dim, pows)
-            while True:
-                nxt = B.product(pows[-1], w)
-                if not span.add(nxt):
-                    break
-                pows.append(nxt)
-            # solve nxt = sum c_a pows[a]
-            system = LinearSystem(F, pows, B.dim)
-            sol = system.solution(system.residue(nxt))
-            assert sol is not None
-            # minimal poly: lam^n - sum c_a lam^a
-            n = len(pows)
-            p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol.get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
-            fac = sympy.factor_list(p)[1]
-            if len(fac) < 2:
-                continue
-            pieces = []
-            ok = True
-            for q, m in fac:
-                qm = sympy.Poly(q**m, lam)
-                rest = sympy.Poly(sympy.quo(p, qm), lam)
-                u, v, g = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
-                if sympy.simplify(g - 1) != 0:
-                    ok = False
-                    break
-                idem_poly = sympy.Poly(sympy.expand(v * rest.as_expr()), lam)
-                piece = poly_at(idem_poly.all_coeffs(), w, e)
-                pieces.append(piece)
-            if ok and pieces:
-                good = [x for x in pieces if x and vec_eq(F, B.product(x, x), x)]
-                if len(good) == len(pieces):
-                    return good
-        return [e]
-
-    blocks = [dict(B.unit)]
-    changed = True
-    while changed:
-        changed = False
-        new_blocks: List[dict] = []
-        for e in blocks:
-            parts = split_block(e)
-            if len(parts) > 1:
-                changed = True
-            new_blocks.extend(parts)
-        blocks = new_blocks
-    return [b for b in blocks if not vec_is_zero(F, b)]
+                F.add_scaled(piece, cc, e)
+        pieces.append(piece)
+    if all(x and vec_eq(F, B.product(x, x), x) for x in pieces):
+        return pieces
+    return [e]
 
 
 def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
@@ -504,48 +533,30 @@ def _solve_inner_derivation(R: CurvedAlgebra) -> Optional[dict]:
     return {idx1[a]: c for a, c in sol.items()}
 
 
-def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
-    """Decompose a curved semisimple algebra into type (1)/(2) curved simples."""
-    from .algebra import twist_algebra
+def css_decompose(B: CurvedAlgebra) -> CurvedDecomposition:
+    """Decompose a curved semisimple algebra into type (1)/(2) curved simples.
 
+    The factors are cut by the sorted primitive idempotents of the closed
+    centre: the Berlekamp split over F_p, the minimal-polynomial split over
+    Q.  A twist keeps the multiplication, so the radical of a factor is that
+    of its normal form and is passed down, not recomputed.
+    """
     F = B.field
     J = graded_radical(B)
     Jm = internal_curved_radical(B, radical=J)
     if Jm:
         raise ValueError("algebra is not curved semisimple (internal curved radical nonzero)")
-    idems = _central_curved_idempotents(B, budget=budget)
-    # primitive = minimal nonzero among the found idempotents
-    prims = []
-    for z in idems:
-        minimal = True
-        for w in idems:
-            if vec_eq(F, w, z):
-                continue
-            zw = B.product(z, w)
-            if vec_eq(F, zw, w) and not vec_is_zero(F, w):
-                minimal = False
-                break
-        if minimal:
-            prims.append(z)
-    # deduplicate and verify partition of unity
-    uniq = []
-    for z in prims:
-        if not any(vec_eq(F, z, w) for w in uniq):
-            uniq.append(z)
+    prims = _primitive_central_idempotents(B)
     total: dict = {}
-    ortho = []
-    for z in sorted(uniq, key=lambda v: sorted(v.items(), key=str)):
-        # keep only if orthogonal to what we have
-        if all(vec_is_zero(F, B.product(z, w)) for w in ortho):
-            ortho.append(z)
-            total = vec_add(F, total, z)
+    for z in prims:
+        total = vec_add(F, total, z)
     if not vec_eq(F, total, B.unit):
         raise ValueError(
             "central curved idempotents do not split the algebra "
             "(unsplit simple factor marker)"
         )
     factors = []
-    for fi, z in enumerate(ortho):
+    for fi, z in enumerate(prims):
         R, basis_in_B = _corner_algebra(B, z, tag=f"c{fi}_")
         JR = graded_radical(R)
         if not JR:
@@ -560,7 +571,9 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             N, iso = twist_algebra(R, mb)
             if not vec_is_zero(F, N.h) or not N.d.is_zero():
                 raise AssertionError("type-1 normal form is not a zero-d simple algebra")
-            if not _is_graded_simple(N, budget):
+            # N has R's (zero) radical and d = 0, so it is graded simple iff
+            # its centre has a single primitive idempotent
+            if len(_primitive_central_idempotents(N)) != 1:
                 raise AssertionError("type-1 factor is not graded simple")
             factors.append(CurvedFactor("type1", z, R, basis_in_B, mb, N))
         else:
@@ -572,7 +585,7 @@ def css_decompose(B: CurvedAlgebra, budget=None) -> CurvedDecomposition:
             if not R.is_mc(mhx):
                 raise AssertionError("type-2 twist candidate -hx is not MC")
             W, iso = twist_algebra(R, mhx)
-            S_rows, xw = _verify_type2_form(W)
+            S_rows, xw = _verify_type2_form(W, JR)
             factors.append(
                 CurvedFactor("type2", z, R, basis_in_B, mhx, W, S_rows, xw)
             )
@@ -604,7 +617,7 @@ def reassemble_check(dec: CurvedDecomposition) -> bool:
 # sections of css surjections
 
 
-def css_section(pi: CurvedMorphism, budget=None) -> CurvedMorphism:
+def css_section(pi: CurvedMorphism) -> CurvedMorphism:
     """Section of a surjection of curved semisimple algebras.
 
     The kernel is a product of curved simple factors; the section is the
@@ -616,7 +629,7 @@ def css_section(pi: CurvedMorphism, budget=None) -> CurvedMorphism:
     F = A.field
     if internal_curved_radical(A) or internal_curved_radical(Bq):
         raise ValueError("css_section requires curved semisimple source and target")
-    decA = css_decompose(A, budget=budget)
+    decA = css_decompose(A)
     # factors inside the kernel of pi vs complement
     kernel = EchelonBasis(F, A.dim, solve_linear(pi.f, {})[1])
     comp_rows: List[dict] = []
@@ -673,7 +686,7 @@ def nilpotent_tower(pi: CurvedMorphism) -> List[CurvedMorphism]:
                 if p:
                     nxt.append(p)
         nxt, _ = rref(F, nxt, A.dim)
-        if nxt and span_rank(F, nxt, A.dim) == span_rank(F, cur, A.dim):
+        if nxt and len(nxt) == len(cur):  # echelon rows: their number is the rank
             w = sorted(nxt[0])[0]
             raise ValueError(
                 f"kernel is not nilpotent (power stabilized; witness coordinate "
@@ -685,7 +698,7 @@ def nilpotent_tower(pi: CurvedMorphism) -> List[CurvedMorphism]:
         cur = nxt
     # stages: A -> A/I^{N-1} -> ... -> A/I^2 -> B, where N = len(powers)+? ;
     # powers[k] = I^{k+1}, the last nonzero power is powers[-1].
-    stages = [(A, identity_like_projection(A))]
+    stages = [(A, identity_morphism(A))]
     for P in reversed(powers[1:]):
         stages.append(quotient_algebra(A, P))
     steps: List[CurvedMorphism] = []
@@ -711,20 +724,12 @@ def nilpotent_tower(pi: CurvedMorphism) -> List[CurvedMorphism]:
         _assert_square_zero_kernel(step)
     comp = steps[0]
     for step in steps[1:]:
-        from .algebra import compose_morphisms
-
         comp = compose_morphisms(step, comp)
     for j in range(A.dim):
         v = A.space.basis_vector(j)
         if not vec_eq(F, comp.f.apply(v), pi.f.apply(v)):
             raise AssertionError("tower composite differs from pi")
     return steps
-
-
-def identity_like_projection(A: CurvedAlgebra) -> CurvedMorphism:
-    from .algebra import identity_morphism
-
-    return identity_morphism(A)
 
 
 def _assert_square_zero_kernel(step: CurvedMorphism):

@@ -1,7 +1,13 @@
 """Reference radicals for the tests of `semisimple.graded_radical`: over
 F_p the elementwise enumeration (a vector lies in the radical iff the
 two-sided ideal it generates is nilpotent), over Q the kernel of the
-Dickson Gram matrix tr(L_x L_y).  Both return reduced echelon rows."""
+Dickson Gram matrix tr(L_x L_y).  Both return reduced echelon rows.
+
+Reference primitive central idempotents for the tests of
+`semisimple._primitive_central_idempotents`: over F_p every point of the
+closed centre is enumerated and the minimal nonzero idempotents kept, over
+Q blocks are split by the first splitting centre element until nothing
+changes."""
 
 from curvlab.gradedlin import (
     EchelonBasis,
@@ -10,7 +16,10 @@ from curvlab.gradedlin import (
     kernel_basis,
     rref,
     span_rank,
+    vec_eq,
+    vec_is_zero,
 )
+from curvlab.semisimple import _closed_center, _split_by_minimal_polynomial
 
 
 def _ideal_closure(A, gens):
@@ -100,3 +109,57 @@ def is_nilpotent_ideal(A, rows):
             if not (basis.contains(A.product(r, ej)) and basis.contains(A.product(ej, r))):
                 return False
     return _ideal_is_nilpotent(A, basis.rows())
+
+
+def reference_primitive_idempotents(B, budget=None):
+    """The primitive idempotents of the closed centre, sorted, as the
+    enumeration and its minimality, dedupe and orthogonality filters (F_p,
+    refused past the budget) or the splitting fixpoint (Q) found them."""
+    F = B.field
+    deg0 = B.degree_indices(0)
+    kernel = _closed_center(B)
+    if F.is_prime_field:
+        idems = []
+        for v in enumerate_affine(F, {}, kernel, budget):
+            z = {deg0[a]: c for a, c in v.items()}
+            if not vec_is_zero(F, z) and vec_eq(F, B.product(z, z), z):
+                idems.append(z)
+    else:
+        center = []
+        for k in kernel:
+            z = {}
+            for a, c in k.items():
+                F.add_scaled(z, c, B.space.basis_vector(deg0[a]))
+            center.append(z)
+        idems = [dict(B.unit)]
+        changed = True
+        while changed:
+            changed = False
+            blocks = []
+            for e in idems:
+                parts = [e]
+                for z in center:
+                    parts = _split_by_minimal_polynomial(B, e, z)
+                    if len(parts) > 1:
+                        changed = True
+                        break
+                blocks.extend(parts)
+            idems = blocks
+        idems = [e for e in idems if not vec_is_zero(F, e)]
+    # primitive = minimal nonzero among the found idempotents
+    prims = []
+    for z in idems:
+        if not any(
+            not vec_eq(F, w, z) and not vec_is_zero(F, w) and vec_eq(F, B.product(z, w), w)
+            for w in idems
+        ):
+            prims.append(z)
+    uniq = []
+    for z in prims:
+        if not any(vec_eq(F, z, w) for w in uniq):
+            uniq.append(z)
+    ortho = []
+    for z in sorted(uniq, key=lambda v: sorted(v.items(), key=str)):
+        if all(vec_is_zero(F, B.product(z, w)) for w in ortho):
+            ortho.append(z)
+    return ortho

@@ -156,6 +156,24 @@ def test_radical_past_the_enumeration_budget(tmp_path, capsys):
     assert len(rep["radical"]) == 25 - 4
 
 
+def test_css_decompose_past_the_enumeration_budget(tmp_path, capsys):
+    # k^17 over F_2: its closed centre has 2^17 points, more than the default
+    # budget of 2^16; the idempotents are not enumerated, so no refusal
+    from curvlab.algebra import direct_product, ground_algebra
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+
+    B = ground_algebra(GF(2))
+    for _ in range(16):
+        B = direct_product(B, ground_algebra(GF(2)))
+    f = tmp_path / "k17.json"
+    f.write_text(json.dumps(dump_algebra(B)))
+    code, rep = run_cli(capsys, ["css-decompose", str(f)])
+    assert code == 0
+    assert [fa["kind"] for fa in rep["factors"]] == ["type1"] * 17
+    assert rep["reassembles"]
+
+
 def test_prime_field_command_over_Q_is_an_input_error(tmp_path, capsys):
     f = tmp_path / "I3.json"
     run_cli(capsys, ["interval", "3", "--export", str(f)])

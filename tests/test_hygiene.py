@@ -1,4 +1,4 @@
-"""Three `ast` scans of src/curvlab (no linter ships with the project).
+"""Four `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -13,6 +13,11 @@ No private helper is orphaned: every module-level function or class whose
 name starts with one underscore is referenced (as a name, an attribute or
 an imported name) somewhere in src/curvlab outside its own definition.  A
 helper that only tests use belongs in a tests/reference_*.py module.
+
+No function-local `from .m import ...` repeats a module that the same file
+already imports from at module level: there is no import cycle for it to
+avoid, so the names belong in the module-level import.  (The lazy
+`import sympy` is not a relative import and is not concerned.)
 """
 
 import ast
@@ -130,3 +135,41 @@ def test_scan_finds_an_orphaned_helper():
 def test_no_orphaned_private_helper():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def redundant_local_imports(source: str):
+    """Line numbers of relative imports below module level from a module
+    that the source also imports from at module level."""
+    tree = ast.parse(source)
+    top = {(n.level, n.module) for n in tree.body if isinstance(n, ast.ImportFrom)}
+    return sorted(
+        node.lineno
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if node is not stmt
+        and isinstance(node, ast.ImportFrom)
+        and node.level
+        and (node.level, node.module) in top
+    )
+
+
+def test_scan_finds_a_redundant_local_import():
+    src = (
+        "from .algebra import CurvedAlgebra\n"
+        "from . import budget\n\n"
+        "def f():\n"
+        "    from .algebra import twist_algebra\n"
+        "    from .mc import GaugeClasses\n"
+        "    import sympy\n"
+        "    return twist_algebra\n\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from . import budget\n"
+        "        from ..algebra import direct_product\n"
+    )
+    assert redundant_local_imports(src) == [5, 12]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_redundant_local_import(path):
+    assert redundant_local_imports(path.read_text(encoding="utf-8")) == []

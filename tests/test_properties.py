@@ -1,8 +1,9 @@
 """Property tests: the field kernels and the sparse arithmetic on them
 against the generic per-coefficient loops of reference_algebra.py, the
 affine enumerator against itertools.product, the axiom check against the
-reference loops, the radical against the enumerating reference of
-reference_semisimple.py, and the CLI exit codes on mutated documents."""
+reference loops, the radical and the primitive central idempotents against
+the enumerating references of reference_semisimple.py, and the CLI exit
+codes on mutated documents."""
 
 import contextlib
 import copy
@@ -32,7 +33,7 @@ from curvlab.gradedlin import (
 )
 from curvlab.interval import make_interval
 from curvlab.randgen import random_curved_algebra, rebased_algebra
-from curvlab.semisimple import graded_radical
+from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
     reference_add_scaled,
     reference_apply,
@@ -44,7 +45,7 @@ from reference_algebra import (
     reference_vec_scale,
     reference_vec_sub,
 )
-from reference_semisimple import reference_radical
+from reference_semisimple import reference_primitive_idempotents, reference_radical
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
 KERNEL_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
@@ -271,6 +272,27 @@ def test_graded_radical_matches_reference(field, seed, rebase):
         A = rebased_algebra(rng, A)
     rows = graded_radical(A)
     assert [typed(r) for r in rows] == [typed(r) for r in reference_radical(A)]
+
+
+# ---------------------------------------------------------------------------
+# primitive central idempotents
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(st.sampled_from(sorted(RADICAL_FIELDS)), st.integers(0, 2**32 - 1), st.booleans())
+def test_primitive_central_idempotents_match_reference(field, seed, rebase):
+    """On css quotients, the Berlekamp split (F_p) gives the minimal
+    idempotents of the enumerated closed centre, and the single splitting
+    pass (Q) gives the splitting fixpoint: values, coefficient types, list
+    order and key order; also in a random non-monomial basis."""
+    F, maxdim = RADICAL_FIELDS[field]
+    rng = random.Random(seed)
+    A = random_curved_algebra(rng, F, maxdim=maxdim)
+    if rebase:
+        A = rebased_algebra(rng, A)
+    B, _, _ = css_quotient(A)
+    found = _primitive_central_idempotents(B)
+    assert [typed(z) for z in found] == [typed(z) for z in reference_primitive_idempotents(B)]
 
 
 # ---------------------------------------------------------------------------

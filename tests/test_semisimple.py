@@ -358,15 +358,34 @@ def test_ideal_closure_matches_fixpoint():
             assert _ideal_closure(A, [v]) == rows
 
 
-def test_css_decompose_applies_its_budget_to_every_search(monkeypatch):
-    # criterion 5's second algebra: two type-1 factors and one type-2 factor,
-    # so the simplicity test and the type-2 check both search; a default
-    # budget of 1 refuses any search that does not get the caller's budget
+def test_css_decompose_ignores_the_enumeration_budget(monkeypatch):
+    # criterion 5's second algebra: two type-1 factors and one type-2 factor.
+    # Nothing in the decomposition enumerates, so a default budget of 1
+    # leaves every factor as it is
     rng = random.Random(53)
     for _ in range(2):
         A = random_curved_algebra(rng, GF(2), maxdim=8)
     B, _, _ = css_quotient(A)
-    expected = [f.kind for f in css_decompose(B).factors]
-    assert expected == ["type1", "type1", "type2"]
+
+    def factors():
+        return [(f.kind, f.idempotent, f.basis_in_B) for f in css_decompose(B).factors]
+
+    expected = factors()
+    assert [kind for kind, _, _ in expected] == ["type1", "type1", "type2"]
     monkeypatch.setenv("CURVLAB_MAX_ENUM", "1")
-    assert [f.kind for f in css_decompose(B, budget=2**16).factors] == expected
+    assert factors() == expected
+
+
+def test_css_decompose_past_the_enumeration_budget():
+    # the closed centre of k^17 over F_2 has 2^17 points, more than the
+    # default budget of 2^16; its idempotents are found by the Berlekamp
+    # split, not enumerated, so the decomposition takes no budget
+    B = ground_algebra(GF(2))
+    for _ in range(16):
+        B = direct_product(B, ground_algebra(GF(2)))
+    dec = css_decompose(B)
+    assert [f.kind for f in dec.factors] == ["type1"] * 17
+    assert sorted(list(f.idempotent.items()) for f in dec.factors) == [
+        [(i, 1)] for i in range(17)
+    ]
+    assert reassemble_check(dec)
