@@ -29,6 +29,8 @@ from .algebra import (
     square_zero_algebra,
     tensor_algebras,
     twist_algebra,
+    twisted_apply,
+    twisted_map,
     uncurve_morita,
 )
 from .coalgebra import (

@@ -4,6 +4,8 @@ Conventions (fixed globally, see README):
   - graded commutator [x,a] = xa - (-1)^{|x||a|} ax
   - Leibniz d(ab) = d(a)b + (-1)^{|a|} a d(b)
   - MC equation h + dx + x^2 = 0; twisted differential d^x = d + [x,-]
+  - two-sided twist D_{x->y}(a) = da + ya - (-1)^{|a|} ax, written once,
+    in `twisted_apply`; D_{x->x} = d^x
   - Koszul tensor signs (a@b)(a'@b') = (-1)^{|b||a'|} aa' @ bb'
 """
 
@@ -17,6 +19,7 @@ from .gradedlin import (
     GradedMap,
     GradedSpace,
     enumerate_affine,
+    rref,
     vec_add,
     vec_eq,
     vec_is_zero,
@@ -330,6 +333,33 @@ def mc_polynomial_system(A: CurvedAlgebra) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
+# ideal powers
+
+
+def ideal_powers(
+    A: CurvedAlgebra, ideal: List[dict]
+) -> Tuple[List[List[dict]], Optional[List[dict]]]:
+    """The reduced echelon bases of I, I^2, ..., up to the last nonzero
+    power, for the two-sided ideal I spanned by `ideal`, and None.
+
+    I^(k+1) lies in I^k, so a power of the same rank as the one before is
+    equal to it and to every later power.  Then I is not nilpotent, and the
+    nonzero powers before it come back with its basis in place of None.
+    """
+    F = A.field
+    I, _ = rref(F, ideal, A.dim)
+    powers: List[List[dict]] = []
+    cur = I
+    while cur:
+        powers.append(cur)
+        nxt, _ = rref(F, [A.product(u, v) for u in cur for v in I], A.dim)
+        if len(nxt) == len(cur):
+            return powers, nxt
+        cur = nxt
+    return powers, None
+
+
+# ---------------------------------------------------------------------------
 # morphisms
 
 
@@ -375,9 +405,8 @@ class CurvedMorphism:
                         return out
         for i in range(A.dim):
             ei = A.space.basis_vector(i)
-            fa = self.f.apply(ei)
             lhs = self.f.apply(A.d.apply(ei))
-            rhs = vec_add(F, B.d.apply(fa), _bracket(B, self.b, fa, 1, A.degree(i)))
+            rhs = twisted_apply(B, self.b, self.b, self.f.apply(ei))
             if not vec_eq(F, lhs, rhs):
                 report(f"f(da) != d(fa) + [b, fa] on {A.label(i)}")
                 if len(out) >= max_violations:
@@ -403,13 +432,6 @@ class CurvedMorphism:
     def push_mc(self, x: dict) -> dict:
         """Image of an MC element: f(x) + b."""
         return vec_add(self.target.field, self.f.apply(x), self.b)
-
-
-def _bracket(B: CurvedAlgebra, x: dict, a: dict, degx: int, dega: int) -> dict:
-    F = B.field
-    out = B.product(x, a)
-    F.add_scaled(out, F.one() if (degx * dega) % 2 else F.neg(F.one()), B.product(a, x))
-    return out
 
 
 def identity_morphism(A: CurvedAlgebra) -> CurvedMorphism:
@@ -443,19 +465,40 @@ def morphism_from_labels(A, B, images: Dict[str, Dict[str, object]], b=None, uni
 # twists
 
 
+def twisted_apply(A: CurvedAlgebra, x: dict, y: dict, v: dict) -> dict:
+    """D_{x->y}(v) = dv + yv - (-1)^{|v|} vx for degree-1 x and y.
+
+    The sign is taken on each homogeneous part of v, so this is the matrix
+    of `twisted_map(A, x, y)` applied to any v.  The terms are added in the
+    order dv, yv, vx; on a basis vector that is the order of every column
+    built from it.  With y = x it is d^x = d + [x, -].
+    """
+    F = A.field
+    out = A.d.apply(v)
+    F.add_scaled(out, 1, A.product(y, v))
+    even = {i: c for i, c in v.items() if A.degree(i) % 2 == 0}
+    if even:
+        F.add_scaled(out, F.neg(F.one()), A.product(even, x))
+    if len(even) < len(v):
+        F.add_scaled(out, F.one(), A.product({i: c for i, c in v.items() if i not in even}, x))
+    return out
+
+
+def twisted_map(A: CurvedAlgebra, x: dict, y: dict) -> GradedMap:
+    """D_{x->y} as a degree-1 map of A, column i being twisted_apply(e_i)."""
+    entries = {}
+    for i in range(A.dim):
+        col = twisted_apply(A, x, y, A.space.basis_vector(i))
+        if col:
+            entries[i] = col
+    return GradedMap(A.space, A.space, 1, entries)
+
+
 def twist_algebra(A: CurvedAlgebra, x: dict) -> Tuple[CurvedAlgebra, CurvedMorphism]:
     """Twist by an MC element: (A, d + [x,-], h = 0) and the iso (id, x): A^x -> A."""
     if not A.is_mc(x):
         raise ValueError("twist requires a Maurer-Cartan element")
-    F = A.field
-    entries = {}
-    for i in range(A.dim):
-        ei = A.space.basis_vector(i)
-        col = vec_add(F, A.d.apply(ei), _bracket(A, x, ei, 1, A.degree(i)))
-        if col:
-            entries[i] = col
-    dx = GradedMap(A.space, A.space, 1, entries)
-    Ax = CurvedAlgebra(A.space, dict(A.unit), A.mult, dx, {})
+    Ax = CurvedAlgebra(A.space, dict(A.unit), A.mult, twisted_map(A, x, x), {})
     iso = CurvedMorphism(
         Ax,
         A,

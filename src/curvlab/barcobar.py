@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, mc_enumerate
+from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, twisted_apply
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra
@@ -38,11 +38,9 @@ from .gradedlin import (
     in_span,
     rref,
     span_rank,
-    vec_add,
     vec_is_zero,
     vec_key,
     vec_scale,
-    vec_sub,
 )
 from .presented import Arrow, PresentedCurvedAlgebra
 from .semisimple import graded_radical
@@ -133,18 +131,15 @@ def mc_hom_enumerate(
         s: [k for k in deg1 if var_stage[k] == s] for s in range(maxstage + 1)
     }
     comp_of_stage = {
-        s: [ci for ci in range(C.dim) if stages[ci] <= s] for s in range(maxstage + 1)
+        s: {ci for ci in range(C.dim) if stages[ci] <= s} for s in range(maxstage + 1)
     }
 
+    def stage_rows(v, upto_stage):
+        allowed = comp_of_stage[upto_stage]
+        return {k: c for k, c in v.items() if k // nA in allowed}
+
     def residual_rows(X, upto_stage):
-        res = E.mc_residual(X)
-        rows = {}
-        allowed = set(comp_of_stage[upto_stage])
-        for k, c in res.items():
-            ci, ai = divmod(k, nA)
-            if ci in allowed:
-                rows[k] = c
-        return rows
+        return stage_rows(E.mc_residual(X), upto_stage)
 
     # stage-0 brute force
     p = F.characteristic
@@ -160,10 +155,12 @@ def mc_hom_enumerate(
             new_partials = []
             for P in partials:
                 base = residual_rows(P, s)
-                cols = [
-                    vec_sub(F, residual_rows(vec_add(F, P, E.space.basis_vector(k)), s), base)
-                    for k in vs
-                ]
+                # the residual is quadratic: R(P + e_k) - R(P) = d^P e_k + e_k e_k
+                cols = []
+                for k in vs:
+                    col = twisted_apply(E, P, P, E.space.basis_vector(k))
+                    F.add_scaled(col, 1, E.basis_product(k, k))
+                    cols.append(stage_rows(col, s))
                 system = LinearSystem(F, cols, E.dim)
                 part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
                 if part is None:
@@ -448,24 +445,10 @@ def conilpotency_degree(C: CurvedCoalgebra) -> Optional[int]:
     F = C.field
     Astar = dualize_coalgebra(C)
     rad = graded_radical(Astar)
-    rank = span_rank(F, rad, Astar.dim)
-    if rank != Astar.dim - 1:
+    if span_rank(F, rad, Astar.dim) != Astar.dim - 1:
         return None
-    k = 1
-    cur = rad
-    while cur:
-        nxt = []
-        for u in cur:
-            for v in rad:
-                p = Astar.product(u, v)
-                if p:
-                    nxt.append(p)
-        nxt, _ = rref(F, nxt, Astar.dim)  # echelon rows: their number is the rank
-        if nxt and len(nxt) == rank:
-            return None
-        cur, rank = nxt, len(nxt)
-        k += 1
-    return k
+    powers, stable = ideal_powers(Astar, rad)
+    return None if stable else len(powers) + 1
 
 
 def adjunction_count_check(
@@ -486,16 +469,14 @@ def adjunction_count_check(
     flag (guaranteed complete when the relevant (co)algebra is conilpotent
     of degree <= N).
     """
-    F = A.field
-    mc_count = len(mc_hom_enumerate(C, A, budget=budget))
+    omega_data = morphisms_via_mc(C, A, w_index_C, N_max, budget=budget)
     # independent bar-side MC count: Hom(A*, C*)
     Cstar = dualize_coalgebra(C)
     Astar_coalg = dualize_algebra(A)
-    bar_mc_count = len(mc_hom_enumerate(Astar_coalg, Cstar, budget=budget))
-    omega_data = morphisms_via_mc(C, A, w_index_C, N_max, budget=budget)
     wA = default_splitting_index(A) if w_index_A is None else w_index_A
     bar_data = morphisms_via_mc(Astar_coalg, Cstar, wA, N_max, budget=budget)
-    Cstar_alg = Cstar
+    # one morphism per MC element of the enumeration on each side
+    mc_count, bar_mc_count = len(omega_data), len(bar_data)
     omega_counts = {}
     bar_counts = {}
     for N in range(1, N_max + 1):
@@ -503,9 +484,7 @@ def adjunction_count_check(
             1 for d in omega_data if _truncation_stable(A, list(d.gen_images.values()), N)
         )
         bar_counts[N] = sum(
-            1
-            for d in bar_data
-            if _truncation_stable(Cstar_alg, list(d.gen_images.values()), N)
+            1 for d in bar_data if _truncation_stable(Cstar, list(d.gen_images.values()), N)
         )
     conil_C = conilpotency_degree(C)
     conil_A = conilpotency_degree(Astar_coalg)

@@ -31,6 +31,7 @@ from .documents import (
     dump_algebra,
     load_document,
     load_path,
+    parse_element,
 )
 from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
 from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, cohomology, vec_is_zero
@@ -113,9 +114,10 @@ def _load_coalgebra(path: str) -> CurvedCoalgebra:
     return dualize_algebra(obj)
 
 
-def _element(A: CurvedAlgebra, text: str) -> dict:
-    data = json.loads(text)
-    return A.element_from_labels(data)
+def _element(A: CurvedAlgebra, data, name: str) -> dict:
+    """The decoded JSON `data`, an object {label: coefficient}, as an element
+    of A; DocumentError (exit 2) for anything else."""
+    return parse_element(A.space, data, name)
 
 
 def _pretty(A: CurvedAlgebra, v: dict) -> dict:
@@ -132,18 +134,17 @@ def _load_morphism(path: str) -> CurvedMorphism:
         Asrc = Asrc.materialize().algebra
     if isinstance(Atgt, PresentedCurvedAlgebra):
         Atgt = Atgt.materialize().algebra
-    F = Asrc.field
+    if not isinstance(doc["map"], dict):
+        raise DocumentError("'map' must be an object {label: element}")
     entries: Dict[int, dict] = {}
     for src_l, img in doc["map"].items():
-        entries[Asrc.space.index(src_l)] = Atgt.element_from_labels(img)
-    b = Atgt.element_from_labels(doc.get("b", {}))
-    return CurvedMorphism(
-        Asrc,
-        Atgt,
-        GradedMap(Asrc.space, Atgt.space, 0, entries),
-        b,
-        unital=doc.get("unital", True),
-    )
+        entries[Asrc.space.index(src_l)] = _element(Atgt, img, f"map[{src_l!r}]")
+    b = _element(Atgt, doc.get("b", {}), "b")
+    try:
+        f = GradedMap(Asrc.space, Atgt.space, 0, entries)
+    except ValueError as e:
+        raise DocumentError(f"bad map: {e}")
+    return CurvedMorphism(Asrc, Atgt, f, b, unital=doc.get("unital", True))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +204,8 @@ def cmd_moduli(args) -> int:
 
 def cmd_homotopy(args) -> int:
     A = _load_algebra(args.file)
-    x = _element(A, args.x)
-    y = _element(A, args.y)
+    x = _element(A, json.loads(args.x), "--x")
+    y = _element(A, json.loads(args.y), "--y")
     rep = base_report(args, f"{args.n}-homotopy of MC elements through the interval algebra")
     H = n_homotopy_search(A, x, y, args.n, budget=args.max_enum or None)
     if H is None:
@@ -218,7 +219,7 @@ def cmd_homotopy(args) -> int:
 
 def cmd_twist(args) -> int:
     A = _load_algebra(args.file)
-    x = _element(A, args.x)
+    x = _element(A, json.loads(args.x), "--x")
     rep = base_report(args, "twist by an MC element: d^x = d + [x,-], curvature 0")
     try:
         Ax, iso = twist_algebra(A, x)
@@ -305,9 +306,8 @@ def cmd_twisted(args) -> int:
     A = _load_algebra(args.algebra)
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = GradedSpace.make(json.loads(args.module), A.field)
-    amb_needed = json.loads(args.xi)
     amb = ambient_algebra(A, V)
-    xi = amb.element_from_labels(amb_needed)
+    xi = _element(amb, json.loads(args.xi), "--xi")
     if args.action == "make":
         try:
             M = make_twisted(A, V, xi)
@@ -343,7 +343,7 @@ def cmd_obstruction(args) -> int:
         A = A.materialize().algebra
     ideal = [A.space.index(l) for l in doc["ideal"]]
     ext = extension_from_total(A, ideal)
-    x = ext.B.element_from_labels(json.loads(args.x))
+    x = _element(ext.B, json.loads(args.x), "--x")
     if args.action == "class":
         rep = base_report(args, "obstruction cocycle nu(x) = del(x) + xi(x,x)")
         nu, cert = obstruction_class(ext, x)
@@ -366,7 +366,7 @@ def cmd_obstruction(args) -> int:
         return emit(rep, 1)
     if args.action == "gauge-lift":
         rep = base_report(args, "semisplit gauge transport l' = f l g - del(f) g + del(y) h2")
-        y = ext.B.element_from_labels(json.loads(args.y))
+        y = _element(ext.B, json.loads(args.y), "--y")
         quad = find_gauge_quadruple(ext.B, x, y, budget=args.max_enum or None)
         if quad is None:
             rep["verdict"] = False
@@ -520,8 +520,8 @@ def cmd_rectify(args) -> int:
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
     convb = convolution_algebra(Cp, A)
     convs = convolution_algebra(Csub, A)
-    X = convb.algebra.element_from_labels(json.loads(args.x))
-    g0 = convs.algebra.element_from_labels(json.loads(args.g0))
+    X = _element(convb.algebra, json.loads(args.x), "--x")
+    g0 = _element(convs.algebra, json.loads(args.g0), "--g0")
     rep = base_report(args, "rectification of a homotopy-commutative triangle")
     try:
         res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum or None)
@@ -541,8 +541,8 @@ def cmd_lift(args) -> int:
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
     convCA = convolution_algebra(Csub, g.source)
     convCpAp = convolution_algebra(Cp, g.target)
-    u = convCA.algebra.element_from_labels(json.loads(args.u))
-    up = convCpAp.algebra.element_from_labels(json.loads(args.uprime))
+    u = _element(convCA.algebra, json.loads(args.u), "--u")
+    up = _element(convCpAp.algebra, json.loads(args.uprime), "--uprime")
     rep = base_report(args, "lifting solver for an injection against a fibration")
     try:
         res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum or None)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .algebra import CurvedAlgebra, tensor_algebras
+from .algebra import CurvedAlgebra, ideal_powers, tensor_algebras
 from .fields import FieldSpec
-from .gradedlin import GradedMap, GradedSpace, kernel_basis, rref, span_rank, transpose
+from .gradedlin import GradedMap, GradedSpace, kernel_basis, span_rank, transpose
 
 
 @dataclass
@@ -183,27 +183,12 @@ def cosquare_zero_tower(C: CurvedCoalgebra, sub_basis: List[dict]):
     A = dualize_coalgebra(C)
     # dual kernel: annihilator of the subcoalgebra
     ann = subspace_to_annihilator_basis(F, sub_basis, C.dim)
-    # check it is an ideal and nilpotent
-    powers = [ann]
-    cur = ann
-    rank = span_rank(F, ann, A.dim)
-    while cur:
-        nxt_rows = []
-        for u in cur:
-            for v in ann:
-                p = A.product(u, v)
-                if p:
-                    nxt_rows.append(p)
-        red, _ = rref(F, nxt_rows, A.dim)  # echelon rows: their number is the rank
-        if red and rank == len(red):
-            raise ValueError(
-                "quotient is not conilpotent: dual kernel power stabilized at a "
-                f"nonzero ideal (witness {A.space.basis[sorted(red[0])[0]][0]})"
-            )
-        if not red:
-            break
-        powers.append(red)
-        cur, rank = red, len(red)
+    powers, stable = ideal_powers(A, ann)
+    if stable:
+        raise ValueError(
+            "quotient is not conilpotent: dual kernel power stabilized at a "
+            f"nonzero ideal (witness {A.label(min(stable[0]))})"
+        )
     return _tower_chain(F, sub_basis, powers, C)
 
 

@@ -59,6 +59,31 @@ def _rows(doc: dict, key: str, labels: int) -> list:
     return rows
 
 
+def _coeff(F: FieldSpec, c):
+    try:
+        return F.parse_coeff(c)
+    except CoefficientError as e:
+        raise DocumentError(str(e))
+
+
+def parse_element(space: GradedSpace, d, key: str) -> dict:
+    """An object {label: coefficient} as a sparse vector over `space`, zero
+    coefficients dropped; `key` names it in the DocumentError raised for
+    anything else, an unknown label or a coefficient not in the field."""
+    if not isinstance(d, dict):
+        raise DocumentError(f"{key!r} must be an object {{label: coefficient}}")
+    F = space.field
+    idx = {l: i for i, (l, _) in enumerate(space.basis)}
+    out = {}
+    for l, c in d.items():
+        if l not in idx:
+            raise DocumentError(f"unknown basis label {l!r}")
+        cc = _coeff(F, c)
+        if not F.is_zero(cc):
+            out[idx[l]] = cc
+    return out
+
+
 def load_document(doc: dict):
     """Parse a document into (object, annotations); object is a
     CurvedAlgebra, CurvedCoalgebra or PresentedCurvedAlgebra."""
@@ -85,31 +110,12 @@ def load_document(doc: dict):
     except (KeyError, TypeError, ValueError) as e:
         raise DocumentError(f"bad basis: {e}")
     idx = {l: i for i, (l, _) in enumerate(basis)}
-
-    def coeff(c):
-        try:
-            return F.parse_coeff(c)
-        except CoefficientError as e:
-            raise DocumentError(str(e))
-
-    def vec(key: str, d) -> dict:
-        if not isinstance(d, dict):
-            raise DocumentError(f"{key!r} must be an object {{label: coefficient}}")
-        out = {}
-        for l, c in d.items():
-            if l not in idx:
-                raise DocumentError(f"unknown basis label {l!r}")
-            cc = coeff(c)
-            if not F.is_zero(cc):
-                out[idx[l]] = cc
-        return out
-
     entries: Dict[int, dict] = {}
     for row in _rows(doc, "differential", 2):
         a, b, c = row
         if a not in idx or b not in idx:
             raise DocumentError(f"unknown label in differential row {row}")
-        cc = coeff(c)
+        cc = _coeff(F, c)
         if F.is_zero(cc):
             continue
         entries.setdefault(idx[a], {})[idx[b]] = F.add(
@@ -126,7 +132,7 @@ def load_document(doc: dict):
             for l in (a, b, c):
                 if l not in idx:
                     raise DocumentError(f"unknown label in mult row {row}")
-            vv = coeff(v)
+            vv = _coeff(F, v)
             if F.is_zero(vv):
                 continue
             key = (idx[a], idx[b])
@@ -134,10 +140,10 @@ def load_document(doc: dict):
             mult[key][idx[c]] = F.add(mult[key].get(idx[c], F.zero()), vv)
         A = CurvedAlgebra(
             space,
-            vec("unit", doc.get("unit", {})),
+            parse_element(space, doc.get("unit", {}), "unit"),
             mult,
             dmap,
-            vec("curvature", doc.get("curvature", {})),
+            parse_element(space, doc.get("curvature", {}), "curvature"),
         )
         return A, ann
     if kind == "coalgebra":
@@ -147,7 +153,7 @@ def load_document(doc: dict):
             for l in (a, b, c):
                 if l not in idx:
                     raise DocumentError(f"unknown label in comult row {row}")
-            vv = coeff(v)
+            vv = _coeff(F, v)
             if F.is_zero(vv):
                 continue
             comult.setdefault(idx[a], {})
@@ -156,9 +162,9 @@ def load_document(doc: dict):
         C = CurvedCoalgebra(
             space,
             comult,
-            vec("counit", doc.get("counit", doc.get("unit", {}))),
+            parse_element(space, doc.get("counit", doc.get("unit", {})), "counit"),
             dmap,
-            vec("curvature", doc.get("curvature", {})),
+            parse_element(space, doc.get("curvature", {}), "curvature"),
         )
         return C, ann
     raise DocumentError(f"unknown kind {kind!r}")

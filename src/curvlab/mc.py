@@ -19,6 +19,8 @@ from .algebra import (
     compose_morphisms,
     mc_enumerate,
     tensor_algebras,
+    twisted_apply,
+    twisted_map,
 )
 from .budget import default_budget
 from .fields import PrimeFieldRequired
@@ -44,39 +46,15 @@ from .interval import make_interval
 
 
 def hom_complex(A: CurvedAlgebra, x: dict, y: dict) -> Complex:
-    """Morphism complex x -> y: underlying space of A, D(a) = da + ya - ~a x."""
+    """Morphism complex x -> y: underlying space of A, differential D_{x->y}."""
     if not A.is_mc(x) or not A.is_mc(y):
         raise ValueError("hom_complex requires Maurer-Cartan endpoints")
-    F = A.field
-    entries = {}
-    for i in range(A.dim):
-        ei = A.space.basis_vector(i)
-        col = A.d.apply(ei)
-        F.add_scaled(col, 1, A.product(y, ei))
-        F.add_scaled(col, F.neg(F.one()) if A.degree(i) % 2 == 0 else F.one(), A.product(ei, x))
-        if col:
-            entries[i] = col
-    d = GradedMap(A.space, A.space, 1, entries)
-    return Complex(A.space, d)
+    return Complex(A.space, twisted_map(A, x, y))
 
 
 def h0_hom(A: CurvedAlgebra, x: dict, y: dict):
     c = hom_complex(A, x, y)
     return cohomology(c, 0, 0)[0]
-
-
-def twisted_differential(A: CurvedAlgebra, x: dict) -> GradedMap:
-    """d^x = d + [x, -] (the two-sided twist differential)."""
-    F = A.field
-    entries = {}
-    for i in range(A.dim):
-        ei = A.space.basis_vector(i)
-        br = A.product(x, ei)
-        F.add_scaled(br, F.neg(F.one()) if A.degree(i) % 2 == 0 else F.one(), A.product(ei, x))
-        col = vec_add(F, A.d.apply(ei), br)
-        if col:
-            entries[i] = col
-    return GradedMap(A.space, A.space, 1, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +79,19 @@ class GaugeQuadruple:
     h2: dict
 
     def validate(self) -> List[str]:
-        A, F = self.A, self.A.field
+        A, F, x, y = self.A, self.A.field, self.x, self.y
+        if not A.is_mc(x) or not A.is_mc(y):
+            raise ValueError("hom_complex requires Maurer-Cartan endpoints")
         out = []
-        Dxy = hom_complex(A, self.x, self.y).d
-        Dyx = hom_complex(A, self.y, self.x).d
-        if not vec_is_zero(F, Dxy.apply(self.f)):
+        if not vec_is_zero(F, twisted_apply(A, x, y, self.f)):
             out.append("f is not a chain map x -> y")
-        if not vec_is_zero(F, Dyx.apply(self.g)):
+        if not vec_is_zero(F, twisted_apply(A, y, x, self.g)):
             out.append("g is not a chain map y -> x")
-        dx = twisted_differential(A, self.x)
-        dy = twisted_differential(A, self.y)
         gf1 = vec_sub(F, A.product(self.g, self.f), A.unit)
-        if not vec_eq(F, dx.apply(self.h1), gf1):
+        if not vec_eq(F, twisted_apply(A, x, x, self.h1), gf1):
             out.append("d^x h1 != gf - 1")
         fg1 = vec_sub(F, A.product(self.f, self.g), A.unit)
-        if not vec_eq(F, dy.apply(self.h2), fg1):
+        if not vec_eq(F, twisted_apply(A, y, y, self.h2), fg1):
             out.append("d^y h2 != fg - 1")
         return out
 
@@ -162,18 +138,16 @@ class GaugeClasses:
         self._apart: Dict[tuple, set] = {}  # root -> roots of distinct classes
 
     def _element(self, x: dict) -> _ElementData:
-        """The data of x, built once per element; the columns of d^x on
-        degree -1 are d^x(e_j) = de_j + xe_j + e_jx."""
+        """The data of x, built once per element: d^x on degree -1 as a
+        linear system, and the products with the degree-0 basis that
+        `_chain_map_basis` reuses over every pair."""
         A, F = self.A, self.A.field
         key = tuple(sorted(F.nonzero(x).items()))
         if key not in self._elements:
             if not A.is_mc(x):
                 raise ValueError("hom_complex requires Maurer-Cartan endpoints")
             es = [A.space.basis_vector(j) for j in A.degree_indices(0)]
-            cols = []
-            for j in A.degree_indices(-1):
-                e = A.space.basis_vector(j)
-                cols.append(vec_add(F, vec_add(F, A.d.apply(e), A.product(x, e)), A.product(e, x)))
+            cols = [twisted_apply(A, x, x, A.space.basis_vector(j)) for j in A.degree_indices(-1)]
             self._elements[key] = _ElementData(
                 key,
                 [A.product(x, e) for e in es],
@@ -475,11 +449,11 @@ def gauge_to_three_homotopy(
         if vec_is_zero(F, res):
             return NHomotopy(A, 3, X)
         return None
-    cols = []
-    for k in sts_targets:
-        probe = dict(X)
-        probe[k] = F.add(probe.get(k, F.zero()), F.one())
-        cols.append(vec_sub(F, T.mc_residual(probe), res))
+    # the residual is quadratic: R(X + e_k) - R(X) = d^X e_k + e_k e_k
+    cols = [
+        vec_add(F, twisted_apply(T, X, X, T.space.basis_vector(k)), T.basis_product(k, k))
+        for k in sts_targets
+    ]
     system = LinearSystem(F, cols, T.dim)
     sol = system.solution(system.residue(vec_scale(F, F.neg(F.one()), res)))
     if sol is None:
@@ -520,21 +494,17 @@ class ThreeHomotopyData:
         out["endpoint_f_mc"] = A.is_mc(y)
         phi_s = vec_add(F, A.unit, c["s"])
         phi_t = vec_add(F, A.unit, c["t"])
-        Dfe = hom_complex(A, y, x).d if out["endpoint_e_mc"] and out["endpoint_f_mc"] else None
-        if Dfe is None:
+        if not (out["endpoint_e_mc"] and out["endpoint_f_mc"]):
             out["s_chain_map"] = out["t_chain_map"] = False
             out["st_homotopy"] = out["ts_homotopy"] = False
             return out
-        Def = hom_complex(A, x, y).d
-        out["s_chain_map"] = vec_is_zero(F, Dfe.apply(phi_s))
-        out["t_chain_map"] = vec_is_zero(F, Def.apply(phi_t))
-        dX = twisted_differential(A, x)
-        dY = twisted_differential(A, y)
+        out["s_chain_map"] = vec_is_zero(F, twisted_apply(A, y, x, phi_s))
+        out["t_chain_map"] = vec_is_zero(F, twisted_apply(A, x, y, phi_t))
         m1 = F.neg(F.one())
-        lhs5 = dX.apply(vec_scale(F, m1, c["st"]))
+        lhs5 = twisted_apply(A, x, x, vec_scale(F, m1, c["st"]))
         rhs5 = vec_sub(F, A.product(phi_s, phi_t), A.unit)
         out["st_homotopy"] = vec_eq(F, lhs5, rhs5)
-        lhs6 = dY.apply(vec_scale(F, m1, c["ts"]))
+        lhs6 = twisted_apply(A, y, y, vec_scale(F, m1, c["ts"]))
         rhs6 = vec_sub(F, A.product(phi_t, phi_s), A.unit)
         out["ts_homotopy"] = vec_eq(F, lhs6, rhs6)
         return out

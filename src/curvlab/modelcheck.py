@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (
     CurvedAlgebra,
     CurvedMorphism,
-    _bracket,
     direct_product,
     ground_algebra,
     square_zero_algebra,
+    twisted_apply,
 )
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra, induced_convolution_morphism
@@ -119,12 +119,8 @@ def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
             piece = A.product(A.product(uof[v], dv), uof[w])
             zeta = vec_add(F, zeta, piece)
     zeta2 = A.product(zeta, zeta)
-
-    def dt(vvec: dict, deg: int) -> dict:
-        return vec_add(F, A.d.apply(vvec), _bracket(A, zeta, vvec, 1, deg))
-
     for v in grouplikes:
-        if not vec_is_zero(F, dt(uof[v], 0)):
+        if not vec_is_zero(F, twisted_apply(A, zeta, zeta, uof[v])):
             raise ValueError("connection fails to kill an idempotent differential")
     # generators
     arrows = []
@@ -138,7 +134,7 @@ def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
     m1 = F.neg(F.one())
     d_on_arrows: Dict[str, dict] = {}
     # transpose of dt restricted to the radical span
-    dt_cols = {j: dt(A.space.basis_vector(j), A.degree(j)) for j in others}
+    dt_cols = {j: twisted_apply(A, zeta, zeta, A.space.basis_vector(j)) for j in others}
     for j in others:
         combo: dict = {}
         src, tgt = blocks[j]

@@ -10,15 +10,15 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     CurvedAlgebra,
-    _bracket,
     direct_product,
     endomorphism_algebra,
     ground_algebra,
     square_zero_algebra,
     tensor_algebras,
+    twisted_map,
 )
 from .fields import FieldSpec
-from .gradedlin import Complex, GradedMap, GradedSpace, LinearSystem, kernel_basis, vec_add
+from .gradedlin import Complex, GradedMap, GradedSpace, LinearSystem, kernel_basis
 from .interval import make_interval
 from .obstruction import Bimodule, SquareZeroExtension, build_total
 
@@ -125,16 +125,7 @@ def random_curved_algebra(
 
 def curved_twist_by_any(A: CurvedAlgebra, z: dict) -> CurvedAlgebra:
     """(A, d + [z,-], h + dz + z^2) for an arbitrary degree-1 z."""
-    F = A.field
-    entries = {}
-    for i in range(A.dim):
-        ei = A.space.basis_vector(i)
-        col = vec_add(F, A.d.apply(ei), _bracket(A, z, ei, 1, A.degree(i)))
-        if col:
-            entries[i] = col
-    d = GradedMap(A.space, A.space, 1, entries)
-    h = vec_add(F, vec_add(F, A.h, A.d.apply(z)), A.product(z, z))
-    return CurvedAlgebra(A.space, dict(A.unit), A.mult, d, h)
+    return CurvedAlgebra(A.space, dict(A.unit), A.mult, twisted_map(A, z, z), A.mc_residual(z))
 
 
 def rebased_algebra(rng: random.Random, A: CurvedAlgebra) -> CurvedAlgebra:

@@ -28,10 +28,11 @@ from typing import Dict, List, Optional
 from .algebra import (
     CurvedAlgebra,
     CurvedMorphism,
-    _bracket,
     compose_morphisms,
+    ideal_powers,
     identity_morphism,
     twist_algebra,
+    twisted_apply,
 )
 from .gradedlin import (
     EchelonBasis,
@@ -428,12 +429,7 @@ def _split_by_minimal_polynomial(B: CurvedAlgebra, e: dict, z: dict) -> List[dic
     minimal polynomial of ez in eBe, or [e] when it is a prime power.  A
     block whose centre is a field extension of Q is not split: its factor
     is simple over Q."""
-    from fractions import Fraction
-
-    import sympy
-
     F = B.field
-    lam = sympy.symbols("lam")
     w = B.product(e, z)
     # minimal polynomial of w in eBe: powers until dependence
     pows = [dict(e)]
@@ -443,6 +439,13 @@ def _split_by_minimal_polynomial(B: CurvedAlgebra, e: dict, z: dict) -> List[dic
         if not span.add(nxt):
             break
         pows.append(nxt)
+    if len(pows) == 1:  # degree 1: w is a multiple of e
+        return [e]
+    from fractions import Fraction
+
+    import sympy
+
+    lam = sympy.symbols("lam")
     # solve nxt = sum c_a pows[a]
     system = LinearSystem(F, pows, B.dim)
     sol = system.solution(system.residue(nxt))
@@ -516,13 +519,15 @@ def _solve_inner_derivation(R: CurvedAlgebra) -> Optional[dict]:
     """Find b in R^1 with d = [b, -]; None if no solution."""
     F, n = R.field, R.dim
     idx1 = R.degree_indices(1)
-    # row i * n + k of the system is coordinate k of the image of e_i
+    # row i * n + k of the system is coordinate k of the image of e_i;
+    # column j holds [e_j, e_i] = D_{e_j -> e_j}(e_i) - de_i over all i
     cols = []
     for j in idx1:
         ej = R.space.basis_vector(j)
         col = {}
         for i in range(n):
-            for k, c in _bracket(R, ej, R.space.basis_vector(i), 1, R.degree(i)).items():
+            ei = R.space.basis_vector(i)
+            for k, c in vec_sub(F, twisted_apply(R, ej, ej, ei), R.d.apply(ei)).items():
                 col[i * n + k] = c
         cols.append(col)
     rhs = {i * n + k: c for i in range(n) for k, c in R.d.apply(R.space.basis_vector(i)).items()}
@@ -673,29 +678,14 @@ def nilpotent_tower(pi: CurvedMorphism) -> List[CurvedMorphism]:
     """
     A, B = pi.source, pi.target
     F = A.field
-    I, _ = rref(F, solve_linear(pi.f, {})[1], A.dim)
-    if not I:
+    powers, stable = ideal_powers(A, solve_linear(pi.f, {})[1])
+    if stable:
+        raise ValueError(
+            f"kernel is not nilpotent (power stabilized; witness coordinate "
+            f"{A.label(min(stable[0]))})"
+        )
+    if not powers:
         return []
-    powers = [I]
-    cur = I
-    while cur:
-        nxt = []
-        for u in cur:
-            for v in I:
-                p = A.product(u, v)
-                if p:
-                    nxt.append(p)
-        nxt, _ = rref(F, nxt, A.dim)
-        if nxt and len(nxt) == len(cur):  # echelon rows: their number is the rank
-            w = sorted(nxt[0])[0]
-            raise ValueError(
-                f"kernel is not nilpotent (power stabilized; witness coordinate "
-                f"{A.label(w)})"
-            )
-        if not nxt:
-            break
-        powers.append(nxt)
-        cur = nxt
     # stages: A -> A/I^{N-1} -> ... -> A/I^2 -> B, where N = len(powers)+? ;
     # powers[k] = I^{k+1}, the last nonzero power is powers[-1].
     stages = [(A, identity_morphism(A))]

@@ -20,6 +20,7 @@ from .algebra import (
     CurvedMorphism,
     endomorphism_algebra,
     tensor_algebras,
+    twisted_apply,
 )
 from .gradedlin import (
     Complex,
@@ -102,8 +103,8 @@ def induce(phi: CurvedMorphism, M: TwistedModule) -> TwistedModule:
 
 def module_hom_complex(M: TwistedModule, N: TwistedModule) -> Complex:
     """Hom_A(M, N) as a complex on A @ Hom(V_M, V_N) with the matrix twist
-    D(phi) = (d_A @ 1)(phi) + xi_N . phi - (-1)^{|phi|} phi . xi_M,
-    computed inside A @ End(V_M + V_N).
+    D(phi) = (d_A @ 1)(phi) + xi_N . phi - (-1)^{|phi|} phi . xi_M, the
+    two-sided twist D_{xi_M -> xi_N} of A @ End(V_M + V_N).
     """
     A = M.A
     F = A.field
@@ -144,11 +145,7 @@ def module_hom_complex(M: TwistedModule, N: TwistedModule) -> Complex:
 
     entries: Dict[int, dict] = {}
     for a, k in enumerate(hom_keys):
-        v = {k: F.one()}
-        deg = amb.space.degree(k)
-        col_big = amb.d.apply(v)
-        F.add_scaled(col_big, 1, amb.product(xiN, v))
-        F.add_scaled(col_big, F.neg(F.one()) if deg % 2 == 0 else F.one(), amb.product(v, xiM))
+        col_big = twisted_apply(amb, xiM, xiN, amb.space.basis_vector(k))
         col = {}
         for kk, c in col_big.items():
             if kk in pos:

@@ -9,7 +9,11 @@ rebuilding the whole dict as `out = vec_add(F, out, vec_scale(F, c, v))`.
 
 The axiom check works on basis vectors through `product` and `d.apply`,
 associativity as a plain triple loop over (i, j, k) and Leibniz as a
-double loop over (i, j)."""
+double loop over (i, j).
+
+The two-sided twist D_{x->y} is summed one basis vector at a time, each
+term built as the hom-complex columns were: de_i, then y e_i, then the sign
+of e_i times e_i x."""
 
 from curvlab.gradedlin import vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub
 
@@ -61,6 +65,19 @@ def reference_apply(M, v):
         col = M.entries.get(j)
         if not col or F.is_zero(c):
             continue
+        out = reference_add_scaled(F, out, c, col)
+    return out
+
+
+def reference_twisted_apply(A, x, y, v):
+    """sum_i v_i (de_i + y e_i - (-1)^{|e_i|} e_i x)."""
+    F = A.field
+    out = {}
+    for i, c in v.items():
+        e = A.space.basis_vector(i)
+        sign = F.neg(F.one()) if A.degree(i) % 2 == 0 else F.one()
+        col = reference_vec_add(F, reference_apply(A.d, e), reference_product(A, y, e))
+        col = reference_add_scaled(F, col, sign, reference_product(A, e, x))
         out = reference_add_scaled(F, out, c, col)
     return out
 

@@ -262,3 +262,44 @@ def test_max_enum_leaves_the_environment_alone(monkeypatch, capsys):
     assert "CURVLAB_MAX_ENUM" not in os.environ
     code, rep = run_cli(capsys, ["interval", "2"])
     assert code == 0 and rep["budget"] == 65536
+
+
+@pytest.mark.parametrize("x", ["[1]", "5", '"s"', '{"s": "zz"}', '{"s": 2.9}', '{"s": true}', '{"q": 1}'])
+def test_element_argument_must_be_a_label_coefficient_object(tmp_path, capsys, x):
+    f = tmp_path / "I1p2.json"
+    run_cli(capsys, ["interval", "1", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, ["twist", str(f), "--x", x])
+    assert code == 2
+    assert "error" in rep
+
+
+def test_every_element_argument_is_checked(tmp_path, capsys):
+    f = tmp_path / "I1p2.json"
+    run_cli(capsys, ["interval", "1", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, ["homotopy", str(f), "--x", "{}", "--y", '{"s": 0.5}'])
+    assert code == 2 and "0.5" in rep["error"]
+    code, rep = run_cli(
+        capsys, ["twisted", "make", str(f), "--module", '[["m", 0]]', "--xi", "[]"]
+    )
+    assert code == 2 and "--xi" in rep["error"]
+
+
+def test_morphism_images_are_checked(tmp_path, capsys):
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    A = make_interval(GF(2), 1).algebra
+    doc = {"source": dump_algebra(A), "target": dump_algebra(A), "map": {"s": {"s": 1.5}}}
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    code, rep = run_cli(capsys, ["tower", str(f)])
+    assert code == 2 and "1.5" in rep["error"]
+    doc["map"] = [["s", "s", 1]]
+    f.write_text(json.dumps(doc))
+    code, rep = run_cli(capsys, ["tower", str(f)])
+    assert code == 2 and "'map'" in rep["error"]
+    doc["map"] = {"e_e": {"s": 1}}  # degree 0 to degree 1
+    f.write_text(json.dumps(doc))
+    code, rep = run_cli(capsys, ["tower", str(f)])
+    assert code == 2 and "violates degree" in rep["error"]

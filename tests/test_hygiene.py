@@ -1,4 +1,4 @@
-"""Four `ast` scans of src/curvlab (no linter ships with the project).
+"""Five `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -18,6 +18,11 @@ No function-local `from .m import ...` repeats a module that the same file
 already imports from at module level: there is no import cycle for it to
 avoid, so the names belong in the module-level import.  (The lazy
 `import sympy` is not a relative import and is not concerned.)
+
+No module imports an underscore name from another curvlab module, at any
+depth: a private helper serves its own module, and what other modules need
+is public (a sign convention copied through a private import is how a
+convention ends up written in several places).
 """
 
 import ast
@@ -173,3 +178,33 @@ def test_scan_finds_a_redundant_local_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_redundant_local_import(path):
     assert redundant_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str):
+    """(line, name) of the underscore names (not dunders) that relative or
+    `curvlab.` imports anywhere in the source take from a curvlab module."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "curvlab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_scan_finds_a_private_import():
+    src = (
+        "from __future__ import annotations\n"
+        "from .algebra import CurvedAlgebra, _bracket\n"
+        "from random import _inst\n\n"
+        "def f():\n"
+        "    from curvlab.mc import _ElementData, __doc__\n"
+        "    from ..fields import _ZERO as Z\n"
+    )
+    assert private_imports(src) == [(2, "_bracket"), (6, "_ElementData"), (7, "_ZERO")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import_between_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

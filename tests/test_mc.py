@@ -8,6 +8,7 @@ from curvlab.algebra import (
     mc_enumerate,
     square_zero_algebra,
     twist_algebra,
+    twisted_map,
 )
 from curvlab.coalgebra import dualize_algebra
 from curvlab.convolution import convolution_algebra
@@ -41,7 +42,6 @@ from curvlab.mc import (
     one_homotopy_middle_component,
     square_zero_three_homotopy,
     three_homotopy_unpack,
-    twisted_differential,
     verify_n_homotopy,
 )
 
@@ -319,7 +319,7 @@ def _particular_homotopy(E, x, target):
     """gradedlin.solve's particular solution of d^x h = target with h in
     degree -1, or None."""
     F = E.field
-    dx = twisted_differential(E, x)
+    dx = twisted_map(E, x, x)
     idxm1 = E.degree_indices(-1)
     rows = {}
     for a, j in enumerate(idxm1):

@@ -1,9 +1,10 @@
 """Property tests: the field kernels and the sparse arithmetic on them
 against the generic per-coefficient loops of reference_algebra.py, the
 affine enumerator against itertools.product, the axiom check against the
-reference loops, the radical and the primitive central idempotents against
-the enumerating references of reference_semisimple.py, and the CLI exit
-codes on mutated documents."""
+reference loops, the two-sided twist against its per-basis reference, the
+MC linearisation and the cached chain maps, the radical and the primitive
+central idempotents against the enumerating references of
+reference_semisimple.py, and the CLI exit codes on mutated documents."""
 
 import contextlib
 import copy
@@ -19,19 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.algebra import tensor_algebras
+from curvlab.algebra import mc_enumerate, tensor_algebras, twisted_apply, twisted_map
 from curvlab.cli import main
 from curvlab.documents import dump_algebra
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import (
     BudgetExceeded,
     EchelonBasis,
+    LinearSystem,
     enumerate_affine,
     vec_add,
     vec_scale,
     vec_sub,
 )
 from curvlab.interval import make_interval
+from curvlab.mc import GaugeClasses
 from curvlab.randgen import random_curved_algebra, rebased_algebra
 from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
@@ -40,6 +43,7 @@ from reference_algebra import (
     reference_echelon,
     reference_product,
     reference_reduce,
+    reference_twisted_apply,
     reference_validate,
     reference_vec_add,
     reference_vec_scale,
@@ -250,6 +254,87 @@ def test_validate_matches_reference_from_dim_24(case):
     A, max_violations = case
     assert A.dim >= 24
     assert A.validate(max_violations) == reference_validate(A, max_violations)
+
+
+# ---------------------------------------------------------------------------
+# the two-sided twist
+
+
+@st.composite
+def twist_algebras(draw):
+    """A random curved algebra over F_2, F_3 or Q, in a random non-monomial
+    basis half of the time."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    A = random_curved_algebra(rng, F, maxdim=6)
+    return rebased_algebra(rng, A) if draw(st.booleans()) else A
+
+
+def degree_one(A):
+    idx1 = A.degree_indices(1)
+    if not idx1:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(idx1), coefficients(A.field), max_size=len(idx1))
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_twisted_apply_matches_reference(data):
+    """On any vector, in values and coefficient types; on a basis vector
+    also in key order, which is the order of the columns of twisted_map."""
+    A = data.draw(twist_algebras())
+    x, y = data.draw(degree_one(A)), data.draw(degree_one(A))
+    v = data.draw(vectors(A.field, A.dim))
+    got = twisted_apply(A, x, y, v)
+    assert sorted(typed(got)) == sorted(typed(reference_twisted_apply(A, x, y, v)))
+    D = twisted_map(A, x, y)
+    for i in range(A.dim):
+        want = reference_twisted_apply(A, x, y, A.space.basis_vector(i))
+        assert typed(D.entries.get(i, {})) == typed(want)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_mc_residual_difference_is_the_twist_plus_the_square(data):
+    """R(P + e_k) - R(P) = D_{P->P}(e_k) + e_k e_k for R(X) = h + dX + X^2,
+    any degree-1 P and degree-1 e_k: the columns of the MC linearisations."""
+    A = data.draw(twist_algebras())
+    F, P = A.field, data.draw(degree_one(A))
+    base = A.mc_residual(P)
+    for k in A.degree_indices(1):
+        e = A.space.basis_vector(k)
+        col = vec_add(F, twisted_apply(A, P, P, e), A.basis_product(k, k))
+        want = vec_sub(F, A.mc_residual(vec_add(F, P, e)), base)
+        assert sorted(typed(col)) == sorted(typed(want))
+
+
+def small_mc_elements(A):
+    """The MC elements over F_p; over Q those with coefficients -1, 0, 1."""
+    if A.field.is_prime_field:
+        return mc_enumerate(A)
+    idx1 = A.degree_indices(1)
+    points = (
+        {i: QQ.coerce(c) for i, c in zip(idx1, cs) if c}
+        for cs in itertools.product((-1, 0, 1), repeat=len(idx1))
+    )
+    return [x for x in points if A.is_mc(x)]
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(st.data())
+def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
+    """The gauge search's cached chain maps x -> y are the kernel of the
+    degree-0 columns of twisted_map(A, x, y), as LinearSystem gives it."""
+    A = data.draw(twist_algebras())
+    mc = small_mc_elements(A)
+    if not mc:
+        return
+    x, y = data.draw(st.sampled_from(mc)), data.draw(st.sampled_from(mc))
+    gauge = GaugeClasses(A)
+    got = gauge._chain_map_basis(gauge._element(x), gauge._element(y))
+    D = twisted_map(A, x, y)
+    want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim)
+    assert [typed(k) for k in got] == [typed(k) for k in want.kernel]
 
 
 # ---------------------------------------------------------------------------
