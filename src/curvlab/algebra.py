@@ -7,6 +7,9 @@ Conventions (fixed globally, see README):
   - two-sided twist D_{x->y}(a) = da + ya - (-1)^{|a|} ax, written once,
     in `twisted_apply`; D_{x->x} = d^x
   - Koszul tensor signs (a@b)(a'@b') = (-1)^{|b||a'|} aa' @ bb'
+  - tensor layout: e_i @ f_j is basis vector i * dim B + j of A @ B, known
+    only to `tensor_index`, `tensor_element`, `tensor_split`, `tensor_rows`
+    and `tensor_map`
 """
 
 from __future__ import annotations
@@ -72,29 +75,11 @@ class CurvedAlgebra:
                     add_scaled(out, a * b, col)
         return out
 
-    def commutator(self, u: dict, v: dict) -> dict:
-        """[u, v] with u, v homogeneous."""
-        F = self.field
-        du = self.space.element_degree(u)
-        dv = self.space.element_degree(v)
-        if du is None or dv is None:
-            return {}
-        out = self.product(u, v)
-        F.add_scaled(out, F.one() if (du * dv) % 2 else F.neg(F.one()), self.product(v, u))
-        return out
-
     def scalar(self, c) -> dict:
         return vec_scale(self.field, c, self.unit)
 
     def apply_d(self, v: dict) -> dict:
         return self.d.apply(v)
-
-    def element_from_labels(self, coeffs: Dict[str, object]) -> dict:
-        return {
-            self.space.index(l): self.field.coerce(c)
-            for l, c in coeffs.items()
-            if not self.field.is_zero(self.field.coerce(c))
-        }
 
     # -- validation ----------------------------------------------------------
 
@@ -169,15 +154,6 @@ class CurvedAlgebra:
                 if len(out) >= max_violations:
                     return out
         return out
-
-    def assert_valid(self):
-        bad = self.validate()
-        if bad:
-            raise ValueError("invalid curved algebra: " + "; ".join(bad))
-
-    @property
-    def is_dg(self) -> bool:
-        return vec_is_zero(self.field, self.h)
 
     # -- MC machinery ---------------------------------------------------------
 
@@ -421,11 +397,6 @@ class CurvedMorphism:
             report("f(h_A) != h_B + db + b^2")
         return out
 
-    def assert_valid(self):
-        bad = self.validate()
-        if bad:
-            raise ValueError("invalid curved morphism: " + "; ".join(bad))
-
     def apply(self, v: dict) -> dict:
         return self.f.apply(v)
 
@@ -435,8 +406,7 @@ class CurvedMorphism:
 
 
 def identity_morphism(A: CurvedAlgebra) -> CurvedMorphism:
-    f = GradedMap(A.space, A.space, 0, {i: A.space.basis_vector(i) for i in range(A.dim)})
-    return CurvedMorphism(A, A, f, {})
+    return CurvedMorphism(A, A, GradedMap.identity(A.space), {})
 
 
 def compose_morphisms(g: CurvedMorphism, f: CurvedMorphism) -> CurvedMorphism:
@@ -451,14 +421,6 @@ def compose_morphisms(g: CurvedMorphism, f: CurvedMorphism) -> CurvedMorphism:
         vec_add(F, g.b, g.f.apply(f.b)),
         unital=f.unital and g.unital,
     )
-
-
-def morphism_from_labels(A, B, images: Dict[str, Dict[str, object]], b=None, unital=True):
-    entries = {}
-    for lbl, img in images.items():
-        entries[A.space.index(lbl)] = B.element_from_labels(img)
-    f = GradedMap(A.space, B.space, 0, entries)
-    return CurvedMorphism(A, B, f, B.element_from_labels(b or {}), unital=unital)
 
 
 # ---------------------------------------------------------------------------
@@ -499,116 +461,140 @@ def twist_algebra(A: CurvedAlgebra, x: dict) -> Tuple[CurvedAlgebra, CurvedMorph
     if not A.is_mc(x):
         raise ValueError("twist requires a Maurer-Cartan element")
     Ax = CurvedAlgebra(A.space, dict(A.unit), A.mult, twisted_map(A, x, x), {})
-    iso = CurvedMorphism(
-        Ax,
-        A,
-        GradedMap(A.space, A.space, 0, {i: A.space.basis_vector(i) for i in range(A.dim)}),
-        dict(x),
-    )
-    return Ax, iso
+    return Ax, CurvedMorphism(Ax, A, GradedMap.identity(A.space), dict(x))
+
+
+# ---------------------------------------------------------------------------
+# change of basis
+
+
+def algebra_in_basis(
+    A: CurvedAlgebra, space: GradedSpace, basis: List[dict], coords, unit: dict, h: dict
+) -> CurvedAlgebra:
+    """The curved algebra on `space` whose basis vector a stands for the
+    element basis[a] of A: products and differentials of basis vectors, the
+    unit and h are computed in A and read back by coords, the coordinates
+    over `basis` of an element (or of its class, for a quotient)."""
+    mult = {}
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis):
+            col = coords(A.product(u, v))
+            if col:
+                mult[(a, b)] = col
+    entries = {}
+    for a, u in enumerate(basis):
+        col = coords(A.d.apply(u))
+        if col:
+            entries[a] = col
+    return CurvedAlgebra(space, coords(unit), mult, GradedMap(space, space, 1, entries), coords(h))
 
 
 # ---------------------------------------------------------------------------
 # tensor products
 
 
+def tensor_index(i: int, j: int, nB: int) -> int:
+    """Index of e_i @ f_j in A @ B, for dim B = nB.
+
+    This is the one tensor layout: the basis of A @ B lists e_i @ f_j at
+    i * dim B + j.  Only the tensor_* functions here compute with it.  The
+    layout is associative: (U @ V) @ W and U @ (V @ W) share one index.
+    """
+    return i * nB + j
+
+
+def tensor_element(F: FieldSpec, a: dict, b: dict, nB: int) -> dict:
+    """a @ b for a in A and b in B, dim B = nB: the terms a_i b_j e_i @ f_j
+    in the order of a, then of b, zero products dropped."""
+    out = {}
+    for i, x in a.items():
+        for j, c in F.scale(x, b).items():
+            out[tensor_index(i, j, nB)] = c
+    return out
+
+
+def tensor_split(v: dict, nB: int) -> Dict[int, dict]:
+    """{j: v_j} with v = sum_j v_j @ f_j, dim B = nB: the components of v
+    along the basis of the right factor, each in the order of v."""
+    out: Dict[int, dict] = {}
+    for k, c in v.items():
+        i, j = divmod(k, nB)
+        out.setdefault(j, {})[i] = c
+    return out
+
+
+def tensor_rows(v: dict, nB: int) -> Dict[int, dict]:
+    """{i: v_i} with v = sum_i e_i @ v_i, dim B = nB: the components of v
+    along the basis of the left factor, each in the order of v."""
+    out: Dict[int, dict] = {}
+    for k, c in v.items():
+        i, j = divmod(k, nB)
+        out.setdefault(i, {})[j] = c
+    return out
+
+
+def tensor_map(f: GradedMap, g: GradedMap, source: GradedSpace, target: GradedSpace) -> GradedMap:
+    """f @ g: source -> target for degree-0 maps f: A -> A' and g: B -> B',
+    source and target being the spaces of A @ B and A' @ B'.
+
+    (f @ g)(a @ b) = (-1)^{|g||a|} f(a) @ g(b), and the sign is 1 because g
+    has degree 0; other degrees raise ValueError.
+    """
+    if f.degree or g.degree:
+        raise ValueError("tensor_map takes maps of degree 0")
+    nB, nB2 = g.source.dim, g.target.dim
+    if source.dim != f.source.dim * nB or target.dim != f.target.dim * nB2:
+        raise ValueError("tensor_map: source and target must be the tensor products of the factors")
+    F = source.field
+    entries = {}
+    for i in range(f.source.dim):
+        fi = f.entries.get(i)
+        if not fi:
+            continue
+        for j in range(nB):
+            col = tensor_element(F, fi, g.entries.get(j, {}), nB2)
+            if col:
+                entries[tensor_index(i, j, nB)] = col
+    return GradedMap(source, target, 0, entries)
+
+
 def tensor_algebras(A: CurvedAlgebra, B: CurvedAlgebra, sep: str = "@") -> CurvedAlgebra:
-    """Koszul-signed tensor product of curved algebras."""
+    """Koszul-signed tensor product of curved algebras, basis labels a{sep}b."""
     if A.field != B.field:
         raise ValueError("tensor factors must share the field")
     F = A.field
-    basis = []
-    for i in range(A.dim):
-        for j in range(B.dim):
-            basis.append((f"{A.label(i)}{sep}{B.label(j)}", A.degree(i) + B.degree(j)))
-    space = GradedSpace.make(basis, F)
+    one, m1 = F.one(), F.neg(F.one())
     nB = B.dim
-
-    def pair(i, j):
-        return i * nB + j
-
+    space = GradedSpace.make(
+        [(f"{la}{sep}{lb}", da + db) for la, da in A.space.basis for lb, db in B.space.basis], F
+    )
     mult: Dict[Tuple[int, int], dict] = {}
     for i1 in range(A.dim):
         for j1 in range(B.dim):
             for i2 in range(A.dim):
-                # Koszul sign (-1)^{|b1||a2|}
+                pa = A.basis_product(i1, i2)
+                if not pa:
+                    continue
+                sgn = m1 if (B.degree(j1) * A.degree(i2)) % 2 else one  # (-1)^{|b1||a2|}
                 for j2 in range(B.dim):
-                    pa = A.basis_product(i1, i2)
-                    if not pa:
-                        continue
                     pb = B.basis_product(j1, j2)
-                    if not pb:
-                        continue
-                    sgn = (
-                        F.neg(F.one())
-                        if (B.degree(j1) * A.degree(i2)) % 2
-                        else F.one()
-                    )
-                    col: dict = {}
-                    for ka, ca in pa.items():
-                        for kb, cb in pb.items():
-                            c = F.mul(sgn, F.mul(ca, cb))
-                            if not F.is_zero(c):
-                                k = pair(ka, kb)
-                                col[k] = F.add(col.get(k, F.zero()), c)
-                    col = {k: c for k, c in col.items() if not F.is_zero(c)}
-                    if col:
-                        mult[(pair(i1, j1), pair(i2, j2))] = col
+                    if pb:
+                        col = F.scale(sgn, tensor_element(F, pa, pb, nB))
+                        if col:
+                            mult[(tensor_index(i1, j1, nB), tensor_index(i2, j2, nB))] = col
     entries: Dict[int, dict] = {}
     for i in range(A.dim):
+        sgn = m1 if A.degree(i) % 2 else one  # d(a@b) = da@b + (-1)^{|a|} a@db
         for j in range(B.dim):
-            col: dict = {}
-            for k, c in A.d.entries.get(i, {}).items():
-                col[pair(k, j)] = c
-            sgn = F.neg(F.one()) if A.degree(i) % 2 else F.one()
-            for k, c in B.d.entries.get(j, {}).items():
-                kk = pair(i, k)
-                col[kk] = F.add(col.get(kk, F.zero()), F.mul(sgn, c))
-            col = {k: c for k, c in col.items() if not F.is_zero(c)}
+            col = tensor_element(F, A.d.entries.get(i, {}), {j: one}, nB)
+            F.add_scaled(col, sgn, tensor_element(F, {i: one}, B.d.entries.get(j, {}), nB))
             if col:
-                entries[pair(i, j)] = col
-    d = GradedMap(space, space, 1, entries)
-    unit: dict = {}
-    for i, a in A.unit.items():
-        for j, b in B.unit.items():
-            c = F.mul(a, b)
-            if not F.is_zero(c):
-                unit[pair(i, j)] = c
-    h: dict = {}
-    for i, c in A.h.items():
-        for j, u in B.unit.items():
-            cc = F.mul(c, u)
-            if not F.is_zero(cc):
-                k = pair(i, j)
-                h[k] = F.add(h.get(k, F.zero()), cc)
+                entries[tensor_index(i, j, nB)] = col
+    h = tensor_element(F, A.h, B.unit, nB)  # h@1 + 1@h
     for j, c in B.h.items():
-        for i, u in A.unit.items():
-            cc = F.mul(u, c)
-            if not F.is_zero(cc):
-                k = pair(i, j)
-                h[k] = F.add(h.get(k, F.zero()), cc)
-    h = {k: c for k, c in h.items() if not F.is_zero(c)}
-    return CurvedAlgebra(space, unit, mult, d, h)
-
-
-def tensor_factor_inclusion_data(A, B, T, side: str):
-    """Index map i -> index of (a_i @ 1) resp. (1 @ b_i) in T = A tensor B."""
-    F = T.field
-    out = {}
-    nB = B.dim
-    if side == "left":
-        for i in range(A.dim):
-            col = {}
-            for j, c in B.unit.items():
-                col[i * nB + j] = c
-            out[i] = col
-    else:
-        for j in range(B.dim):
-            col = {}
-            for i, c in A.unit.items():
-                col[i * nB + j] = c
-            out[j] = col
-    return out
+        F.add_scaled(h, one, tensor_element(F, A.unit, {j: c}, nB))
+    unit = tensor_element(F, A.unit, B.unit, nB)
+    return CurvedAlgebra(space, unit, mult, GradedMap(space, space, 1, entries), h)
 
 
 # ---------------------------------------------------------------------------
@@ -653,19 +639,15 @@ def endomorphism_algebra(V: GradedSpace) -> CurvedAlgebra:
         for j in range(n):
             basis.append((f"E[{V.basis[i][0]},{V.basis[j][0]}]", V.degree(i) - V.degree(j)))
     space = GradedSpace.make(basis, F)
-
-    def idx(i, j):
-        return i * n + j
-
+    # End(V) = V @ V*: E_{ij} is v_i @ v_j*, at tensor_index(i, j, n)
     mult = {}
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    # E_{ij} E_{kl} = delta_{jk} E_{il}
-                    if j == k:
-                        mult[(idx(i, j), idx(k, l))] = {idx(i, l): F.one()}
-    unit = {idx(i, i): F.one() for i in range(n)}
+            for l in range(n):
+                # E_{ij} E_{jl} = E_{il}
+                key = (tensor_index(i, j, n), tensor_index(j, l, n))
+                mult[key] = {tensor_index(i, l, n): F.one()}
+    unit = {tensor_index(i, i, n): F.one() for i in range(n)}
     return CurvedAlgebra(space, unit, mult, GradedMap(space, space, 1, {}), {})
 
 
@@ -695,6 +677,15 @@ def direct_product(A: CurvedAlgebra, B: CurvedAlgebra, tagA="L", tagB="R") -> Cu
     return CurvedAlgebra(space, unit, mult, d, h)
 
 
+def morita_element(A: CurvedAlgebra, E: CurvedAlgebra) -> dict:
+    """1 @ E[0,1] - h @ E[1,0] in A @ E, for E = End(V) of V = k + k[1]:
+    the square-matrix MC element (0 1; -h 0) that uncurves A."""
+    F = A.field
+    x = tensor_element(F, A.unit, {tensor_index(0, 1, 2): F.one()}, E.dim)
+    F.add_scaled(x, F.neg(F.one()), tensor_element(F, A.h, {tensor_index(1, 0, 2): F.one()}, E.dim))
+    return x
+
+
 def uncurve_morita(A: CurvedAlgebra):
     """Uncurving route: twist A @ End(k + k[1]) by the square-matrix MC element.
 
@@ -705,18 +696,11 @@ def uncurve_morita(A: CurvedAlgebra):
     V = GradedSpace.make([("v0", 0), ("v1", -1)], F)
     E = endomorphism_algebra(V)
     T = tensor_algebras(A, E, sep="#")
-    nE = E.dim  # 4
-    # E indices: E[v0,v0]=0, E[v0,v1]=1, E[v1,v0]=2, E[v1,v1]=3
-    x: dict = {}
-    for i, c in A.unit.items():
-        x[i * nE + 1] = c
-    for i, c in A.h.items():
-        k = i * nE + 2
-        x[k] = F.add(x.get(k, F.zero()), F.neg(c))
-    x = {k: c for k, c in x.items() if not F.is_zero(c)}
+    x = morita_element(A, E)
     if not T.is_mc(x):
         raise AssertionError("morita matrix element failed the MC equation")
     B, iso = twist_algebra(T, x)
-    incl_entries = tensor_factor_inclusion_data(A, E, T, "left")
-    incl = CurvedMorphism(A, T, GradedMap(A.space, T.space, 0, incl_entries), {})
-    return B, x, (incl, iso)
+    k = ground_algebra(F)
+    unit_E = GradedMap(k.space, E.space, 0, {0: dict(E.unit)})
+    incl = tensor_map(GradedMap.identity(A.space), unit_E, A.space, T.space)  # A = A @ k
+    return B, x, (CurvedMorphism(A, T, incl, {}), iso)

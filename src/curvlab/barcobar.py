@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, twisted_apply
+from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, tensor_index, twisted_apply
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
 from .convolution import convolution_algebra
@@ -56,28 +56,28 @@ def coradical_filtration_stages(C: CurvedCoalgebra) -> Optional[List[int]]:
     """
     F = C.field
     cor = coradical(C)
-    stage = [None] * C.dim
+    stage: Dict[int, int] = {}  # the basis vectors placed so far
     cur_rows = [dict(r) for r in cor]
     # stage 0: basis vectors inside the coradical
     for i in range(C.dim):
         if in_span(F, cur_rows, C.space.basis_vector(i), C.dim):
             stage[i] = 0
     k = 0
-    while any(s is None for s in stage):
+    while len(stage) < C.dim:
         k += 1
         if k > C.dim + 1:
             return None
         # F_k = Delta^{-1}(F_{k-1} (x) C + C (x) F_0): test basis vectors
         newly = []
         for i in range(C.dim):
-            if stage[i] is not None:
+            if i in stage:
                 continue
             ok = True
             for (a, b), c in C.comult.get(i, {}).items():
                 if F.is_zero(c):
                     continue
-                a_low = stage[a] is not None and stage[a] <= k - 1
-                b_zero = stage[b] is not None and stage[b] == 0
+                a_low = a in stage and stage[a] <= k - 1
+                b_zero = stage.get(b) == 0
                 if not (a_low or b_zero):
                     ok = False
                     break
@@ -93,7 +93,7 @@ def coradical_filtration_stages(C: CurvedCoalgebra) -> Optional[List[int]]:
         for (a, b), c in C.comult.get(i, {}).items():
             if not F.is_zero(c) and stage[a] + stage[b] > stage[i]:
                 return None
-    return stage
+    return [stage[i] for i in range(C.dim)]
 
 
 def mc_hom_enumerate(
@@ -116,27 +116,20 @@ def mc_hom_enumerate(
     deg1 = E.degree_indices(1)
     if stages is None:
         return mc_enumerate(E, budget=budget)
-    nA = A.dim
     # check d_C respects stages (else brute force)
     for j in range(C.dim):
         for i, c in C.d.entries.get(j, {}).items():
             if not F.is_zero(c) and stages[i] > stages[j]:
                 return mc_enumerate(E, budget=budget)
-    var_stage = {}
-    for k in deg1:
-        ci, ai = divmod(k, nA)
-        var_stage[k] = stages[ci]
-    maxstage = max([0] + [stages[ci] for ci in range(C.dim)])
-    stage_vars = {
-        s: [k for k in deg1 if var_stage[k] == s] for s in range(maxstage + 1)
+    # the stage of each coordinate c @ a is the stage of c
+    coord_stage = {
+        tensor_index(ci, ai, A.dim): stages[ci] for ci in range(C.dim) for ai in range(A.dim)
     }
-    comp_of_stage = {
-        s: {ci for ci in range(C.dim) if stages[ci] <= s} for s in range(maxstage + 1)
-    }
+    maxstage = max([0] + stages)
+    stage_vars = {s: [k for k in deg1 if coord_stage[k] == s] for s in range(maxstage + 1)}
 
     def stage_rows(v, upto_stage):
-        allowed = comp_of_stage[upto_stage]
-        return {k: c for k, c in v.items() if k // nA in allowed}
+        return {k: c for k, c in v.items() if coord_stage[k] <= upto_stage}
 
     def residual_rows(X, upto_stage):
         return stage_rows(E.mc_residual(X), upto_stage)
@@ -229,16 +222,6 @@ def cobar(C: CurvedCoalgebra, w_index: int, N: int) -> TruncatedCobar:
         for i in range(C.dim)
         if i != w_index
     )
-
-    def proj_coords(v: dict) -> dict:
-        """kerEps coordinates of proj(v) in the proj(c)-basis (c != w)."""
-        return {i: c for i, c in v.items() if i != w_index}
-
-    def lin_combo(v: dict) -> dict:
-        out = {}
-        for i, c in proj_coords(v).items():
-            out[(gen_of_basis[i],)] = c
-        return out
 
     m1 = F.neg(F.one())
     d_on_arrows: Dict[str, dict] = {}

@@ -31,10 +31,11 @@ from .documents import (
     dump_algebra,
     load_document,
     load_path,
+    parse_basis,
     parse_element,
 )
 from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
-from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, cohomology, vec_is_zero
+from .gradedlin import BudgetExceeded, GradedMap, cohomology, vec_is_zero
 from .interval import make_interval
 from .mc import (
     find_gauge_quadruple,
@@ -118,6 +119,19 @@ def _element(A: CurvedAlgebra, data, name: str) -> dict:
     """The decoded JSON `data`, an object {label: coefficient}, as an element
     of A; DocumentError (exit 2) for anything else."""
     return parse_element(A.space, data, name)
+
+
+def _label_map(small: CurvedCoalgebra, big: CurvedCoalgebra, data) -> Dict[str, str]:
+    """The decoded JSON `data` of --labels: an object sending labels of
+    `small` to labels of `big`; DocumentError (exit 2) for anything else."""
+    if not isinstance(data, dict):
+        raise DocumentError("'--labels' must be an object {small label: big label}")
+    for s, b in data.items():
+        if s not in small.space.labels():
+            raise DocumentError(f"'--labels': {s!r} is not a label of the small coalgebra")
+        if not isinstance(b, str) or b not in big.space.labels():
+            raise DocumentError(f"'--labels': {b!r} is not a label of the big coalgebra")
+    return data
 
 
 def _pretty(A: CurvedAlgebra, v: dict) -> dict:
@@ -305,7 +319,7 @@ def cmd_adjunction_check(args) -> int:
 def cmd_twisted(args) -> int:
     A = _load_algebra(args.algebra)
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
-    V = GradedSpace.make(json.loads(args.module), A.field)
+    V = parse_basis(A.field, json.loads(args.module), "--module")
     amb = ambient_algebra(A, V)
     xi = _element(amb, json.loads(args.xi), "--xi")
     if args.action == "make":
@@ -516,7 +530,7 @@ def cmd_rectify(args) -> int:
     Cp = _load_coalgebra(args.big)
     Csub = _load_coalgebra(args.small)
     A = _load_algebra(args.algebra)
-    label_map = json.loads(args.labels)
+    label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
     convb = convolution_algebra(Cp, A)
     convs = convolution_algebra(Csub, A)
@@ -537,7 +551,7 @@ def cmd_lift(args) -> int:
     Cp = _load_coalgebra(args.big)
     Csub = _load_coalgebra(args.small)
     g = _load_morphism(args.morphism)
-    label_map = json.loads(args.labels)
+    label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
     convCA = convolution_algebra(Csub, g.source)
     convCpAp = convolution_algebra(Cp, g.target)

@@ -42,42 +42,11 @@ class CurvedCoalgebra:
     def label(self, i: int) -> str:
         return self.space.basis[i][0]
 
-    def comultiply(self, v: dict) -> Dict[Tuple[int, int], object]:
-        F = self.field
-        out: Dict[Tuple[int, int], object] = {}
-        for i, c in v.items():
-            for jk, x in self.comult.get(i, {}).items():
-                s = F.add(out.get(jk, F.zero()), F.mul(c, x))
-                if F.is_zero(s):
-                    out.pop(jk, None)
-                else:
-                    out[jk] = s
-        return out
-
-    def counit_value(self, v: dict):
-        F = self.field
-        out = F.zero()
-        for i, c in v.items():
-            out = F.add(out, F.mul(c, self.counit.get(i, F.zero())))
-        return out
-
-    def h_value(self, v: dict):
-        F = self.field
-        out = F.zero()
-        for i, c in v.items():
-            out = F.add(out, F.mul(c, self.h.get(i, F.zero())))
-        return out
-
     def validate(self, max_violations: int = 8) -> List[str]:
         """Axioms are checked on the dual algebra (the definitions agree)."""
         A = dualize_coalgebra(self)
         out = A.validate(max_violations)
         return [f"(dual) {m}" for m in out]
-
-    def assert_valid(self):
-        bad = self.validate()
-        if bad:
-            raise ValueError("invalid curved coalgebra: " + "; ".join(bad))
 
     def grouplike_basis_indices(self) -> List[int]:
         """Indices of basis vectors g with Delta(g) = g@g, eps(g) = 1."""

@@ -66,6 +66,21 @@ def _coeff(F: FieldSpec, c):
         raise DocumentError(str(e))
 
 
+def parse_basis(F: FieldSpec, rows, key: str) -> GradedSpace:
+    """A list of [label, degree] rows, labels strings and unique, degrees
+    integers, as a GradedSpace; `key` names it in the DocumentError raised
+    for anything else."""
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
+        and isinstance(r[1], int) and not isinstance(r[1], bool)
+        for r in rows
+    ):
+        raise DocumentError(f"{key!r} must be a list of [label, integer degree] rows")
+    if len({r[0] for r in rows}) != len(rows):
+        raise DocumentError(f"{key!r} repeats a label")
+    return GradedSpace.make(rows, F)
+
+
 def parse_element(space: GradedSpace, d, key: str) -> dict:
     """An object {label: coefficient} as a sparse vector over `space`, zero
     coefficients dropped; `key` names it in the DocumentError raised for
@@ -104,12 +119,10 @@ def load_document(doc: dict):
     if mode != "structure-constants":
         raise DocumentError(f"unknown mode {mode!r}")
     kind = doc.get("kind", "algebra")
-    try:
-        basis = [(str(l), int(d)) for l, d in doc["basis"]]
-        space = GradedSpace.make(basis, F)
-    except (KeyError, TypeError, ValueError) as e:
-        raise DocumentError(f"bad basis: {e}")
-    idx = {l: i for i, (l, _) in enumerate(basis)}
+    if "basis" not in doc:
+        raise DocumentError("a structure-constant document needs a 'basis'")
+    space = parse_basis(F, doc["basis"], "basis")
+    idx = {l: i for i, (l, _) in enumerate(space.basis)}
     entries: Dict[int, dict] = {}
     for row in _rows(doc, "differential", 2):
         a, b, c = row
@@ -226,29 +239,6 @@ def dump_algebra(A: CurvedAlgebra) -> dict:
         for i, c in sorted(A.d.entries[j].items()):
             if not F.is_zero(c):
                 doc["differential"].append([A.label(j), A.label(i), F.format_coeff(c)])
-    return doc
-
-
-def dump_coalgebra(C: CurvedCoalgebra) -> dict:
-    F = C.field
-    doc = {
-        "field": F.describe(),
-        "mode": "structure-constants",
-        "kind": "coalgebra",
-        "basis": [[l, d] for l, d in C.space.basis],
-        "counit": {C.label(i): F.format_coeff(c) for i, c in sorted(C.counit.items()) if not F.is_zero(c)},
-        "mult": [],
-        "differential": [],
-        "curvature": {C.label(i): F.format_coeff(c) for i, c in sorted(C.h.items()) if not F.is_zero(c)},
-    }
-    for i in sorted(C.comult):
-        for (j, k), c in sorted(C.comult[i].items()):
-            if not F.is_zero(c):
-                doc["mult"].append([C.label(i), C.label(j), C.label(k), F.format_coeff(c)])
-    for j in sorted(C.d.entries):
-        for i, c in sorted(C.d.entries[j].items()):
-            if not F.is_zero(c):
-                doc["differential"].append([C.label(j), C.label(i), F.format_coeff(c)])
     return doc
 
 

@@ -78,9 +78,6 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.kind, self.characteristic))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def describe(self) -> dict:
         if self.is_prime_field:
             return {"kind": "prime-field", "characteristic": self.characteristic}

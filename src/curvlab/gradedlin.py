@@ -59,9 +59,6 @@ class GradedSpace:
     def dim_in_degree(self, n: int) -> int:
         return len(self.indices_of_degree(n))
 
-    def zero_vector(self) -> Dict[int, object]:
-        return {}
-
     def basis_vector(self, i: int) -> Dict[int, object]:
         return {i: self.field.one()}
 
@@ -351,6 +348,10 @@ class GradedMap:
                         f"entry {self.source.basis[j][0]} -> {self.target.basis[i][0]} "
                         f"violates degree {self.degree}"
                     )
+
+    @staticmethod
+    def identity(space: GradedSpace) -> "GradedMap":
+        return GradedMap(space, space, 0, {i: space.basis_vector(i) for i in range(space.dim)})
 
     @property
     def field(self) -> FieldSpec:

@@ -14,9 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism, ground_algebra, tensor_algebras
+from .algebra import (
+    CurvedAlgebra,
+    CurvedMorphism,
+    ground_algebra,
+    tensor_algebras,
+    tensor_element,
+    tensor_map,
+)
 from .fields import FieldSpec
-from .gradedlin import GradedMap, vec_eq, vec_is_zero
+from .gradedlin import GradedMap, vec_eq, vec_is_zero, vec_scale, vec_sub
 from .presented import Arrow, PresentedCurvedAlgebra
 
 
@@ -145,7 +152,7 @@ def noncommutative_forms(F: FieldSpec, n: int):
 
 def e_de_power(F: FieldSpec, n: int, Omega: CurvedAlgebra) -> dict:
     """The element e (de)^n of Omega(k x k) (in the quotient it is zero)."""
-    e = Omega.element_from_labels({"e_e": 1})
+    e = Omega.space.basis_vector(Omega.space.index("e_e"))
     de = Omega.apply_d(e)
     out = e
     for _ in range(n):
@@ -173,30 +180,13 @@ def interval_diagonal(F: FieldSpec, n: int):
     def idx(lbl):
         return Iinf.space.index(lbl)
 
-    def pair(l1, l2):
-        return T.space.index(f"{l1}@{l2}")
-
-    e = {idx("e_e"): F.one()}
-    one_T = T.unit
-    De = {pair("e_e", "e_e"): F.one()}
+    e = Iinf.space.basis_vector(idx("e_e"))
+    De = tensor_element(F, e, e, Iinf.dim)
     Dde = T.d.apply(De)
     # images of generators s, t: s = -e(de), t = (de)e  (in I^infinity:
     # e(de) = e(t-s) = -s and (de)e = (t-s)e = t with the cup conventions)
-    de = Iinf.apply_d(e)
-
-    images: Dict[int, dict] = {}
-    images[idx("e_e")] = De
-    f_img = dict(one_T)
-    for k, c in De.items():
-        f_img[k] = F.add(f_img.get(k, F.zero()), F.neg(c))
-    images[idx("e_f")] = {k: c for k, c in f_img.items() if not F.is_zero(c)}
-
-    # extend multiplicatively over words: each word in s, t maps to the
-    # product of the letter images; letters: s -> -De*Dde? compute via
-    # s = -e(de): Delta(s) = -Delta(e)Delta(de)
-    Ds = T.product(vec := {k: F.neg(c) for k, c in De.items()}, Dde)
-    Dt = T.product(Dde, De)
-    letter_img = {"s": Ds, "t": Dt}
+    images: Dict[int, dict] = {idx("e_e"): De, idx("e_f"): vec_sub(F, T.unit, De)}
+    letter_img = {"s": T.product(vec_scale(F, F.neg(F.one()), De), Dde), "t": T.product(Dde, De)}
     for i, (lbl, _) in enumerate(Iinf.space.basis):
         if lbl in ("e_e", "e_f"):
             continue
@@ -208,13 +198,12 @@ def interval_diagonal(F: FieldSpec, n: int):
     if n == 1:
         I1 = make_interval(F, 1).algebra
         T1 = tensor_algebras(I1, I1)
-        proj = _interval_projection(Iinf, I1)
-        projT = _tensor_projection(T, T1, proj, I1)
-        entries = {}
-        for lbl in ("e_e", "e_f", "s"):
-            i = I1.space.index(lbl)
-            src = Iinf.space.index(lbl)
-            entries[i] = projT(images[src])
+        # the projection I^infinity -> I^1 keeps the words of I^1
+        words = [lbl for lbl, _ in I1.space.basis]
+        keep = {idx(lbl): I1.space.basis_vector(a) for a, lbl in enumerate(words)}
+        P = GradedMap(Iinf.space, I1.space, 0, keep)
+        PP = tensor_map(P, P, T.space, T1.space)
+        entries = {a: PP.apply(images[idx(lbl)]) for a, lbl in enumerate(words)}
         Delta = GradedMap(I1.space, T1.space, 0, entries)
         # verify: multiplicative + unital morphism of dg algebras
         mor = CurvedMorphism(I1, T1, Delta, {})
@@ -226,18 +215,13 @@ def interval_diagonal(F: FieldSpec, n: int):
             raise AssertionError("I^1 diagonal not coassociative")
         return {"n": 1, "diagonal": Delta, "target": T1, "coassociative": True}
 
-    # n >= 2: the killed word generates the ideal; test whether its image
-    # lies in ideal @ C + C @ ideal inside I^infinity @ I^infinity.
+    # n >= 2: the killed word generates the ideal (the words containing it);
+    # test whether its image lies in ideal @ C + C @ ideal, i.e. whether the
+    # projection Q @ Q onto (C / ideal) @ (C / ideal) kills it.
     killed = "".join(_t_leading_word(n))
-    w_idx = Iinf.space.index(killed)
-    img = images[w_idx]
-    ideal_labels = _monomial_ideal_labels(Iinf, killed)
-    witness = {}
-    for k, c in img.items():
-        l1, l2 = T.space.basis[k][0].split("@")
-        if l1 in ideal_labels or l2 in ideal_labels:
-            continue
-        witness[k] = c
+    kept = [i for i, (lbl, _) in enumerate(Iinf.space.basis) if killed not in lbl]
+    Q = GradedMap(Iinf.space, Iinf.space, 0, {i: Iinf.space.basis_vector(i) for i in kept})
+    witness = tensor_map(Q, Q, T.space, T.space).apply(images[idx(killed)])
     if vec_is_zero(F, witness):
         raise AssertionError(
             f"expected descent failure for n={n} but the diagonal descends"
@@ -246,63 +230,19 @@ def interval_diagonal(F: FieldSpec, n: int):
     return {"n": n, "descends": False, "witness_terms": terms}
 
 
-def _monomial_ideal_labels(Iinf, killed: str):
-    out = set()
-    for lbl, _ in Iinf.space.basis:
-        if killed in lbl:
-            out.add(lbl)
-    return out
-
-
-def _interval_projection(Iinf, In):
-    labels = {lbl for lbl, _ in In.space.basis}
-
-    def proj(v):
-        out = {}
-        for k, c in v.items():
-            lbl = Iinf.space.basis[k][0]
-            if lbl in labels:
-                out[In.space.index(lbl)] = c
-        return out
-
-    return proj
-
-
-def _tensor_projection(T, T1, proj, In):
-    labels = {lbl for lbl, _ in In.space.basis}
-
-    def projT(v):
-        out = {}
-        for k, c in v.items():
-            l1, l2 = T.space.basis[k][0].split("@")
-            if l1 in labels and l2 in labels:
-                out[T1.space.index(f"{l1}@{l2}")] = c
-        return out
-
-    return projT
-
-
 def _coassociativity_defect(I1, T1, Delta: GradedMap):
-    """(Delta x 1)Delta - (1 x Delta)Delta on the basis; [] when zero."""
+    """(Delta x 1)Delta - (1 x Delta)Delta on the basis; [] when zero.
+
+    The flat tensor layout is associative, so (I1 @ I1) @ I1 and
+    I1 @ (I1 @ I1) share the space of T2."""
     F = I1.field
-    T2 = tensor_algebras(T1, I1)  # (I1 @ I1) @ I1, labels "a@b@c"
+    T2 = tensor_algebras(T1, I1)
+    one = GradedMap.identity(I1.space)
+    left = tensor_map(Delta, one, T1.space, T2.space)
+    right = tensor_map(one, Delta, T1.space, T2.space)
     bad = []
     for i in range(I1.dim):
-        v = Delta.apply(I1.space.basis_vector(i))
-        lhs: dict = {}
-        rhs: dict = {}
-        for k, c in v.items():
-            l1, l2 = T1.space.basis[k][0].split("@")
-            w = Delta.apply(I1.space.basis_vector(I1.space.index(l1)))
-            for kk, cc in w.items():
-                m1_, m2_ = T1.space.basis[kk][0].split("@")
-                key = T2.space.index(f"{m1_}@{m2_}@{l2}")
-                lhs[key] = F.add(lhs.get(key, F.zero()), F.mul(c, cc))
-            w = Delta.apply(I1.space.basis_vector(I1.space.index(l2)))
-            for kk, cc in w.items():
-                m1_, m2_ = T1.space.basis[kk][0].split("@")
-                key = T2.space.index(f"{l1}@{m1_}@{m2_}")
-                rhs[key] = F.add(rhs.get(key, F.zero()), F.mul(c, cc))
-        if not vec_eq(F, lhs, rhs):
+        v = Delta.entries.get(i, {})
+        if not vec_eq(F, left.apply(v), right.apply(v)):
             bad.append(I1.space.basis[i][0])
     return bad

@@ -19,6 +19,10 @@ from .algebra import (
     compose_morphisms,
     mc_enumerate,
     tensor_algebras,
+    tensor_element,
+    tensor_index,
+    tensor_map,
+    tensor_split,
     twisted_apply,
     twisted_map,
 )
@@ -38,7 +42,7 @@ from .gradedlin import (
     vec_scale,
     vec_sub,
 )
-from .interval import make_interval
+from .interval import IntervalAlgebra, make_interval
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +283,26 @@ def moduli_set(
 # n-homotopies of MC elements
 
 
+def path_object(A: CurvedAlgebra, n: int) -> Tuple[IntervalAlgebra, CurvedAlgebra]:
+    """I^n and the path object A @ I^n (basis labels a%w), each built once."""
+    I = make_interval(A.field, n)
+    return I, tensor_algebras(A, I.algebra, sep="%")
+
+
 def interval_tensor(A: CurvedAlgebra, n: int) -> CurvedAlgebra:
-    return tensor_algebras(A, make_interval(A.field, n).algebra, sep="%")
+    return path_object(A, n)[1]
 
 
-def interval_component_indices(A: CurvedAlgebra, n: int):
-    """Index maps for A @ I^n: component(word) -> {A index -> tensor index}."""
-    I = make_interval(A.field, n).algebra
-    nI = I.dim
-    comp = {}
-    for w in range(nI):
-        lbl = I.space.basis[w][0]
-        comp[lbl] = {i: i * nI + w for i in range(A.dim)}
-    return comp, I
+def _at(F, x: dict, I: IntervalAlgebra, word: str, c=None) -> dict:
+    """x @ c w in A @ I^n for the basis word w of I^n (c = 1 by default)."""
+    w = I.algebra.space.index(word)
+    return tensor_element(F, x, {w: F.one() if c is None else c}, I.algebra.dim)
 
 
-def endpoint_evaluation(A: CurvedAlgebra, n: int, X: dict, which: int) -> dict:
-    """(1 @ ev_i)(X): the e_e (i=0) or e_f (i=1) component."""
-    comp, I = interval_component_indices(A, n)
-    lbl = "e_e" if which == 0 else "e_f"
-    nI = I.dim
-    w = I.space.index(lbl)
-    out = {}
-    for k, c in X.items():
-        i, ww = divmod(k, nI)
-        if ww == w:
-            out[i] = c
-    return out
+def _endpoints(I: IntervalAlgebra, X: dict) -> Tuple[dict, dict]:
+    """(1 @ ev_0)(X), (1 @ ev_1)(X): the e_e and e_f components of X."""
+    parts = tensor_split(X, I.algebra.dim)
+    return tuple(parts.get(I.algebra.space.index(w), {}) for w in ("e_e", "e_f"))
 
 
 @dataclass
@@ -315,21 +312,14 @@ class NHomotopy:
     X: dict  # MC element of A @ I^n
 
     def endpoints(self) -> Tuple[dict, dict]:
-        return (
-            endpoint_evaluation(self.A, self.n, self.X, 0),
-            endpoint_evaluation(self.A, self.n, self.X, 1),
-        )
+        return _endpoints(make_interval(self.A.field, self.n), self.X)
 
 
 def constant_homotopy(A: CurvedAlgebra, x: dict, n: int) -> NHomotopy:
     """x @ 1 (components x at e and f, zero higher terms)."""
-    comp, I = interval_component_indices(A, n)
-    F = A.field
-    X: dict = {}
-    for lbl in ("e_e", "e_f"):
-        for i, c in x.items():
-            X[comp[lbl][i]] = c
-    T = interval_tensor(A, n)
+    I, T = path_object(A, n)
+    X = _at(A.field, x, I, "e_e")
+    X.update(_at(A.field, x, I, "e_f"))
     if not T.is_mc(X):
         raise AssertionError("constant homotopy failed the MC equation")
     return NHomotopy(A, n, X)
@@ -346,21 +336,12 @@ def square_zero_three_homotopy(A: CurvedAlgebra, x: dict, xp: dict) -> Optional[
     if sol is None:
         return None
     h = sol[0]
-    comp, I = interval_component_indices(A, 3)
-    T = interval_tensor(A, 3)
+    I, T = path_object(A, 3)
+    nI, s, t = I.algebra.dim, I.algebra.space.index("s"), I.algebra.space.index("t")
     for sign_s in (F.neg(F.one()), F.one()):
-        X: dict = {}
-        for i, c in x.items():
-            X[comp["e_e"][i]] = c
-        for i, c in xp.items():
-            X[comp["e_f"][i]] = c
-        for i, c in h.items():
-            cs = F.mul(sign_s, c)
-            if not F.is_zero(cs):
-                X[comp["s"][i]] = cs
-            cn = F.neg(cs)
-            if not F.is_zero(cn):
-                X[comp["t"][i]] = cn
+        X = _at(F, x, I, "e_e")
+        X.update(_at(F, xp, I, "e_f"))
+        X.update(tensor_element(F, h, {s: sign_s, t: F.neg(sign_s)}, nI))
         if T.is_mc(X):
             return NHomotopy(A, 3, X)
     return None
@@ -382,21 +363,16 @@ def n_homotopy_search(
             return cand
     if not F.is_prime_field:
         return None
-    comp, I = interval_component_indices(A, n)
-    T = interval_tensor(A, n)
+    I, T = path_object(A, n)
+    fixed = _at(F, x, I, "e_e")
+    fixed.update(_at(F, xp, I, "e_f"))
     # free coordinates: degree-1 entries of T away from the e/f components
-    nI = I.dim
-    fixed: dict = {}
-    for i, c in x.items():
-        fixed[comp["e_e"][i]] = c
-    for i, c in xp.items():
-        fixed[comp["e_f"][i]] = c
-    free = [
-        k
-        for k in T.degree_indices(1)
-        if divmod(k, nI)[1] not in (I.space.index("e_e"), I.space.index("e_f"))
-    ]
-    units = [T.space.basis_vector(k) for k in free]
+    ends = {
+        tensor_index(i, I.algebra.space.index(w), I.algebra.dim)
+        for i in range(A.dim)
+        for w in ("e_e", "e_f")
+    }
+    units = [T.space.basis_vector(k) for k in T.degree_indices(1) if k not in ends]
     for X in enumerate_affine(F, fixed, units, budget):
         if T.is_mc(X):
             return NHomotopy(A, n, X)
@@ -404,13 +380,11 @@ def n_homotopy_search(
 
 
 def verify_n_homotopy(A: CurvedAlgebra, x: dict, xp: dict, n: int, X: dict) -> bool:
-    T = interval_tensor(A, n)
+    I, T = path_object(A, n)
     if not T.is_mc(X):
         return False
-    F = A.field
-    e0 = endpoint_evaluation(A, n, X, 0)
-    e1 = endpoint_evaluation(A, n, X, 1)
-    return vec_eq(F, e0, x) and vec_eq(F, e1, xp)
+    e0, e1 = _endpoints(I, X)
+    return vec_eq(A.field, e0, x) and vec_eq(A.field, e1, xp)
 
 
 def gauge_to_three_homotopy(
@@ -421,29 +395,20 @@ def gauge_to_three_homotopy(
     then solve the remaining sts-component linearly.
     """
     A, F = quad.A, quad.A.field
-    comp, I = interval_component_indices(A, 3)
-    T = interval_tensor(A, 3)
-    X: dict = {}
-    for i, c in quad.x.items():
-        X[comp["e_e"][i]] = c
-    for i, c in quad.y.items():
-        X[comp["e_f"][i]] = c
-    fm1 = vec_sub(F, quad.f, A.unit)
-    gm1 = vec_sub(F, quad.g, A.unit)
-    for i, c in fm1.items():
-        X[comp["s"][i]] = c
-    for i, c in gm1.items():
-        X[comp["t"][i]] = c
-    for i, c in quad.h2.items():
-        cc = F.neg(c)
-        if not F.is_zero(cc):
-            X[comp["st"][i]] = cc
-    for i, c in quad.h1.items():
-        cc = F.neg(c)
-        if not F.is_zero(cc):
-            X[comp["ts"][i]] = cc
+    I, T = path_object(A, 3)
+    m1 = F.neg(F.one())
+    X = _at(F, quad.x, I, "e_e")
+    for part, word, c in (
+        (quad.y, "e_f", None),
+        (vec_sub(F, quad.f, A.unit), "s", None),
+        (vec_sub(F, quad.g, A.unit), "t", None),
+        (quad.h2, "st", m1),
+        (quad.h1, "ts", m1),
+    ):
+        X.update(_at(F, part, I, word, c))
     # solve the sts-component: affine-linear in the sts coordinates
-    sts_targets = [comp["sts"][i] for i in A.degree_indices(-2)]
+    sts = I.algebra.space.index("sts")
+    sts_targets = [tensor_index(i, sts, I.algebra.dim) for i in A.degree_indices(-2)]
     res = T.mc_residual(X)
     if not sts_targets:
         if vec_is_zero(F, res):
@@ -455,7 +420,7 @@ def gauge_to_three_homotopy(
         for k in sts_targets
     ]
     system = LinearSystem(F, cols, T.dim)
-    sol = system.solution(system.residue(vec_scale(F, F.neg(F.one()), res)))
+    sol = system.solution(system.residue(vec_scale(F, m1, res)))
     if sol is None:
         return None
     for a, c in sol.items():
@@ -512,35 +477,32 @@ class ThreeHomotopyData:
 
 def three_homotopy_unpack(B: CurvedAlgebra, H: dict) -> ThreeHomotopyData:
     """Split an MC element of B @ I^3 into its seven word components."""
-    T = interval_tensor(B, 3)
+    I, T = path_object(B, 3)
     if not T.is_mc(H):
         raise ValueError("H is not a Maurer-Cartan element of B @ I^3")
-    comp, I = interval_component_indices(B, 3)
-    nI = I.dim
-    parts: Dict[str, dict] = {lbl: {} for lbl, _ in I.space.basis}
-    for k, c in H.items():
-        i, w = divmod(k, nI)
-        parts[I.space.basis[w][0]][i] = c
-    return ThreeHomotopyData(B, H, parts)
+    parts = tensor_split(H, I.algebra.dim)
+    words = I.algebra.space.basis
+    return ThreeHomotopyData(B, H, {lbl: parts.get(w, {}) for w, (lbl, _) in enumerate(words)})
 
 
 # ---------------------------------------------------------------------------
 # homotopies of algebra maps
 
 
+def _evaluations(B: CurvedAlgebra, n: int) -> Tuple[CurvedMorphism, CurvedMorphism]:
+    """B @ ev_0 and B @ ev_1: B @ I^n -> B @ k = B, from one B @ I^n."""
+    I, T = path_object(B, n)
+    idB = GradedMap.identity(B.space)
+    return tuple(
+        CurvedMorphism(T, B, tensor_map(idB, ev.f, T.space, B.space), {}) for ev in (I.ev0, I.ev1)
+    )
+
+
 def tensor_with_interval_morphism(
     B: CurvedAlgebra, n: int, which: int
 ) -> CurvedMorphism:
     """(B @ ev_i): B @ I^n -> B."""
-    T = interval_tensor(B, n)
-    I = make_interval(B.field, n).algebra
-    nI = I.dim
-    keep = I.space.index("e_e" if which == 0 else "e_f")
-    F = B.field
-    entries = {}
-    for i in range(B.dim):
-        entries[i * nI + keep] = {i: F.one()}
-    return CurvedMorphism(T, B, GradedMap(T.space, B.space, 0, entries), {})
+    return _evaluations(B, n)[which]
 
 
 def map_homotopy_check(
@@ -549,8 +511,7 @@ def map_homotopy_check(
     """Verdict for an elementary n-homotopy h: A -> B @ I^n between f and g."""
     A, B = f.source, f.target
     F = B.field
-    ev0 = tensor_with_interval_morphism(B, n, 0)
-    ev1 = tensor_with_interval_morphism(B, n, 1)
+    ev0, ev1 = _evaluations(B, n)
     h0 = compose_morphisms(ev0, h)
     h1 = compose_morphisms(ev1, h)
     witness = None
@@ -575,23 +536,15 @@ def map_homotopy_check(
 def constant_map_homotopy(f: CurvedMorphism, n: int) -> CurvedMorphism:
     """(1 @ unit) f: the constant homotopy from f to itself."""
     B = f.target
-    T = interval_tensor(B, n)
-    I = make_interval(B.field, n).algebra
-    nI = I.dim
     F = B.field
-    unit_idx = [(w, c) for w, c in I.unit.items()]
+    I, T = path_object(B, n)
+    unit, nI = I.algebra.unit, I.algebra.dim
     entries = {}
     for j in range(f.source.dim):
-        col = {}
-        for i, c in f.f.entries.get(j, {}).items():
-            for w, u in unit_idx:
-                col[i * nI + w] = F.mul(c, u)
+        col = tensor_element(F, f.f.entries.get(j, {}), unit, nI)
         if col:
             entries[j] = col
-    bb = {}
-    for i, c in f.b.items():
-        for w, u in unit_idx:
-            bb[i * nI + w] = F.mul(c, u)
+    bb = tensor_element(F, f.b, unit, nI)
     return CurvedMorphism(f.source, T, GradedMap(f.source.space, T.space, 0, entries), bb)
 
 
@@ -605,8 +558,7 @@ def map_homotopy_check_coalgebra(
     """
     B = fdual.target  # C*
     F = B.field
-    ev0 = tensor_with_interval_morphism(B, n, 0)
-    ev1 = tensor_with_interval_morphism(B, n, 1)
+    ev0, ev1 = _evaluations(B, n)
     h0 = compose_morphisms(ev0, hdual)
     h1 = compose_morphisms(ev1, hdual)
     witness = None
@@ -624,16 +576,11 @@ def map_homotopy_check_coalgebra(
 
 def one_homotopy_middle_component(h: CurvedMorphism) -> Dict[int, dict]:
     """The s-component h~ of a 1-homotopy h: A -> B @ I^1."""
-    B_T = h.target
-    # target is B @ I^1 with I^1 basis e_e, e_f, s (nI = 3)
-    nI = 3
+    I = make_interval(h.target.field, 1).algebra
+    s = I.space.index("s")
     out = {}
     for j in range(h.source.dim):
-        col = {}
-        for k, c in h.f.entries.get(j, {}).items():
-            i, w = divmod(k, nI)
-            if w == 2:  # index of "s"
-                col[i] = c
+        col = tensor_split(h.f.entries.get(j, {}), I.dim).get(s)
         if col:
             out[j] = col
     return out

@@ -26,6 +26,7 @@ from .algebra import (
     direct_product,
     ground_algebra,
     square_zero_algebra,
+    tensor_map,
     twisted_apply,
 )
 from .coalgebra import CurvedCoalgebra, dualize_algebra, dualize_coalgebra
@@ -44,7 +45,7 @@ from .gradedlin import (
     vec_is_zero,
 )
 from .barcobar import mc_hom_enumerate
-from .mc import GaugeClasses, find_gauge_quadruple, interval_tensor
+from .mc import GaugeClasses, find_gauge_quadruple, path_object
 from .presented import Arrow, PresentedCurvedAlgebra, free_algebra_presentation
 
 
@@ -407,19 +408,7 @@ def standard_coalgebra_battery(F: FieldSpec) -> List[Tuple[str, CurvedCoalgebra]
 
 def restrict_element(conv_big, conv_small, idual: CurvedMorphism, x: dict) -> dict:
     """i^*: Hom(C', A) -> Hom(C, A) on convolution coordinates."""
-    F = conv_big.A.field
-    nA = conv_big.A.dim
-    out: dict = {}
-    for k, coeff in x.items():
-        cpi, ai = divmod(k, nA)
-        for ci, cc in idual.f.entries.get(cpi, {}).items():
-            kk = ci * nA + ai
-            s = F.add(out.get(kk, F.zero()), F.mul(cc, coeff))
-            if F.is_zero(s):
-                out.pop(kk, None)
-            else:
-                out[kk] = s
-    return out
+    return induced_convolution_morphism(conv_big, conv_small, cmap_dual=idual).f.apply(x)
 
 
 def is_fibration_mcdg(
@@ -485,19 +474,17 @@ def is_fibration_mcdg(
 
 
 def endpoint_projection(A: CurvedAlgebra, n: int = 3) -> CurvedMorphism:
-    """pi_0 x pi_1: A @ I^n -> A x A."""
-    from .interval import make_interval
-
-    F = A.field
-    T = interval_tensor(A, n)
+    """pi_0 x pi_1 = (1 @ ev_0, 1 @ ev_1): A @ I^n -> A x A."""
+    I, T = path_object(A, n)
     P = direct_product(A, A, tagA="ev0", tagB="ev1")
-    I = make_interval(F, n).algebra
-    nI = I.dim
-    ie, if_ = I.space.index("e_e"), I.space.index("e_f")
+    idA = GradedMap.identity(A.space)
+    ev0, ev1 = (tensor_map(idA, ev.f, T.space, A.space).entries for ev in (I.ev0, I.ev1))
     entries = {}
-    for i in range(A.dim):
-        entries[i * nI + ie] = {i: F.one()}
-        entries[i * nI + if_] = {A.dim + i: F.one()}
+    for k in range(T.dim):
+        if k in ev0:
+            entries[k] = ev0[k]
+        elif k in ev1:
+            entries[k] = {A.dim + i: c for i, c in ev1[k].items()}
     return CurvedMorphism(T, P, GradedMap(T.space, P.space, 0, entries), {})
 
 
@@ -523,8 +510,8 @@ def rectify_cofibration(
             "verdict": False,
             "witness": "input map is not injective (dual not surjective)",
         }
-    rX = restrict_element(convb, convs, idual, X)
-    q = find_gauge_quadruple(convs.algebra, rX, g0, budget=budget)
+    restrict = induced_convolution_morphism(convb, convs, cmap_dual=idual).f  # i^*
+    q = find_gauge_quadruple(convs.algebra, restrict.apply(X), g0, budget=budget)
     if q is None:
         return {
             "verdict": False,
@@ -533,7 +520,7 @@ def rectify_cofibration(
     cands = mc_hom_enumerate(Cp, A, budget=budget)
     gauge = GaugeClasses(convb.algebra, budget)  # X's data is built once
     for xt in cands:
-        if not vec_eq(F, restrict_element(convb, convs, idual, xt), g0):
+        if not vec_eq(F, restrict.apply(xt), g0):
             continue
         if gauge.quadruple(X, xt) is not None:
             return {"verdict": True, "lift": xt, "search_complete": True}
@@ -570,8 +557,9 @@ def lifting_solver(
         complete = True
     except BudgetExceeded:
         return {"verdict": False, "witness": "budget exhausted", "search_complete": False}
+    restrict = induced_convolution_morphism(convCpA, convCA, cmap_dual=idual).f  # i^*
     for L in cands:
-        if not vec_eq(F, restrict_element(convCpA, convCA, idual, L), u):
+        if not vec_eq(F, restrict.apply(L), u):
             continue
         if vec_eq(F, gstar_big.push_mc(L), up):
             return {"verdict": True, "lift": L, "search_complete": complete}

@@ -304,38 +304,3 @@ def free_algebra_presentation(
         d_on_arrows={g: dict(c) for g, c in (d_on_generators or {}).items()},
         h=dict(h or {}),
     )
-
-
-def universal_mc_algebra(F: FieldSpec, truncation: int = 4) -> CurvedAlgebra:
-    """kappa = k<x ; dx + x^2 = 0> truncated at the given word length."""
-    pres = free_algebra_presentation(
-        F,
-        [("x", 1)],
-        {"x": {("x", "x"): F.neg(F.one())}},
-        truncation=truncation,
-    )
-    return pres.materialize().algebra
-
-
-def universal_gauge_algebra(F: FieldSpec, truncation: int = 3) -> PresentedCurvedAlgebra:
-    """W: the universal dg algebra with two MC elements and a homotopy gauge
-    equivalence; free on x, y (degree 1), f, g (degree 0), h1, h2 (degree -1)
-    with the defining differentials.
-    """
-    m1 = F.neg(F.one())
-    d = {
-        "x": {("x", "x"): m1},
-        "y": {("y", "y"): m1},
-        # f x = d f + y f  =>  d f = f x - y f
-        "f": {("f", "x"): F.one(), ("y", "f"): m1},
-        "g": {("g", "y"): F.one(), ("x", "g"): m1},
-        # d^x h1 = g f - 1  =>  d h1 = g f - 1 - [x, h1]
-        "h1": {("g", "f"): F.one(), ("v", "*"): m1, ("x", "h1"): m1, ("h1", "x"): m1},
-        "h2": {("f", "g"): F.one(), ("v", "*"): m1, ("y", "h2"): m1, ("h2", "y"): m1},
-    }
-    return free_algebra_presentation(
-        F,
-        [("x", 1), ("y", 1), ("f", 0), ("g", 0), ("h1", -1), ("h2", -1)],
-        d,
-        truncation=truncation,
-    )

@@ -10,6 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     CurvedAlgebra,
+    algebra_in_basis,
     direct_product,
     endomorphism_algebra,
     ground_algebra,
@@ -148,20 +149,8 @@ def rebased_algebra(rng: random.Random, A: CurvedAlgebra) -> CurvedAlgebra:
     def coords(v: dict) -> dict:
         return system.solution(system.residue(v))
 
-    space = GradedSpace.make([(A.label(j), A.degree(j)) for j in range(n)], F)
-    mult = {}
-    for a, u in enumerate(basis):
-        for b, v in enumerate(basis):
-            col = coords(A.product(u, v))
-            if col:
-                mult[(a, b)] = col
-    entries = {}
-    for a, u in enumerate(basis):
-        col = coords(A.d.apply(u))
-        if col:
-            entries[a] = col
-    d = GradedMap(space, space, 1, entries)
-    B = CurvedAlgebra(space, coords(A.unit), mult, d, coords(A.h))
+    space = GradedSpace.make(A.space.basis, F)
+    B = algebra_in_basis(A, space, basis, coords, A.unit, A.h)
     bad = B.validate()
     assert not bad, f"rebasing produced an invalid algebra: {bad}"
     return B

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from .algebra import (
     CurvedAlgebra,
+    algebra_in_basis,
     CurvedMorphism,
     compose_morphisms,
     ideal_powers,
@@ -173,10 +174,6 @@ def _assert_homogeneous(A: CurvedAlgebra, rows: List[dict]):
     assert r1 == r2, "computed radical is not homogeneous (internal error)"
 
 
-def semisimple_check(A: CurvedAlgebra) -> bool:
-    return not graded_radical(A)
-
-
 # ---------------------------------------------------------------------------
 # curved radicals and the css quotient
 
@@ -212,26 +209,14 @@ def quotient_algebra(A: CurvedAlgebra, ideal_rows: List[dict], tag: str = "q"):
     ideal = EchelonBasis(F, A.dim, ideal_rows)
     pivset = set(ideal.pivots())
     keep = [i for i in range(A.dim) if i not in pivset]
+    pos = {i: a for a, i in enumerate(keep)}
 
     def project(v: dict) -> dict:
-        return {keep.index(i): c for i, c in ideal.reduce(v).items()}
+        return {pos[i]: c for i, c in ideal.reduce(v).items()}
 
-    space = GradedSpace.make(
-        [(f"{A.label(i)}", A.degree(i)) for i in keep], F
-    )
-    mult = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            col = project(A.basis_product(i, j))
-            if col:
-                mult[(a, b)] = col
-    entries = {}
-    for a, i in enumerate(keep):
-        col = project(A.d.apply(A.space.basis_vector(i)))
-        if col:
-            entries[a] = col
-    d = GradedMap(space, space, 1, entries)
-    B = CurvedAlgebra(space, project(A.unit), mult, d, project(A.h))
+    space = GradedSpace.make([(A.label(i), A.degree(i)) for i in keep], F)
+    basis = [A.space.basis_vector(i) for i in keep]
+    B = algebra_in_basis(A, space, basis, project, A.unit, A.h)
     proj_entries = {}
     for i in range(A.dim):
         col = project(A.space.basis_vector(i))
@@ -493,25 +478,10 @@ def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
             raise AssertionError("element not in factor")
         return sol
 
-    degs = []
-    for r in basis_rows:
-        degs.append(B.space.element_degree(r))
     space = GradedSpace.make(
-        [(f"{tag}{a}", d) for a, d in enumerate(degs)], F
+        [(f"{tag}{a}", B.space.element_degree(r)) for a, r in enumerate(basis_rows)], F
     )
-    mult = {}
-    for a, u in enumerate(basis_rows):
-        for b, v in enumerate(basis_rows):
-            col = to_coords(B.product(u, v))
-            if col:
-                mult[(a, b)] = col
-    entries = {}
-    for a, u in enumerate(basis_rows):
-        col = to_coords(B.d.apply(u))
-        if col:
-            entries[a] = col
-    d = GradedMap(space, space, 1, entries)
-    R = CurvedAlgebra(space, to_coords(z), mult, d, to_coords(B.product(z, B.h)))
+    R = algebra_in_basis(B, space, basis_rows, to_coords, z, B.product(z, B.h))
     return R, basis_rows
 
 

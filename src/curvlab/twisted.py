@@ -19,7 +19,11 @@ from .algebra import (
     CurvedAlgebra,
     CurvedMorphism,
     endomorphism_algebra,
+    morita_element,
     tensor_algebras,
+    tensor_element,
+    tensor_index,
+    tensor_map,
     twisted_apply,
 )
 from .gradedlin import (
@@ -37,9 +41,6 @@ class TwistedModule:
     V: GradedSpace
     xi: dict  # MC element of A @ End(V)
     ambient: CurvedAlgebra  # A @ End(V)
-
-    def mc_check(self) -> dict:
-        return self.ambient.mc_residual(self.xi)
 
 
 def ambient_algebra(A: CurvedAlgebra, V: GradedSpace) -> CurvedAlgebra:
@@ -65,39 +66,17 @@ def uncurving_module(A: CurvedAlgebra) -> TwistedModule:
     contractible twisted module whose matrix twist turns A into a dg algebra.
     The sign on h is fixed by the MC equation under the global conventions.
     """
-    F = A.field
-    V = GradedSpace.make([("m0", 0), ("m1", -1)], F)
-    amb = ambient_algebra(A, V)
-    nE = 4  # E[m0,m0], E[m0,m1], E[m1,m0], E[m1,m1]
-    xi: dict = {}
-    for i, c in A.unit.items():
-        xi[i * nE + 1] = c
-    for i, c in A.h.items():
-        k = i * nE + 2
-        xi[k] = F.add(xi.get(k, F.zero()), F.neg(c))
-    xi = {k: c for k, c in xi.items() if not F.is_zero(c)}
-    return make_twisted(A, V, xi)
+    V = GradedSpace.make([("m0", 0), ("m1", -1)], A.field)
+    return make_twisted(A, V, morita_element(A, endomorphism_algebra(V)))
 
 
 def induce(phi: CurvedMorphism, M: TwistedModule) -> TwistedModule:
     """Induction along (f, b): xi_B = (f @ 1)(xi) + b @ id_V."""
-    A, B = phi.source, phi.target
-    F = B.field
-    nE = M.V.dim * M.V.dim
+    B, F = phi.target, phi.target.field
+    E = endomorphism_algebra(M.V)
     ambB = ambient_algebra(B, M.V)
-    xiB: dict = {}
-    for k, c in M.xi.items():
-        i, e = divmod(k, nE)
-        img = phi.f.apply({i: c})
-        for ib, cb in img.items():
-            kk = ib * nE + e
-            xiB[kk] = F.add(xiB.get(kk, F.zero()), cb)
-    for ib, cb in phi.b.items():
-        for v in range(M.V.dim):
-            e = v * M.V.dim + v
-            kk = ib * nE + e
-            xiB[kk] = F.add(xiB.get(kk, F.zero()), cb)
-    xiB = {k: c for k, c in xiB.items() if not F.is_zero(c)}
+    xiB = tensor_map(phi.f, GradedMap.identity(E.space), M.ambient.space, ambB.space).apply(M.xi)
+    F.add_scaled(xiB, F.one(), tensor_element(F, phi.b, E.unit, E.dim))
     return make_twisted(B, M.V, xiB)
 
 
@@ -108,82 +87,59 @@ def module_hom_complex(M: TwistedModule, N: TwistedModule) -> Complex:
     """
     A = M.A
     F = A.field
+    nM, nN = M.V.dim, N.V.dim
     W = GradedSpace.make(
         [(f"M.{l}", d) for l, d in M.V.basis] + [(f"N.{l}", d) for l, d in N.V.basis],
         F,
     )
     amb = ambient_algebra(A, W)
-    nW = W.dim
-    nE = nW * nW
-    nM = M.V.dim
+    EW = endomorphism_algebra(W)
+    idA = GradedMap.identity(A.space)
 
-    def emb_M(k):
-        i, e = divmod(k, nM * nM)
-        r, c = divmod(e, nM)
-        return i * nE + (r * nW + c)
+    def embed(K: TwistedModule, offset: int) -> dict:
+        """xi_K in A @ End(W), along V_K -> W, v_r -> w_{offset + r}: on
+        End(V_K) = V_K @ V_K* that is the inclusion tensored with itself."""
+        EK = endomorphism_algebra(K.V)
+        inc = GradedMap(K.V, W, 0, {r: {offset + r: F.one()} for r in range(K.V.dim)})
+        E_inc = tensor_map(inc, inc, EK.space, EW.space)
+        return tensor_map(idA, E_inc, K.ambient.space, amb.space).apply(K.xi)
 
-    def emb_N(k):
-        i, e = divmod(k, N.V.dim * N.V.dim)
-        r, c = divmod(e, N.V.dim)
-        return i * nE + ((r + nM) * nW + (c + nM))
-
-    xiM = {emb_M(k): c for k, c in M.xi.items()}
-    xiN = {emb_N(k): c for k, c in N.xi.items()}
-
-    # hom part: blocks Hom(V_M, V_N) = entries (row in N-part, col in M-part)
-    hom_keys = []
-    for i in range(A.dim):
-        for r in range(N.V.dim):
-            for c in range(nM):
-                hom_keys.append(i * nE + ((r + nM) * nW + c))
+    xiM, xiN = embed(M, 0), embed(N, nM)
+    # hom part: the block Hom(V_M, V_N) of End(W), rows in the N part and
+    # columns in the M part
+    hom_keys = [
+        tensor_index(i, tensor_index(nM + r, c, W.dim), EW.dim)
+        for i in range(A.dim)
+        for r in range(nN)
+        for c in range(nM)
+    ]
     pos = {k: a for a, k in enumerate(hom_keys)}
-    basis = []
-    for k in hom_keys:
-        i, e = divmod(k, nE)
-        basis.append((amb.space.basis[k][0], amb.space.degree(k)))
-    space = GradedSpace.make(basis, F)
-
+    space = GradedSpace.make([amb.space.basis[k] for k in hom_keys], F)
     entries: Dict[int, dict] = {}
     for a, k in enumerate(hom_keys):
-        col_big = twisted_apply(amb, xiM, xiN, amb.space.basis_vector(k))
         col = {}
-        for kk, c in col_big.items():
+        for kk, c in twisted_apply(amb, xiM, xiN, amb.space.basis_vector(k)).items():
             if kk in pos:
                 col[pos[kk]] = c
             elif not F.is_zero(c):
                 raise AssertionError("hom differential leaves the hom block")
         if col:
             entries[a] = col
-    d = GradedMap(space, space, 1, entries)
-    return Complex(space, d)
-
-
-def module_hom_cocycle(M: TwistedModule, N: TwistedModule, phi: dict) -> bool:
-    """Is phi (coefficients over the module_hom_complex basis) a cocycle?"""
-    c = module_hom_complex(M, N)
-    return vec_is_zero(M.A.field, c.d.apply(phi))
+    return Complex(space, GradedMap(space, space, 1, entries))
 
 
 def endomorphism_complex_is_dg_algebra(M: TwistedModule) -> bool:
     """Hom(M, M) is a dg algebra: d^2 = 0 (Complex enforces this), the
-    identity is a degree-0 cocycle, and Leibniz holds for composition."""
-    A = M.A
-    F = A.field
+    identity is a degree-0 cocycle, and Leibniz holds for composition.
+
+    The hom basis of (M, M) is that of A @ End(V), in its order, so
+    composition is the product of M.ambient and the identity its unit."""
+    F = M.A.field
     c = module_hom_complex(M, M)
-    n = M.V.dim
-    # identity element: sum over A-unit @ E_{vv}
-    ident: dict = {}
-    for i, u in A.unit.items():
-        for v in range(n):
-            k = i * (n * n) + (v * n + v)
-            # position within hom basis: rows/cols both in the M block; the
-            # module_hom_complex for (M, M) uses W = M.V + M.V and takes the
-            # N-row/M-col block, so the identity sits on the diagonal there.
-            ident[_hom_pos(M, M, i, v, v)] = u
-    if not vec_is_zero(F, c.d.apply(ident)):
+    if not vec_is_zero(F, c.d.apply(M.ambient.unit)):
         return False
+    comp = M.ambient.product
     # composition Leibniz on a sample of basis elements
-    comp = _hom_composition(M, M, M)
     dim = len(c.space.basis)
     for a in range(min(dim, 6)):
         for b in range(min(dim, 6)):
@@ -197,48 +153,3 @@ def endomorphism_complex_is_dg_algebra(M: TwistedModule) -> bool:
             if not vec_eq(F, dxy, rhs):
                 return False
     return True
-
-
-def _hom_pos(M: TwistedModule, N: TwistedModule, i: int, row: int, col: int) -> int:
-    """Index of A_i @ E[N-row, M-col] inside the hom-complex basis order."""
-    return (i * N.V.dim + row) * M.V.dim + col
-
-
-def _hom_composition(M, K, N):
-    """Composition Hom(K,N) x Hom(M,K) -> Hom(M,N) with Koszul signs.
-
-    Elements are dicts over _hom_pos-indexed bases; returns comp(g, f).
-    """
-    A = M.A
-    F = A.field
-
-    def comp(g: dict, f: dict) -> dict:
-        out: dict = {}
-        for kg, cg in g.items():
-            tmp, cgcol = divmod(kg, K.V.dim)
-            ig, rg = divmod(tmp, N.V.dim)
-            degE_g = N.V.degree(rg) - K.V.degree(cgcol)
-            for kf, cf in f.items():
-                tmpf, cfcol = divmod(kf, M.V.dim)
-                iff, rf = divmod(tmpf, K.V.dim)
-                if cgcol != rf:
-                    continue
-                degE_f = K.V.degree(rf) - M.V.degree(cfcol)
-                # (a @ E)(a' @ E') = (-1)^{|E||a'|} aa' @ EE'
-                sgn = (
-                    F.neg(F.one())
-                    if (degE_g * A.degree(iff)) % 2
-                    else F.one()
-                )
-                prod = A.basis_product(ig, iff)
-                for ip, cp in prod.items():
-                    kk = (ip * N.V.dim + rg) * M.V.dim + cfcol
-                    c = F.mul(F.mul(sgn, F.mul(cg, cf)), cp)
-                    s = F.add(out.get(kk, F.zero()), c)
-                    if F.is_zero(s):
-                        out.pop(kk, None)
-                    else:
-                        out[kk] = s
-        return out
-
-    return comp

@@ -13,7 +13,9 @@ double loop over (i, j).
 
 The two-sided twist D_{x->y} is summed one basis vector at a time, each
 term built as the hom-complex columns were: de_i, then y e_i, then the sign
-of e_i times e_i x."""
+of e_i times e_i x.
+
+The tensor index of e_i @ f_j is looked up by its label."""
 
 from curvlab.gradedlin import vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub
 
@@ -178,3 +180,9 @@ def reference_validate(A, max_violations=8):
             if len(out) >= max_violations:
                 return out
     return out
+
+
+def reference_tensor_index(T, A, B, i, j):
+    """The index of e_i @ f_j in T = tensor_algebras(A, B), found by its
+    label "a@b" in the basis of T."""
+    return T.space.index(f"{A.label(i)}@{B.label(j)}")

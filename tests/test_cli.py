@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from curvlab.cli import main
+from curvlab.gradedlin import GradedMap, GradedSpace
 
 
 def run_cli(capsys, argv):
@@ -303,3 +304,48 @@ def test_morphism_images_are_checked(tmp_path, capsys):
     f.write_text(json.dumps(doc))
     code, rep = run_cli(capsys, ["tower", str(f)])
     assert code == 2 and "violates degree" in rep["error"]
+
+
+@pytest.mark.parametrize("module", ["[1]", "5", '[["m", "x"]]', '{"a": 1}', '[["m", 0], ["m", 0]]'])
+def test_twisted_module_is_a_checked_basis(tmp_path, capsys, module):
+    f = tmp_path / "I1p2.json"
+    run_cli(capsys, ["interval", "1", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, ["twisted", "make", str(f), "--xi", "{}", "--module", module])
+    assert code == 2 and "--module" in rep["error"]
+    code, rep = run_cli(capsys, ["twisted", "make", str(f), "--xi", "{}", "--module", '[["m", 0]]'])
+    assert code == 0 and rep["valid"]
+
+
+def _rectify_files(tmp_path):
+    from curvlab.algebra import ground_algebra, square_zero_algebra
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    F = GF(2)
+    V = GradedSpace.make([("v", 1)], F)
+    A = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    paths = {}
+    for name, alg in (("k", ground_algebra(F)), ("I1", make_interval(F, 1).algebra), ("A", A)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(dump_algebra(alg)))
+    paths["id"] = tmp_path / "id.json"
+    identity = {"1": {"1": 1}, "v": {"v": 1}}
+    doc = {"source": dump_algebra(A), "target": dump_algebra(A), "map": identity}
+    paths["id"].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "labels", ["[1]", '"e_e\'"', '{"zz": "e_e\'"}', '{"zz": "e_e"}', '{"1\'": "zz"}', '{"1\'": 1}']
+)
+def test_labels_map_small_labels_to_big_labels(tmp_path, capsys, labels):
+    p = _rectify_files(tmp_path)
+    small_big = [str(p["k"]), str(p["I1"])]
+    rectify = ["rectify", *small_big, str(p["A"]), "--x", "{}", "--g0", "{}", "--labels"]
+    lift = ["lift", *small_big, str(p["id"]), "--u", "{}", "--uprime", "{}", "--labels"]
+    for argv in (rectify, lift):
+        code, rep = run_cli(capsys, argv + [labels])
+        assert code == 2 and "--labels" in rep["error"]
+    code, rep = run_cli(capsys, rectify + ['{"1\'": "e_e\'"}'])
+    assert code in (0, 1) and "verdict" in rep

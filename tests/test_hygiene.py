@@ -1,4 +1,4 @@
-"""Five `ast` scans of src/curvlab (no linter ships with the project).
+"""Six `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -23,6 +23,12 @@ No module imports an underscore name from another curvlab module, at any
 depth: a private helper serves its own module, and what other modules need
 is public (a sign convention copied through a private import is how a
 convention ends up written in several places).
+
+No public function or class is dead: every module-level one that
+`__init__.py` does not re-export is referenced (as a name, an attribute or
+an imported name) somewhere in src/curvlab, tests/ or perfbench/ outside
+its own definition.  Methods are not scanned: attribute names collide
+across classes.
 """
 
 import ast
@@ -30,7 +36,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "curvlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "curvlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -208,3 +215,56 @@ def test_scan_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_import_between_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_public(sources, exported, others):
+    """Sorted (module, name) of the module-level public functions and
+    classes of `sources` (module name -> source text) that are not in
+    `exported` and that no code refers to outside their own definition,
+    neither in `sources` nor in `others` (more source texts)."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    defined = {
+        (m, node.name)
+        for m, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            refs = references(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                refs.discard(node.name)  # recursion is not a use
+            used |= refs
+    for src in others:
+        used |= references(ast.parse(src))
+    return sorted((m, name) for m, name in defined if name not in exported and name not in used)
+
+
+def test_scan_finds_an_unreferenced_public_function():
+    sources = {
+        "a": "def exported():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+        "class Dead:\n    def method(self):\n        pass\n\ndef by_test():\n    pass\n\n"
+        "def by_attr():\n    pass\n\ndef _private():\n    pass\n",
+        "b": "from .a import by_other\n\ndef by_other():\n    pass\n\nx = m.by_attr\n",
+    }
+    others = ["from curvlab.a import by_test\n"]
+    assert unreferenced_public(sources, {"exported"}, others) == [("a", "Dead"), ("a", "dead")]
+
+
+def test_no_unreferenced_public_function():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    others = [
+        p.read_text(encoding="utf-8")
+        for d in ("tests", "perfbench")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    assert unreferenced_public(sources, exported, others) == []

@@ -2,8 +2,9 @@
 against the generic per-coefficient loops of reference_algebra.py, the
 affine enumerator against itertools.product, the axiom check against the
 reference loops, the two-sided twist against its per-basis reference, the
-MC linearisation and the cached chain maps, the radical and the primitive
-central idempotents against the enumerating references of
+MC linearisation and the cached chain maps, the tensor layout (Koszul
+conventions, the label-based index, split and map), the radical and the
+primitive central idempotents against the enumerating references of
 reference_semisimple.py, and the CLI exit codes on mutated documents."""
 
 import contextlib
@@ -20,16 +21,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.algebra import mc_enumerate, tensor_algebras, twisted_apply, twisted_map
+from curvlab.algebra import (
+    mc_enumerate,
+    tensor_algebras,
+    tensor_element,
+    tensor_index,
+    tensor_map,
+    tensor_rows,
+    tensor_split,
+    twisted_apply,
+    twisted_map,
+)
 from curvlab.cli import main
 from curvlab.documents import dump_algebra
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import (
     BudgetExceeded,
     EchelonBasis,
+    GradedMap,
     LinearSystem,
     enumerate_affine,
     vec_add,
+    vec_eq,
     vec_scale,
     vec_sub,
 )
@@ -43,6 +56,7 @@ from reference_algebra import (
     reference_echelon,
     reference_product,
     reference_reduce,
+    reference_tensor_index,
     reference_twisted_apply,
     reference_validate,
     reference_vec_add,
@@ -335,6 +349,125 @@ def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
     D = twisted_map(A, x, y)
     want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim)
     assert [typed(k) for k in got] == [typed(k) for k in want.kernel]
+
+
+# ---------------------------------------------------------------------------
+# the tensor layout
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two random curved algebras over one of F_2, F_3 and Q, each in a
+    random non-monomial basis half of the time."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        A = random_curved_algebra(rng, F, maxdim=4)
+        pair.append(rebased_algebra(rng, A) if draw(st.booleans()) else A)
+    return tuple(pair)
+
+
+def homogeneous(A):
+    """A homogeneous element of A, as (degree, vector)."""
+    F = A.field
+
+    @st.composite
+    def draw_it(draw):
+        deg = draw(st.sampled_from(A.space.degrees_present()))
+        idx = A.space.indices_of_degree(deg)
+        v = draw(st.dictionaries(st.sampled_from(idx), coefficients(F), max_size=len(idx)))
+        return deg, v
+
+    return draw_it()
+
+
+def sign(F, n):
+    return F.neg(F.one()) if n % 2 else F.one()
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.data())
+def test_tensor_algebras_follow_the_koszul_conventions(data):
+    """For homogeneous a, a' in A and b, b' in B, with x @ y built by
+    tensor_element: (a@b)(a'@b') = (-1)^{|b||a'|} aa'@bb',
+    d(a@b) = da@b + (-1)^{|a|} a@db, 1 = 1@1 and h = h@1 + 1@h."""
+    A, B = data.draw(tensor_pairs())
+    F, nB = A.field, B.dim
+    T = tensor_algebras(A, B)
+    (da, a), (da2, a2) = data.draw(homogeneous(A)), data.draw(homogeneous(A))
+    (db, b), (_, b2) = data.draw(homogeneous(B)), data.draw(homogeneous(B))
+
+    def t(x, y):
+        return tensor_element(F, x, y, nB)
+
+    lhs = T.product(t(a, b), t(a2, b2))
+    rhs = vec_scale(F, sign(F, db * da2), t(A.product(a, a2), B.product(b, b2)))
+    assert vec_eq(F, lhs, rhs)
+    rhs = vec_add(F, t(A.d.apply(a), b), vec_scale(F, sign(F, da), t(a, B.d.apply(b))))
+    assert vec_eq(F, T.d.apply(t(a, b)), rhs)
+    assert vec_eq(F, T.unit, t(A.unit, B.unit))
+    assert vec_eq(F, T.h, vec_add(F, t(A.h, B.unit), t(A.unit, B.h)))
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(tensor_pairs())
+def test_tensor_index_matches_the_labels(pair):
+    A, B = pair
+    T = tensor_algebras(A, B)
+    for i in range(A.dim):
+        for j in range(B.dim):
+            assert tensor_index(i, j, B.dim) == reference_tensor_index(T, A, B, i, j)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_tensor_split_inverts_tensor_element(data):
+    """v = a @ b splits into v_j = b_j a along the right factor and into
+    v_i = a_i b along the left one, in values, types and key order."""
+    F = KERNEL_FIELDS[data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    nA, nB = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a, b = data.draw(vectors(F, nA)), data.draw(vectors(F, nB))
+    v = tensor_element(F, a, b, nB)
+    cols = {j: F.scale(c, a) for j, c in b.items()}
+    rows = {i: F.scale(c, b) for i, c in a.items()}
+    assert [(j, typed(u)) for j, u in tensor_split(v, nB).items()] == [
+        (j, typed(u)) for j, u in cols.items() if u
+    ]
+    assert [(i, typed(u)) for i, u in tensor_rows(v, nB).items()] == [
+        (i, typed(u)) for i, u in rows.items() if u
+    ]
+
+
+def degree_zero_map(A):
+    """A random degree-0 map of A's space into itself."""
+    F = A.field
+
+    @st.composite
+    def draw_it(draw):
+        entries = {}
+        for j in range(A.dim):
+            same = A.space.indices_of_degree(A.degree(j))
+            entries[j] = draw(st.dictionaries(st.sampled_from(same), coefficients(F), max_size=2))
+        return GradedMap(A.space, A.space, 0, entries)
+
+    return draw_it()
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.data())
+def test_tensor_map_composes_factorwise(data):
+    """(f @ g)(f' @ g') = ff' @ gg' for degree-0 maps; other degrees raise."""
+    A, B = data.draw(tensor_pairs())
+    F, S = A.field, tensor_algebras(A, B).space
+    f, f2 = data.draw(degree_zero_map(A)), data.draw(degree_zero_map(A))
+    g, g2 = data.draw(degree_zero_map(B)), data.draw(degree_zero_map(B))
+    lhs = tensor_map(f, g, S, S).compose(tensor_map(f2, g2, S, S))
+    rhs = tensor_map(f.compose(f2), g.compose(g2), S, S)
+    for k in range(S.dim):
+        assert vec_eq(F, lhs.entries.get(k, {}), rhs.entries.get(k, {}))
+    with pytest.raises(ValueError):
+        tensor_map(f, B.d, S, S)
 
 
 # ---------------------------------------------------------------------------

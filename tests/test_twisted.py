@@ -127,14 +127,9 @@ def test_module_hom_complex_uncurving_identity_cocycle():
     M = uncurving_module(A)
     c = module_hom_complex(M, M)
     F = A.field
-    # identity: 1_A @ (E[m0,m0] + E[m1,m1])
-    ident = {}
-    from curvlab.twisted import _hom_pos
-
-    for i, u in A.unit.items():
-        for v in range(M.V.dim):
-            ident[_hom_pos(M, M, i, v, v)] = u
-    assert vec_is_zero(F, c.d.apply(ident))
+    # identity: 1_A @ (E[m0,m0] + E[m1,m1]), the unit of A @ End(V), whose
+    # basis is the hom basis of (M, M)
+    assert vec_is_zero(F, c.d.apply(M.ambient.unit))
     # the uncurving module is homotopy equivalent to zero, so its
     # endomorphism complex is acyclic and [id] = 0
     H0 = cohomology(c, 0, 0)[0]
