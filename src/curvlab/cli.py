@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict
+from typing import Dict, Tuple
 
 from .algebra import (
     CurvedAlgebra,
@@ -121,6 +121,28 @@ def _element(A: CurvedAlgebra, data, name: str) -> dict:
     return parse_element(A.space, data, name)
 
 
+def _positive(value, name: str) -> int:
+    """An integer argument that must be at least 1 (given as an int or as
+    its decimal text); DocumentError (exit 2) for anything else."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise DocumentError(f"{name} must be a positive integer, got {value!r}") from None
+    if n < 1:
+        raise DocumentError(f"{name} must be a positive integer, got {n}")
+    return n
+
+
+def _window(text: str) -> Tuple[int, int]:
+    """--window "lo,hi": two integers; DocumentError (exit 2) for anything
+    else."""
+    try:
+        lo, hi = (int(t) for t in text.split(","))
+    except ValueError:
+        raise DocumentError(f"--window must be two integers lo,hi, got {text!r}") from None
+    return lo, hi
+
+
 def _label_map(small: CurvedCoalgebra, big: CurvedCoalgebra, data) -> Dict[str, str]:
     """The decoded JSON `data` of --labels: an object sending labels of
     `small` to labels of `big`; DocumentError (exit 2) for anything else."""
@@ -181,7 +203,7 @@ def cmd_interval(args) -> int:
         F = _field(args)
     except ValueError as e:
         return fail_input(f"bad --field {args.field!r}: {e}")
-    n = None if args.n == "inf" else int(args.n)
+    n = None if args.n == "inf" else _positive(args.n, "n")
     I = make_interval(F, n, truncation=args.truncate)
     rep = base_report(args, "interval algebra: dim 2n+1, dims (2,...,2,1) per degree")
     rep["n"] = args.n
@@ -220,12 +242,13 @@ def cmd_homotopy(args) -> int:
     A = _load_algebra(args.file)
     x = _element(A, json.loads(args.x), "--x")
     y = _element(A, json.loads(args.y), "--y")
-    rep = base_report(args, f"{args.n}-homotopy of MC elements through the interval algebra")
-    H = n_homotopy_search(A, x, y, args.n, budget=args.max_enum or None)
+    n = _positive(args.n, "--n")
+    rep = base_report(args, f"{n}-homotopy of MC elements through the interval algebra")
+    H = n_homotopy_search(A, x, y, n, budget=args.max_enum or None)
     if H is None:
         rep["found"] = False
         return emit(rep, 1)
-    T = interval_tensor(A, args.n)
+    T = interval_tensor(A, n)
     rep["found"] = True
     rep["homotopy"] = _pretty(T, H.X)
     return emit(rep, 0)
@@ -278,7 +301,7 @@ def cmd_cobar(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     w = C.space.index(args.coaugmentation) if args.coaugmentation else 0
     rep = base_report(args, "truncated cobar construction on the coaugmentation coideal")
-    om = cobar(C, w, args.truncate)
+    om = cobar(C, w, _positive(args.truncate, "--truncate"))
     rep["dimensions_per_degree"] = {
         str(d): c for d, c in sorted(om.presentation.word_counts_by_degree().items())
     }
@@ -291,7 +314,7 @@ def cmd_bar_dual(args) -> int:
     A = _load_algebra(args.algebra)
     rep = base_report(args, "truncated dual bar construction (tensor algebra on the shifted dual)")
     w = A.space.index(args.splitting) if args.splitting else None
-    bd = bar_dual(A, args.truncate, w_index=w)
+    bd = bar_dual(A, _positive(args.truncate, "--truncate"), w_index=w)
     rep["dimensions_per_degree"] = {
         str(d): c
         for d, c in sorted(bd.cobar.presentation.word_counts_by_degree().items())
@@ -466,6 +489,7 @@ def cmd_tower(args) -> int:
 
 def cmd_omega_cat(args) -> int:
     C = _load_coalgebra(args.coalgebra)
+    window = _window(args.window) if args.window else None
     rep = base_report(args, "categorical cobar of a pointed coalgebra with split coradical")
     try:
         D = omega_cat(C)
@@ -486,8 +510,8 @@ def cmd_omega_cat(args) -> int:
         for a in D.arrows
         if D.d_of(a.label)
     }
-    if args.window:
-        lo, hi = (int(t) for t in args.window.split(","))
+    if window:
+        lo, hi = window
         rep["hom_cohomology"] = {}
         for x in D.objects:
             for y in D.objects:

@@ -207,6 +207,10 @@ class LinearSystem:
                     k[i - nrows] = res[i]
             self.kernel.append(k)
 
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
     def residue(self, b: dict) -> dict:
         return self._basis.reduce(b)
 

@@ -5,7 +5,10 @@ of (co)algebra maps, and the three-homotopy functor data.
 Hom-complex convention: the morphism complex from x to y is A with
 differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
-(f, g, h1, h2) witnesses mutual inversion in H^0.
+(f, g, h1, h2) witnesses mutual inversion in H^0.  The verdict is decided
+by one affine solve per class of H^0(x, y) (`GaugeClasses.equivalent`);
+the exhaustive quadruple search (`GaugeClasses.quadruple`) gives the
+witness.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .fields import PrimeFieldRequired
 from .gradedlin import (
     BudgetExceeded,
     Complex,
+    EchelonBasis,
     GradedMap,
     LinearSystem,
     cohomology,
@@ -117,20 +121,23 @@ class _ElementData(NamedTuple):
 
 
 class GaugeClasses:
-    """Exhaustive gauge-equivalence search on the MC elements of one algebra
-    over F_p, with what the search needs cached per element and per pair.
+    """Gauge equivalence on the MC elements of one algebra over F_p, with
+    what the verdicts and the witness search need cached per element and
+    per pair.
 
-    `quadruple(x, y)` enumerates the chain maps f: x -> y (outer) and
-    g: y -> x (inner) in base-p order and returns the first (f, g, h1, h2)
-    with d^x h1 = gf - 1 and d^y h2 = fg - 1.  It refuses when the
-    p^(dim Z0(x,y) + dim Z0(y,x)) pairs exceed the budget.
+    `quadruple(x, y)` is the witness: it enumerates the chain maps
+    f: x -> y (outer) and g: y -> x (inner) in base-p order and returns the
+    first (f, g, h1, h2) with d^x h1 = gf - 1 and d^y h2 = fg - 1.  It
+    refuses when the p^(dim Z0(x,y) + dim Z0(y,x)) pairs exceed the budget.
 
-    `equivalent(x, y)` memoizes the verdicts.  x ~ y is isomorphism in H^0
-    of the MC dg category, an equivalence relation, so the verdicts are
-    kept closed under it: union-find over the elements seen, plus the pairs
-    of classes known to be distinct.  Every query first makes the search's
-    budget count and refuses exactly as the search would, so memoizing
-    changes no refusal.
+    `equivalent(x, y)` is the verdict, quadruple(x, y) is not None, without
+    the enumeration: one affine solve per class of H^0(x, y).  The verdicts
+    are memoized.  x ~ y is isomorphism in H^0 of the MC dg category, an
+    equivalence relation, so they are kept closed under it: union-find over
+    the elements seen, plus the pairs of classes known to be distinct.
+    Every query first makes the search's checks and budget count and
+    refuses exactly as the search would, so neither the solve nor the memo
+    changes a refusal.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
@@ -237,15 +244,84 @@ class GaugeClasses:
             k = self._parent[k]
         return k
 
+    def _h0_dim(self, ex: _ElementData) -> int:
+        """dim H^0(x, x): the chain maps x -> x modulo d^x(A^-1)."""
+        return len(self._chain_map_basis(ex, ex)) - ex.homotopies.rank
+
+    def _has_inverse(
+        self,
+        x: dict,
+        y: dict,
+        ex: _ElementData,
+        ey: _ElementData,
+        kerf: List[dict],
+        kerg: List[dict],
+        budget: int,
+    ) -> bool:
+        """Whether some f: x -> y has an inverse g: y -> x in H^0.
+
+        Whether f has one depends only on [f] in H^0(x, y), so f runs over
+        the span of the kernel basis vectors that are independent modulo
+        B^0(x, y) = D_{x->y}(A^-1): p^dim H^0(x, y) points.  An inverse
+        makes H^0(x, y), H^0(x, x) and H^0(y, y) isomorphic, so unequal
+        dimensions answer False without a solve.
+
+        For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
+        the row parts of the residues of g f modulo d^x and of f g modulo
+        d^y equal those of 1.  They are bilinear in (g_i, f_j), so the
+        residues of g_i f_j and f_j g_i are reduced once, and each f is one
+        `LinearSystem` on their sums: |kerg| columns on 2 dim A rows.
+        """
+        A, F, n = self.A, self.A.field, self.A.dim
+        idx0 = A.degree_indices(0)
+
+        def rows(system: LinearSystem, v: dict, shift: int) -> dict:
+            return {i + shift: c for i, c in system.residue(v).items() if i < n}
+
+        boundaries = EchelonBasis(
+            F, n, [twisted_apply(A, x, y, A.space.basis_vector(k)) for k in A.degree_indices(-1)]
+        )
+        fs = [f for f in ({idx0[a]: c for a, c in k.items()} for k in kerf) if boundaries.add(f)]
+        if not len(fs) == self._h0_dim(ex) == self._h0_dim(ey):
+            return False
+        gs = [{idx0[a]: c for a, c in k.items()} for k in kerg]
+        terms = []  # terms[i][j]: the residues of g_i f_j and f_j g_i
+        for g in gs:
+            row = []
+            for f in fs:
+                r = rows(ex.homotopies, A.product(g, f), 0)
+                r.update(rows(ey.homotopies, A.product(f, g), n))
+                row.append(r)
+            terms.append(row)
+        target = rows(ex.homotopies, A.unit, 0)
+        target.update(rows(ey.homotopies, A.unit, n))
+        units = [{j: F.one()} for j in range(len(fs))]
+        for a in enumerate_affine(F, {}, units, budget):
+            cols = []
+            for row in terms:
+                col: dict = {}
+                for j, c in a.items():
+                    F.add_scaled(col, c, row[j])
+                cols.append(col)
+            system = LinearSystem(F, cols, 2 * n)
+            if system.solution(system.residue(target)) is not None:
+                return True
+        return False
+
     def equivalent(self, x: dict, y: dict) -> bool:
-        """quadruple(x, y) is not None, memoized."""
-        ex, ey, _, _, _ = self._budgeted_search_data(x, y)
+        """Whether x ~ y, that is quadruple(x, y) is not None, memoized.
+
+        After the search's checks and budget count, an unmemoized pair is
+        answered by `_has_inverse`, one affine solve per class of H^0(x, y),
+        without enumerating the chain-map pairs.
+        """
+        ex, ey, kerf, kerg, budget = self._budgeted_search_data(x, y)
         rx, ry = self._root(ex.key), self._root(ey.key)
         if rx == ry:
             return True
         if ry in self._apart.get(rx, ()):
             return False
-        if self.quadruple(x, y) is None:
+        if not self._has_inverse(x, y, ex, ey, kerf, kerg, budget):
             self._apart.setdefault(rx, set()).add(ry)
             self._apart.setdefault(ry, set()).add(rx)
             return False
@@ -262,7 +338,10 @@ def moduli_set(
 ) -> List[List[dict]]:
     """Partition of MC(A) into isomorphism classes of H^0(MC_dg(A)).
 
-    Classes and their members are deterministically ordered.
+    Each element joins the first class whose first member it is gauge
+    equivalent to (`GaugeClasses.equivalent`, one affine solve per class of
+    H^0), or opens a new class.  Classes and their members are
+    deterministically ordered.
     """
     elems = mc_enumerate(A, budget=budget) if mc is None else mc
     gauge = GaugeClasses(A, budget)
@@ -270,7 +349,7 @@ def moduli_set(
     for x in elems:
         placed = False
         for cls in classes:
-            if gauge.quadruple(cls[0], x) is not None:
+            if gauge.equivalent(cls[0], x):
                 cls.append(x)
                 placed = True
                 break
@@ -391,8 +470,10 @@ def gauge_to_three_homotopy(
     quad: GaugeQuadruple, budget: Optional[int] = None
 ) -> Optional[NHomotopy]:
     """Build a 3-homotopy from a gauge quadruple: components
-    H_e = x, H_f = y, H_s = f - 1, H_t = g - 1, H_st = -h2, H_ts = -h1,
-    then solve the remaining sts-component linearly.
+    H_e = x, H_f = y, H_s = g - 1, H_t = f - 1, H_st = -h1, H_ts = -h2
+    (so phi_s = g: y -> x and phi_t = f: x -> y, as in
+    `ThreeHomotopyData.identities`), then solve the remaining
+    sts-component linearly.
     """
     A, F = quad.A, quad.A.field
     I, T = path_object(A, 3)
@@ -400,10 +481,10 @@ def gauge_to_three_homotopy(
     X = _at(F, quad.x, I, "e_e")
     for part, word, c in (
         (quad.y, "e_f", None),
-        (vec_sub(F, quad.f, A.unit), "s", None),
-        (vec_sub(F, quad.g, A.unit), "t", None),
-        (quad.h2, "st", m1),
-        (quad.h1, "ts", m1),
+        (vec_sub(F, quad.g, A.unit), "s", None),
+        (vec_sub(F, quad.f, A.unit), "t", None),
+        (quad.h1, "st", m1),
+        (quad.h2, "ts", m1),
     ):
         X.update(_at(F, part, I, word, c))
     # solve the sts-component: affine-linear in the sts coordinates

@@ -45,7 +45,7 @@ from .gradedlin import (
     vec_is_zero,
 )
 from .barcobar import mc_hom_enumerate
-from .mc import GaugeClasses, find_gauge_quadruple, path_object
+from .mc import GaugeClasses, path_object
 from .presented import Arrow, PresentedCurvedAlgebra, free_algebra_presentation
 
 
@@ -425,9 +425,11 @@ def is_fibration_mcdg(
     Every pair is queried in the order of the exhaustive pairwise search,
     but each verdict comes from a `GaugeClasses` memo kept for this call:
     gauge equivalence is an equivalence relation, so a pair whose classes
-    are already joined or known distinct is answered without a search.
-    Each query still makes the search's budget count first, so the call
-    refuses exactly where the pairwise search would, with the same count.
+    are already joined or known distinct is answered at once, and any other
+    pair by one affine solve per class of H^0 (`GaugeClasses.equivalent`),
+    without enumerating chain-map pairs.  Each query still makes the
+    search's budget count first, so the call refuses exactly where the
+    pairwise search would, with the same count.
     """
     A, Ap = g.source, g.target
     F = A.field
@@ -499,7 +501,10 @@ def rectify_cofibration(
 ) -> dict:
     """Rectify a homotopy-commutative triangle: given X in MC Hom(C', A)
     whose restriction is gauge-equivalent to g0 in Hom(C, A), find Xt with
-    restriction exactly g0 and Xt gauge-equivalent to X."""
+    restriction exactly g0 and Xt gauge-equivalent to X: the first such
+    candidate of `mc_hom_enumerate`.  Both gauge tests are verdicts of
+    `GaugeClasses.equivalent`, with the budget count of the quadruple
+    search; no witness quadruple is built."""
     F = A.field
     convb = convolution_algebra(Cp, A)
     convs = convolution_algebra(C, A)
@@ -511,8 +516,7 @@ def rectify_cofibration(
             "witness": "input map is not injective (dual not surjective)",
         }
     restrict = induced_convolution_morphism(convb, convs, cmap_dual=idual).f  # i^*
-    q = find_gauge_quadruple(convs.algebra, restrict.apply(X), g0, budget=budget)
-    if q is None:
+    if not GaugeClasses(convs.algebra, budget).equivalent(restrict.apply(X), g0):
         return {
             "verdict": False,
             "witness": "triangle is not homotopy commutative (no gauge r(X) ~ g0)",
@@ -522,7 +526,7 @@ def rectify_cofibration(
     for xt in cands:
         if not vec_eq(F, restrict.apply(xt), g0):
             continue
-        if gauge.quadruple(X, xt) is not None:
+        if gauge.equivalent(X, xt):
             return {"verdict": True, "lift": xt, "search_complete": True}
     return {"verdict": False, "search_complete": True, "witness": "exhausted"}
 

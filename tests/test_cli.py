@@ -349,3 +349,22 @@ def test_labels_map_small_labels_to_big_labels(tmp_path, capsys, labels):
         assert code == 2 and "--labels" in rep["error"]
     code, rep = run_cli(capsys, rectify + ['{"1\'": "e_e\'"}'])
     assert code in (0, 1) and "verdict" in rep
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["interval", "0"], "n"),
+        (["interval", "-1"], "n"),
+        (["interval", "junk"], "n"),
+        (["homotopy", "{doc}", "--x", "{{}}", "--y", "{{}}", "--n", "0"], "--n"),
+        (["cobar", "{doc}", "--truncate", "-1"], "--truncate"),
+        (["bar-dual", "{doc}", "--truncate", "-1"], "--truncate"),
+        (["omega-cat", "{doc}", "--window", "junk"], "--window"),
+    ],
+)
+def test_integer_and_window_arguments_are_input_errors(tmp_path, capsys, argv, name):
+    f = tmp_path / "I2p2.json"
+    run_cli(capsys, ["interval", "2", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, [a.format(doc=f) for a in argv])
+    assert code == 2 and rep["error"].startswith(f"{name} must be")

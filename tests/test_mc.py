@@ -440,3 +440,71 @@ def test_gauge_classes_refuse_with_the_search_count():
         with pytest.raises(BudgetExceeded) as memo:
             GaugeClasses(E, budget=1).equivalent(u, v)
         assert (memo.value.required, memo.value.budget) == (search.value.required, 1)
+
+
+# over F_3 and F_5 the signs of the seven components show; most of the
+# quadruples found have both homotopies h1 and h2 nonzero
+@pytest.mark.parametrize("p, degrees", [(3, (0, 1, 1)), (3, (0, 1, 2)), (5, (0, 1)), (5, (0, 1, 2))])
+def test_gauge_to_three_homotopy_over_odd_primes(p, degrees):
+    E = _end_algebra(p, degrees)
+    elems = mc_enumerate(E)
+    gauge = GaugeClasses(E)
+    with_homotopies = 0
+    for x in elems[:6]:
+        for y in elems:
+            q = gauge.quadruple(x, y)
+            if q is None:
+                continue
+            H = gauge_to_three_homotopy(q)
+            assert H is not None and verify_n_homotopy(E, x, y, 3, H.X)
+            assert all(three_homotopy_unpack(E, H.X).identities().values())
+            with_homotopies += bool(q.h1 and q.h2)
+    assert with_homotopies >= 8
+
+
+def test_gauge_to_three_homotopy_over_Q():
+    # End(k + k<-1>): x = E[v1,v0] and y = 2 E[v1,v0] are acyclic, and
+    # f = diag(1, 2) with g = diag(3, 3/2) inverts it up to h1 = 2 E[v0,v1]
+    # and h2 = E[v0,v1]
+    E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], QQ))
+    ix = E.space.index
+
+    def el(**terms):
+        return {ix(f"E[{k[0:2]},{k[2:4]}]"): QQ.coerce(c) for k, c in terms.items()}
+
+    x, y = el(v1v0=1), el(v1v0=2)
+    quad = GaugeQuadruple(
+        E, x, y, el(v0v0=1, v1v1=2), el(v0v0=3, v1v1="3/2"), el(v0v1=2), el(v0v1=1)
+    )
+    assert quad.validate() == []
+    H = gauge_to_three_homotopy(quad)
+    assert H is not None and verify_n_homotopy(E, x, y, 3, H.X)
+    assert all(three_homotopy_unpack(E, H.X).identities().values())
+
+
+def _reference_moduli(E):
+    """The partition of MC(E) by first fit against each class's first
+    member, every verdict from the exhaustive quadruple search."""
+    gauge = GaugeClasses(E)
+    classes = []
+    for x in mc_enumerate(E):
+        for cls in classes:
+            if gauge.quadruple(cls[0], x) is not None:
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
+@pytest.mark.parametrize(
+    "degrees", [(0, 1), (1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1), (0, 1, 2), (2, 0, 1), (-1, 0, 1, 2)]
+)
+def test_moduli_set_matches_the_quadruple_partition(degrees):
+    # the same classes in the same order, each member in the same key order
+    E = _end_algebra(3, degrees)
+    assert E.degree_indices(-1)
+    got = [[list(x.items()) for x in cls] for cls in moduli_set(E)]
+    want = [[list(x.items()) for x in cls] for cls in _reference_moduli(E)]
+    assert got == want
+    assert 1 < len(got) < sum(map(len, got))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.algebra import (
+    endomorphism_algebra,
     mc_enumerate,
     tensor_algebras,
     tensor_element,
@@ -34,11 +35,12 @@ from curvlab.algebra import (
 )
 from curvlab.cli import main
 from curvlab.documents import dump_algebra
-from curvlab.fields import GF, QQ
+from curvlab.fields import GF, QQ, PrimeFieldRequired
 from curvlab.gradedlin import (
     BudgetExceeded,
     EchelonBasis,
     GradedMap,
+    GradedSpace,
     LinearSystem,
     enumerate_affine,
     vec_add,
@@ -349,6 +351,71 @@ def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
     D = twisted_map(A, x, y)
     want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim)
     assert [typed(k) for k in got] == [typed(k) for k in want.kernel]
+
+
+# ---------------------------------------------------------------------------
+# gauge verdicts: the affine solve per H^0 class against the quadruple search
+
+GAUGE_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5)}
+# End(V) for V with one basis vector per degree listed: adjacent degrees give
+# a degree -1 part, so the homotopies h1, h2 can be nonzero
+END_DEGREES = [(0, 1), (1, 0), (0, 1, 1), (1, 0, 0), (0, 1, 2), (-1, 0, 1)]
+
+
+@st.composite
+def gauge_algebras(draw):
+    """A random curved algebra over F_2, F_3 or F_5, in a random basis half
+    of the time, or End(V) for a V of adjacent degrees."""
+    F = GAUGE_FIELDS[draw(st.sampled_from(sorted(GAUGE_FIELDS)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        degrees = draw(st.sampled_from(END_DEGREES))
+        return endomorphism_algebra(GradedSpace.make([(f"v{i}", d) for i, d in enumerate(degrees)], F))
+    A = random_curved_algebra(rng, F, maxdim=6)
+    return rebased_algebra(rng, A) if draw(st.booleans()) else A
+
+
+def verdict_or_refusal(fn):
+    try:
+        return fn()
+    except BudgetExceeded as exc:
+        return ("refused", exc.required, exc.budget)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.data())
+def test_gauge_verdict_is_the_quadruple_search(data):
+    """equivalent(x, y) == (quadruple(x, y) is not None) on a run of pairs
+    through one memo, refusing with the same count where the search does;
+    at budgets 1 and p both refuse with the same count."""
+    A = data.draw(gauge_algebras())
+    mc = mc_enumerate(A)
+    if not mc:
+        return
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(mc), st.sampled_from(mc)), min_size=1, max_size=6))
+    memo = GaugeClasses(A, budget=2**12)
+    for x, y in pairs:
+        got = verdict_or_refusal(lambda: memo.equivalent(x, y))
+        want = verdict_or_refusal(lambda: GaugeClasses(A, budget=2**12).quadruple(x, y) is not None)
+        assert got == want
+    x, y = pairs[0]
+    for budget in (1, A.field.characteristic):
+        got = verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(x, y))
+        want = verdict_or_refusal(lambda: GaugeClasses(A, budget).quadruple(x, y))
+        assert got == want and got[0] == "refused"
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(st.data())
+def test_gauge_verdict_over_Q_requires_a_prime_field(data):
+    A = random_curved_algebra(random.Random(data.draw(st.integers(0, 2**32 - 1))), QQ, maxdim=6)
+    mc = small_mc_elements(A)
+    if not mc:
+        return
+    x, y = data.draw(st.sampled_from(mc)), data.draw(st.sampled_from(mc))
+    for search in (GaugeClasses(A).equivalent, GaugeClasses(A).quadruple):
+        with pytest.raises(PrimeFieldRequired):
+            search(x, y)
 
 
 # ---------------------------------------------------------------------------
