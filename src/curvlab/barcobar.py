@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, tensor_index, twisted_apply
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
-from .convolution import convolution_algebra
+from .convolution import ConvolutionAlgebra, convolution_algebra
 from .fields import PrimeFieldRequired
 from .gradedlin import (
     BudgetExceeded,
@@ -99,19 +99,23 @@ def coradical_filtration_stages(C: CurvedCoalgebra) -> Optional[List[int]]:
 def mc_hom_enumerate(
     C: CurvedCoalgebra, A: CurvedAlgebra, budget: Optional[int] = None
 ) -> List[dict]:
-    """All MC elements of the convolution algebra Hom(C, A) over F_p.
+    """All MC elements of Hom(C, A) over F_p (`mc_convolution_enumerate`)."""
+    return mc_convolution_enumerate(convolution_algebra(C, A), budget)
+
+
+def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = None) -> List[dict]:
+    """All MC elements of the convolution algebra conv = Hom(C, A) over F_p.
 
     Uses the coradical filtration to solve stage by stage (grouplike
     components by bounded brute force, higher stages by affine linear
     algebra); falls back to plain enumeration when the filtration is not
     basis-aligned.  Deterministic output order.
     """
+    C, A, E = conv.C, conv.A, conv.algebra
     F = A.field
     if not F.is_prime_field:
         raise PrimeFieldRequired("MC enumeration requires a prime field")
     budget = default_budget() if budget is None else budget
-    conv = convolution_algebra(C, A)
-    E = conv.algebra
     stages = coradical_filtration_stages(C)
     deg1 = E.degree_indices(1)
     if stages is None:
@@ -349,7 +353,7 @@ def morphisms_via_mc(
     (length-(N+1) products of generator images vanish)."""
     F = A.field
     conv = convolution_algebra(C, A)
-    elems = mc_hom_enumerate(C, A, budget=budget)
+    elems = mc_convolution_enumerate(conv, budget)
     out = []
     for x in elems:
         phi = conv.element_as_map(x)

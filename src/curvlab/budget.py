@@ -4,8 +4,12 @@ Searches refuse (never silently truncate) when the state count would exceed
 the budget.  Default is 2^16 states, overridable via CURVLAB_MAX_ENUM.
 Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
 enumerator, which resolves a budget of None to `default_budget()`; only the
-joint count of a gauge search and the staged count of `mc_hom_enumerate`
-are checked where they are made.  Radicals (and so coradicals, css
+gauge counts and the staged count of `mc_convolution_enumerate` are checked
+where they are made.  A gauge verdict (`mc.GaugeClasses.equivalent`) counts
+the p^dim H^0(x, y) classes it solves over, and only for a pair that its
+memo and dim H^0(x, x) = dim H^0(y, y) leave open; the witness search
+(`GaugeClasses.quadruple`) counts its p^(dim Z0(x,y) + dim Z0(y,x)) pairs.
+Radicals (and so coradicals, css
 quotients and conilpotency degrees) and the central idempotents of
 `css_decompose` are computed by linear algebra and take no budget.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import (
     CurvedAlgebra,
@@ -25,7 +25,7 @@ from .algebra import (
 from .barcobar import adjunction_count_check, bar_dual, cobar
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, dualize_algebra
-from .convolution import convolution_algebra, convolution_tensor_comparison
+from .convolution import convolution_algebra, convolution_space, convolution_tensor_comparison
 from .documents import (
     DocumentError,
     dump_algebra,
@@ -35,7 +35,7 @@ from .documents import (
     parse_element,
 )
 from .fields import GF, QQ, FieldSpec, PrimeFieldRequired
-from .gradedlin import BudgetExceeded, GradedMap, cohomology, vec_is_zero
+from .gradedlin import BudgetExceeded, GradedMap, GradedSpace, cohomology, vec_is_zero
 from .interval import make_interval
 from .mc import (
     find_gauge_quadruple,
@@ -115,12 +115,6 @@ def _load_coalgebra(path: str) -> CurvedCoalgebra:
     return dualize_algebra(obj)
 
 
-def _element(A: CurvedAlgebra, data, name: str) -> dict:
-    """The decoded JSON `data`, an object {label: coefficient}, as an element
-    of A; DocumentError (exit 2) for anything else."""
-    return parse_element(A.space, data, name)
-
-
 def _positive(value, name: str) -> int:
     """An integer argument that must be at least 1 (given as an int or as
     its decimal text); DocumentError (exit 2) for anything else."""
@@ -131,6 +125,12 @@ def _positive(value, name: str) -> int:
     if n < 1:
         raise DocumentError(f"{name} must be a positive integer, got {n}")
     return n
+
+
+def _budget(value) -> Optional[int]:
+    """--max-enum: "0", the default, for the default budget, or a positive
+    integer; DocumentError (exit 2) for anything else."""
+    return None if value == "0" else _positive(value, "--max-enum")
 
 
 def _window(text: str) -> Tuple[int, int]:
@@ -156,9 +156,9 @@ def _label_map(small: CurvedCoalgebra, big: CurvedCoalgebra, data) -> Dict[str, 
     return data
 
 
-def _pretty(A: CurvedAlgebra, v: dict) -> dict:
-    F = A.field
-    return {A.label(i): F.format_coeff(c) for i, c in sorted(v.items())}
+def _pretty(space: GradedSpace, v: dict) -> dict:
+    F = space.field
+    return {space.basis[i][0]: F.format_coeff(c) for i, c in sorted(v.items())}
 
 
 def _load_morphism(path: str) -> CurvedMorphism:
@@ -174,8 +174,8 @@ def _load_morphism(path: str) -> CurvedMorphism:
         raise DocumentError("'map' must be an object {label: element}")
     entries: Dict[int, dict] = {}
     for src_l, img in doc["map"].items():
-        entries[Asrc.space.index(src_l)] = _element(Atgt, img, f"map[{src_l!r}]")
-    b = _element(Atgt, doc.get("b", {}), "b")
+        entries[Asrc.space.index(src_l)] = parse_element(Atgt.space, img, f"map[{src_l!r}]")
+    b = parse_element(Atgt.space, doc.get("b", {}), "b")
     try:
         f = GradedMap(Asrc.space, Atgt.space, 0, entries)
     except ValueError as e:
@@ -223,40 +223,40 @@ def cmd_mc_enum(args) -> int:
     if not A.field.is_prime_field:
         rep["polynomial_system"] = mc_polynomial_system(A)
         return emit(rep, 0)
-    sols = mc_enumerate(A, budget=args.max_enum or None)
+    sols = mc_enumerate(A, budget=args.max_enum)
     rep["count"] = len(sols)
-    rep["elements"] = [_pretty(A, x) for x in sols]
+    rep["elements"] = [_pretty(A.space, x) for x in sols]
     return emit(rep, 0)
 
 
 def cmd_moduli(args) -> int:
     A = _load_algebra(args.file)
     rep = base_report(args, "MC moduli: isomorphism classes in H^0 of the MC dg category")
-    classes = moduli_set(A, budget=args.max_enum or None)
+    classes = moduli_set(A, budget=args.max_enum)
     rep["classes"] = len(classes)
-    rep["members"] = [[_pretty(A, x) for x in cls] for cls in classes]
+    rep["members"] = [[_pretty(A.space, x) for x in cls] for cls in classes]
     return emit(rep, 0)
 
 
 def cmd_homotopy(args) -> int:
     A = _load_algebra(args.file)
-    x = _element(A, json.loads(args.x), "--x")
-    y = _element(A, json.loads(args.y), "--y")
+    x = parse_element(A.space, json.loads(args.x), "--x")
+    y = parse_element(A.space, json.loads(args.y), "--y")
     n = _positive(args.n, "--n")
     rep = base_report(args, f"{n}-homotopy of MC elements through the interval algebra")
-    H = n_homotopy_search(A, x, y, n, budget=args.max_enum or None)
+    H = n_homotopy_search(A, x, y, n, budget=args.max_enum)
     if H is None:
         rep["found"] = False
         return emit(rep, 1)
     T = interval_tensor(A, n)
     rep["found"] = True
-    rep["homotopy"] = _pretty(T, H.X)
+    rep["homotopy"] = _pretty(T.space, H.X)
     return emit(rep, 0)
 
 
 def cmd_twist(args) -> int:
     A = _load_algebra(args.file)
-    x = _element(A, json.loads(args.x), "--x")
+    x = parse_element(A.space, json.loads(args.x), "--x")
     rep = base_report(args, "twist by an MC element: d^x = d + [x,-], curvature 0")
     try:
         Ax, iso = twist_algebra(A, x)
@@ -331,7 +331,7 @@ def cmd_adjunction_check(args) -> int:
     try:
         rep.update(
             adjunction_count_check(
-                C, A, w, N_max=args.truncate, budget=args.max_enum or None
+                C, A, w, N_max=_positive(args.truncate, "--truncate"), budget=args.max_enum
             )
         )
     except BudgetExceeded as e:
@@ -344,7 +344,7 @@ def cmd_twisted(args) -> int:
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = parse_basis(A.field, json.loads(args.module), "--module")
     amb = ambient_algebra(A, V)
-    xi = _element(amb, json.loads(args.xi), "--xi")
+    xi = parse_element(amb.space, json.loads(args.xi), "--xi")
     if args.action == "make":
         try:
             M = make_twisted(A, V, xi)
@@ -366,7 +366,7 @@ def cmd_twisted(args) -> int:
         phi = _load_morphism(args.morphism)
         M = make_twisted(A, V, xi)
         N = induce(phi, M)
-        rep["induced_xi"] = _pretty(N.ambient, N.xi)
+        rep["induced_xi"] = _pretty(N.ambient.space, N.xi)
         rep["valid"] = True
         return emit(rep, 0)
     return fail_input(f"unknown twisted action {args.action!r}")
@@ -380,7 +380,7 @@ def cmd_obstruction(args) -> int:
         A = A.materialize().algebra
     ideal = [A.space.index(l) for l in doc["ideal"]]
     ext = extension_from_total(A, ideal)
-    x = _element(ext.B, json.loads(args.x), "--x")
+    x = parse_element(ext.B.space, json.loads(args.x), "--x")
     if args.action == "class":
         rep = base_report(args, "obstruction cocycle nu(x) = del(x) + xi(x,x)")
         nu, cert = obstruction_class(ext, x)
@@ -392,9 +392,7 @@ def cmd_obstruction(args) -> int:
         verdict = try_lift(ext, x)
         rep["verdict"] = verdict[0]
         if verdict[0] == "lift":
-            rep["lift"] = _pretty(
-                _total_cache(ext), verdict[1]
-            )
+            rep["lift"] = _pretty(_total_cache(ext).space, verdict[1])
             return emit(rep, 0)
         rep["obstruction_class"] = {
             ext.L.space.basis[i][0]: ext.field.format_coeff(c)
@@ -403,8 +401,8 @@ def cmd_obstruction(args) -> int:
         return emit(rep, 1)
     if args.action == "gauge-lift":
         rep = base_report(args, "semisplit gauge transport l' = f l g - del(f) g + del(y) h2")
-        y = _element(ext.B, json.loads(args.y), "--y")
-        quad = find_gauge_quadruple(ext.B, x, y, budget=args.max_enum or None)
+        y = parse_element(ext.B.space, json.loads(args.y), "--y")
+        quad = find_gauge_quadruple(ext.B, x, y, budget=args.max_enum)
         if quad is None:
             rep["verdict"] = False
             rep["witness"] = "no homotopy gauge equivalence found"
@@ -416,7 +414,7 @@ def cmd_obstruction(args) -> int:
             return emit(rep, 1)
         yl = lift_along_gauge(ext, verdict[2], y, quad)
         rep["verdict"] = True
-        rep["lift_of_y"] = _pretty(_total_cache(ext), yl)
+        rep["lift_of_y"] = _pretty(_total_cache(ext).space, yl)
         return emit(rep, 0)
     return fail_input(f"unknown obstruction action {args.action!r}")
 
@@ -431,8 +429,8 @@ def cmd_radical(args) -> int:
     rep = base_report(args, "graded radical and internal curved radical J_- = {x in J : dx in J}")
     J = graded_radical(A)
     Jm = internal_curved_radical(A, radical=J)
-    rep["radical"] = [_pretty(A, r) for r in J]
-    rep["internal_curved_radical"] = [_pretty(A, r) for r in Jm]
+    rep["radical"] = [_pretty(A.space, r) for r in J]
+    rep["internal_curved_radical"] = [_pretty(A.space, r) for r in Jm]
     return emit(rep, 0)
 
 
@@ -465,7 +463,7 @@ def cmd_css_section(args) -> int:
         return emit(rep, 1)
     rep["verdict"] = True
     rep["section"] = {
-        pi.target.label(j): _pretty(pi.source, sec.f.entries.get(j, {}))
+        pi.target.label(j): _pretty(pi.source.space, sec.f.entries.get(j, {}))
         for j in range(pi.target.dim)
     }
     return emit(rep, 0)
@@ -531,7 +529,7 @@ def cmd_alg_mc(args) -> int:
         return emit(rep, 1)
     if args.basepoint not in D.objects:
         return fail_input(f"basepoint {args.basepoint!r} is not an object of the categorical cobar")
-    P = alg_mc(D, args.basepoint, truncation=args.truncate)
+    P = alg_mc(D, args.basepoint, truncation=_positive(args.truncate, "--truncate"))
     rep["generators"] = [[a.label, a.degree] for a in P.arrows]
     rep["dimensions_per_degree"] = {
         str(d): c for d, c in sorted(P.word_counts_by_degree().items())
@@ -544,7 +542,7 @@ def cmd_fib_check(args) -> int:
     g = _load_morphism(args.morphism)
     rep = base_report(args, "strong-fibration witness: hom surjectivity + H^0 iso lifting")
     try:
-        rep.update(is_fibration_mcdg(C, g, budget=args.max_enum or None))
+        rep.update(is_fibration_mcdg(C, g, budget=args.max_enum))
     except BudgetExceeded as e:
         return fail_budget(e)
     return emit(rep, 0 if rep.get("verdict") else 1)
@@ -556,17 +554,16 @@ def cmd_rectify(args) -> int:
     A = _load_algebra(args.algebra)
     label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
-    convb = convolution_algebra(Cp, A)
-    convs = convolution_algebra(Csub, A)
-    X = _element(convb.algebra, json.loads(args.x), "--x")
-    g0 = _element(convs.algebra, json.loads(args.g0), "--g0")
+    big = convolution_space(Cp, A)
+    X = parse_element(big, json.loads(args.x), "--x")
+    g0 = parse_element(convolution_space(Csub, A), json.loads(args.g0), "--g0")
     rep = base_report(args, "rectification of a homotopy-commutative triangle")
     try:
-        res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum or None)
+        res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum)
     except BudgetExceeded as e:
         return fail_budget(e)
     rep.update(
-        {k: (_pretty(convb.algebra, v) if k == "lift" else v) for k, v in res.items()}
+        {k: (_pretty(big, v) if k == "lift" else v) for k, v in res.items()}
     )
     return emit(rep, 0 if res.get("verdict") else 1)
 
@@ -577,16 +574,14 @@ def cmd_lift(args) -> int:
     g = _load_morphism(args.morphism)
     label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
-    convCA = convolution_algebra(Csub, g.source)
-    convCpAp = convolution_algebra(Cp, g.target)
-    u = _element(convCA.algebra, json.loads(args.u), "--u")
-    up = _element(convCpAp.algebra, json.loads(args.uprime), "--uprime")
+    u = parse_element(convolution_space(Csub, g.source), json.loads(args.u), "--u")
+    up = parse_element(convolution_space(Cp, g.target), json.loads(args.uprime), "--uprime")
     rep = base_report(args, "lifting solver for an injection against a fibration")
     try:
-        res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum or None)
+        res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum)
     except BudgetExceeded as e:
         return fail_budget(e)
-    big = convolution_algebra(Cp, g.source).algebra
+    big = convolution_space(Cp, g.source)
     rep.update({k: (_pretty(big, v) if k == "lift" else v) for k, v in res.items()})
     return emit(rep, 0 if res.get("verdict") else 1)
 
@@ -605,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curvlab",
         description="exact computations with curved algebras and coalgebras",
     )
-    p.add_argument("--max-enum", type=int, default=0, help="enumeration budget override")
+    p.add_argument("--max-enum", default="0", help="enumeration budget override (0: the default)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -705,8 +700,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a window such as "-1,0" for an option: join it to its flag
+    if "--window" in argv[:-1]:
+        i = argv.index("--window")
+        argv[i : i + 2] = [f"--window={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
+        args.max_enum = _budget(args.max_enum)
         return args.fn(args)
     except DocumentError as e:
         return fail_input(str(e))

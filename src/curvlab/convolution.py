@@ -43,16 +43,20 @@ def _counit(C: CurvedCoalgebra) -> dict:
     return dict(sorted(C.counit.items()))
 
 
-def convolution_algebra(C: CurvedCoalgebra, A: CurvedAlgebra) -> ConvolutionAlgebra:
-    """Hom(C, A) on the basis of C* @ A: phi_{c,a} is basis vector
-    tensor_index(c, a, dim A)."""
-    F = A.field
-    if C.field != F:
+def convolution_space(C: CurvedCoalgebra, A: CurvedAlgebra) -> GradedSpace:
+    """The graded space of Hom(C, A): phi_{c,a}, labelled [c->a], of degree
+    |a| - |c|, is basis vector tensor_index(c, a, dim A)."""
+    if C.field != A.field:
         raise ValueError("coalgebra and algebra must share the field")
-    nA = A.dim
-    space = GradedSpace.make(
-        [(f"[{lc}->{la}]", da - dc) for lc, dc in C.space.basis for la, da in A.space.basis], F
+    return GradedSpace.make(
+        [(f"[{lc}->{la}]", da - dc) for lc, dc in C.space.basis for la, da in A.space.basis], A.field
     )
+
+
+def convolution_algebra(C: CurvedCoalgebra, A: CurvedAlgebra) -> ConvolutionAlgebra:
+    """Hom(C, A) on the basis of C* @ A (`convolution_space`)."""
+    F, nA = A.field, A.dim
+    space = convolution_space(C, A)
     # product: (phi psi)(x) = sum (-1)^{|psi||x1|} phi(x1) psi(x2); the x
     # with Delta(x) having a (c1, c2) component, in ascending order, give
     # the terms x @ a of the column, each once

@@ -5,10 +5,11 @@ of (co)algebra maps, and the three-homotopy functor data.
 Hom-complex convention: the morphism complex from x to y is A with
 differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
-(f, g, h1, h2) witnesses mutual inversion in H^0.  The verdict is decided
-by one affine solve per class of H^0(x, y) (`GaugeClasses.equivalent`);
-the exhaustive quadruple search (`GaugeClasses.quadruple`) gives the
-witness.
+(f, g, h1, h2) witnesses mutual inversion in H^0.  The verdict
+(`GaugeClasses.equivalent`) reads a memo closed under ~ first, answers
+dim H^0(x, x) != dim H^0(y, y) as distinct, and otherwise makes one affine
+solve per class of H^0(x, y), refusing above p^dim H^0(x, y); the
+exhaustive quadruple search (`GaugeClasses.quadruple`) gives the witness.
 """
 
 from __future__ import annotations
@@ -122,31 +123,38 @@ class _ElementData(NamedTuple):
 
 class GaugeClasses:
     """Gauge equivalence on the MC elements of one algebra over F_p, with
-    what the verdicts and the witness search need cached per element and
-    per pair.
+    what the verdicts and the witness search need cached per element.
 
     `quadruple(x, y)` is the witness: it enumerates the chain maps
     f: x -> y (outer) and g: y -> x (inner) in base-p order and returns the
     first (f, g, h1, h2) with d^x h1 = gf - 1 and d^y h2 = fg - 1.  It
     refuses when the p^(dim Z0(x,y) + dim Z0(y,x)) pairs exceed the budget.
 
-    `equivalent(x, y)` is the verdict, quadruple(x, y) is not None, without
-    the enumeration: one affine solve per class of H^0(x, y).  The verdicts
-    are memoized.  x ~ y is isomorphism in H^0 of the MC dg category, an
-    equivalence relation, so they are kept closed under it: union-find over
-    the elements seen, plus the pairs of classes known to be distinct.
-    Every query first makes the search's checks and budget count and
-    refuses exactly as the search would, so neither the solve nor the memo
-    changes a refusal.
+    `equivalent(x, y)` is the verdict, quadruple(x, y) is not None, memo
+    first.  x ~ y is isomorphism in H^0 of the MC dg category, an
+    equivalence relation, so the verdicts are kept closed under it:
+    union-find over the elements seen, plus the pairs of classes known to
+    be distinct.  A pair the memo or dim H^0(x, x) != dim H^0(y, y) decides
+    builds no chain-map kernel; any other pair costs one affine solve per
+    class of H^0(x, y), and refuses when those p^dim H^0(x, y) classes
+    exceed the budget.  These dimensions are invariant under gauge
+    equivalence of either end, so whether a query refuses does not depend
+    on what the memo holds.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
         self.A = A
         self.budget = budget
         self._elements: Dict[tuple, _ElementData] = {}
-        self._chain_maps: Dict[Tuple[tuple, tuple], List[dict]] = {}
+        self._h0: Dict[tuple, int] = {}  # key of x -> dim H^0(x, x)
         self._parent: Dict[tuple, tuple] = {}
         self._apart: Dict[tuple, set] = {}  # root -> roots of distinct classes
+
+    def _budget(self) -> int:
+        """The budget of a query, after the prime-field check."""
+        if not self.A.field.is_prime_field:
+            raise PrimeFieldRequired("gauge search requires a prime field")
+        return default_budget() if self.budget is None else self.budget
 
     def _element(self, x: dict) -> _ElementData:
         """The data of x, built once per element: d^x on degree -1 as a
@@ -169,29 +177,14 @@ class GaugeClasses:
 
     def _chain_map_basis(self, ex: _ElementData, ey: _ElementData) -> List[dict]:
         """Kernel basis of D(a) = da + ya - ax on degree 0 (the chain maps
-        x -> y), as `kernel_basis` gives it."""
-        if (ex.key, ey.key) not in self._chain_maps:
-            A, F = self.A, self.A.field
-            cols = [
-                vec_sub(F, vec_add(F, A.d.entries.get(j, {}), ly), rx)
-                for j, ly, rx in zip(A.degree_indices(0), ey.left, ex.right)
-            ]
-            self._chain_maps[(ex.key, ey.key)] = LinearSystem(F, cols, A.dim).kernel
-        return self._chain_maps[(ex.key, ey.key)]
-
-    def _budgeted_search_data(self, x: dict, y: dict):
-        """The search's checks in its order: prime field, MC endpoints, then
-        the budget count; returns the element data and chain map bases."""
-        F = self.A.field
-        if not F.is_prime_field:
-            raise PrimeFieldRequired("gauge search requires a prime field")
-        budget = default_budget() if self.budget is None else self.budget
-        ex, ey = self._element(x), self._element(y)
-        kerf, kerg = self._chain_map_basis(ex, ey), self._chain_map_basis(ey, ex)
-        total = F.characteristic ** (len(kerf) + len(kerg))
-        if total > budget:
-            raise BudgetExceeded(total, budget)
-        return ex, ey, kerf, kerg, budget
+        x -> y), as `kernel_basis` gives it.  Not cached: a verdict needs a
+        pair's kernels once, and the memo answers the pair after that."""
+        A, F = self.A, self.A.field
+        cols = [
+            vec_sub(F, vec_add(F, A.d.entries.get(j, {}), ly), rx)
+            for j, ly, rx in zip(A.degree_indices(0), ey.left, ex.right)
+        ]
+        return LinearSystem(F, cols, A.dim).kernel
 
     def quadruple(self, x: dict, y: dict) -> Optional[GaugeQuadruple]:
         """The first quadruple in search order, or None.
@@ -203,9 +196,14 @@ class GaugeClasses:
         f g - 1 is reduced only where g f - 1 is a coboundary.
         """
         A, F = self.A, self.A.field
-        ex, ey, kerf, kerg, budget = self._budgeted_search_data(x, y)
-        idx0, idxm1 = A.degree_indices(0), A.degree_indices(-1)
+        budget = self._budget()
+        ex, ey = self._element(x), self._element(y)
+        kerf, kerg = self._chain_map_basis(ex, ey), self._chain_map_basis(ey, ex)
         p = F.characteristic
+        total = p ** (len(kerf) + len(kerg))
+        if total > budget:
+            raise BudgetExceeded(total, budget)
+        idx0, idxm1 = A.degree_indices(0), A.degree_indices(-1)
 
         def homotopy(system: LinearSystem, res: dict) -> Optional[dict]:
             h = system.solution(res)
@@ -245,26 +243,22 @@ class GaugeClasses:
         return k
 
     def _h0_dim(self, ex: _ElementData) -> int:
-        """dim H^0(x, x): the chain maps x -> x modulo d^x(A^-1)."""
-        return len(self._chain_map_basis(ex, ex)) - ex.homotopies.rank
+        """dim H^0(x, x): the chain maps x -> x modulo d^x(A^-1), computed
+        once per element."""
+        if ex.key not in self._h0:
+            self._h0[ex.key] = len(self._chain_map_basis(ex, ex)) - ex.homotopies.rank
+        return self._h0[ex.key]
 
-    def _has_inverse(
-        self,
-        x: dict,
-        y: dict,
-        ex: _ElementData,
-        ey: _ElementData,
-        kerf: List[dict],
-        kerg: List[dict],
-        budget: int,
-    ) -> bool:
-        """Whether some f: x -> y has an inverse g: y -> x in H^0.
+    def _has_inverse(self, x: dict, y: dict, ex: _ElementData, ey: _ElementData, budget: int) -> bool:
+        """Whether some f: x -> y has an inverse g: y -> x in H^0, for x, y
+        with dim H^0(x, x) = dim H^0(y, y).
 
         Whether f has one depends only on [f] in H^0(x, y), so f runs over
-        the span of the kernel basis vectors that are independent modulo
-        B^0(x, y) = D_{x->y}(A^-1): p^dim H^0(x, y) points.  An inverse
-        makes H^0(x, y), H^0(x, x) and H^0(y, y) isomorphic, so unequal
-        dimensions answer False without a solve.
+        the span of the kernel basis vectors of Z^0(x, y) that are
+        independent modulo B^0(x, y) = D_{x->y}(A^-1): p^dim H^0(x, y)
+        points, refused over the budget.  An inverse makes H^0(x, y) and
+        H^0(x, x) isomorphic, so unequal dimensions answer False without
+        building Z^0(y, x).
 
         For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
         the row parts of the residues of g f modulo d^x and of f g modulo
@@ -281,10 +275,14 @@ class GaugeClasses:
         boundaries = EchelonBasis(
             F, n, [twisted_apply(A, x, y, A.space.basis_vector(k)) for k in A.degree_indices(-1)]
         )
+        kerf = self._chain_map_basis(ex, ey)
         fs = [f for f in ({idx0[a]: c for a, c in k.items()} for k in kerf) if boundaries.add(f)]
-        if not len(fs) == self._h0_dim(ex) == self._h0_dim(ey):
+        classes = F.characteristic ** len(fs)
+        if classes > budget:
+            raise BudgetExceeded(classes, budget)
+        if len(fs) != self._h0_dim(ex):
             return False
-        gs = [{idx0[a]: c for a, c in k.items()} for k in kerg]
+        gs = [{idx0[a]: c for a, c in k.items()} for k in self._chain_map_basis(ey, ex)]
         terms = []  # terms[i][j]: the residues of g_i f_j and f_j g_i
         for g in gs:
             row = []
@@ -309,19 +307,24 @@ class GaugeClasses:
         return False
 
     def equivalent(self, x: dict, y: dict) -> bool:
-        """Whether x ~ y, that is quadruple(x, y) is not None, memoized.
+        """Whether x ~ y, that is quadruple(x, y) is not None, memo first.
 
-        After the search's checks and budget count, an unmemoized pair is
-        answered by `_has_inverse`, one affine solve per class of H^0(x, y),
-        without enumerating the chain-map pairs.
+        After the prime-field and MC checks, a pair whose classes the memo
+        has joined or separated is answered from it, and a pair with
+        dim H^0(x, x) != dim H^0(y, y) is recorded apart; neither builds a
+        chain-map kernel.  Any other pair is answered by `_has_inverse`,
+        one affine solve per class of H^0(x, y), and refuses with
+        BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
+        equivalent(x, x) is True at any budget.
         """
-        ex, ey, kerf, kerg, budget = self._budgeted_search_data(x, y)
+        budget = self._budget()
+        ex, ey = self._element(x), self._element(y)
         rx, ry = self._root(ex.key), self._root(ey.key)
         if rx == ry:
             return True
         if ry in self._apart.get(rx, ()):
             return False
-        if not self._has_inverse(x, y, ex, ey, kerf, kerg, budget):
+        if self._h0_dim(ex) != self._h0_dim(ey) or not self._has_inverse(x, y, ex, ey, budget):
             self._apart.setdefault(rx, set()).add(ry)
             self._apart.setdefault(ry, set()).add(rx)
             return False
@@ -339,8 +342,10 @@ def moduli_set(
     """Partition of MC(A) into isomorphism classes of H^0(MC_dg(A)).
 
     Each element joins the first class whose first member it is gauge
-    equivalent to (`GaugeClasses.equivalent`, one affine solve per class of
-    H^0), or opens a new class.  Classes and their members are
+    equivalent to, or opens a new class.  The verdicts come from one
+    `GaugeClasses` memo, so a comparison is solved (one affine solve per
+    class of H^0, refused above p^dim H^0 of the pair) only where neither
+    the memo nor dim H^0(x, x) decides it.  Classes and their members are
     deterministically ordered.
     """
     elems = mc_enumerate(A, budget=budget) if mc is None else mc

@@ -44,7 +44,7 @@ from .gradedlin import (
     vec_eq,
     vec_is_zero,
 )
-from .barcobar import mc_hom_enumerate
+from .barcobar import mc_convolution_enumerate
 from .mc import GaugeClasses, path_object
 from .presented import Arrow, PresentedCurvedAlgebra, free_algebra_presentation
 
@@ -425,11 +425,12 @@ def is_fibration_mcdg(
     Every pair is queried in the order of the exhaustive pairwise search,
     but each verdict comes from a `GaugeClasses` memo kept for this call:
     gauge equivalence is an equivalence relation, so a pair whose classes
-    are already joined or known distinct is answered at once, and any other
-    pair by one affine solve per class of H^0 (`GaugeClasses.equivalent`),
-    without enumerating chain-map pairs.  Each query still makes the
-    search's budget count first, so the call refuses exactly where the
-    pairwise search would, with the same count.
+    are already joined or known distinct is answered at once, without a
+    chain-map kernel, as is a pair with dim H^0(x, x) != dim H^0(y, y).
+    Any other pair takes one affine solve per class of H^0
+    (`GaugeClasses.equivalent`) and refuses when those p^dim H^0 classes
+    exceed the budget.  Hom(C, A) and Hom(C, A') are each built once, and
+    their MC sets enumerated from those builds.
     """
     A, Ap = g.source, g.target
     F = A.field
@@ -444,8 +445,8 @@ def is_fibration_mcdg(
         report["verdict"] = False
         report["witness"] = "hom-complex surjectivity fails"
         return report
-    X = mc_hom_enumerate(C, A, budget=budget)
-    Y = mc_hom_enumerate(C, Ap, budget=budget)
+    X = mc_convolution_enumerate(convA, budget)
+    Y = mc_convolution_enumerate(convAp, budget)
     EA, EAp = convA.algebra, convAp.algebra
     images = [gstar.push_mc(x) for x in X]
     classes_A = GaugeClasses(EA, budget=budget)
@@ -502,9 +503,9 @@ def rectify_cofibration(
     """Rectify a homotopy-commutative triangle: given X in MC Hom(C', A)
     whose restriction is gauge-equivalent to g0 in Hom(C, A), find Xt with
     restriction exactly g0 and Xt gauge-equivalent to X: the first such
-    candidate of `mc_hom_enumerate`.  Both gauge tests are verdicts of
-    `GaugeClasses.equivalent`, with the budget count of the quadruple
-    search; no witness quadruple is built."""
+    candidate of `mc_convolution_enumerate`.  Both gauge tests are
+    verdicts of `GaugeClasses.equivalent`, memo first, each refusing only
+    above p^dim H^0 of its pair; no witness quadruple is built."""
     F = A.field
     convb = convolution_algebra(Cp, A)
     convs = convolution_algebra(C, A)
@@ -521,7 +522,7 @@ def rectify_cofibration(
             "verdict": False,
             "witness": "triangle is not homotopy commutative (no gauge r(X) ~ g0)",
         }
-    cands = mc_hom_enumerate(Cp, A, budget=budget)
+    cands = mc_convolution_enumerate(convb, budget)
     gauge = GaugeClasses(convb.algebra, budget)  # X's data is built once
     for xt in cands:
         if not vec_eq(F, restrict.apply(xt), g0):
@@ -557,7 +558,7 @@ def lifting_solver(
     if not vec_eq(F, lhs, rhs):
         return {"verdict": False, "witness": "square does not commute"}
     try:
-        cands = mc_hom_enumerate(Cp, A, budget=budget)
+        cands = mc_convolution_enumerate(convCpA, budget)
         complete = True
     except BudgetExceeded:
         return {"verdict": False, "witness": "budget exhausted", "search_complete": False}

@@ -122,6 +122,13 @@ def reference_echelon(F, ncols, rows):
     return pivot_rows
 
 
+def reference_chain_map_dim(A, x, y):
+    """dim Z^0(x, y): the degree-0 basis count minus the rank of its images
+    under D_{x->y}."""
+    images = [reference_twisted_apply(A, x, y, A.space.basis_vector(j)) for j in A.degree_indices(0)]
+    return len(images) - len(reference_echelon(A.field, A.dim, images))
+
+
 def reference_validate(A, max_violations=8):
     F, n = A.field, A.dim
     out = []

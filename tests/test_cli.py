@@ -361,6 +361,11 @@ def test_labels_map_small_labels_to_big_labels(tmp_path, capsys, labels):
         (["cobar", "{doc}", "--truncate", "-1"], "--truncate"),
         (["bar-dual", "{doc}", "--truncate", "-1"], "--truncate"),
         (["omega-cat", "{doc}", "--window", "junk"], "--window"),
+        (["alg-mc", "{doc}", "--basepoint", "e_e'", "--truncate", "0"], "--truncate"),
+        (["alg-mc", "{doc}", "--basepoint", "e_e'", "--truncate", "-1"], "--truncate"),
+        (["adjunction-check", "{doc}", "{doc}", "--truncate", "-1"], "--truncate"),
+        (["--max-enum", "-1", "mc-enum", "{doc}"], "--max-enum"),
+        (["--max-enum", "junk", "mc-enum", "{doc}"], "--max-enum"),
     ],
 )
 def test_integer_and_window_arguments_are_input_errors(tmp_path, capsys, argv, name):
@@ -368,3 +373,42 @@ def test_integer_and_window_arguments_are_input_errors(tmp_path, capsys, argv, n
     run_cli(capsys, ["interval", "2", "--field", "2", "--export", str(f)])
     code, rep = run_cli(capsys, [a.format(doc=f) for a in argv])
     assert code == 2 and rep["error"].startswith(f"{name} must be")
+
+
+def test_window_may_start_below_zero(tmp_path, capsys):
+    # "--window -1,0" reads as an option to argparse unless joined to its flag
+    f = tmp_path / "I2p2.json"
+    run_cli(capsys, ["interval", "2", "--field", "2", "--export", str(f)])
+    joined = run_cli(capsys, ["omega-cat", str(f), "--window=-1,0"])
+    split = run_cli(capsys, ["omega-cat", str(f), "--window", "-1,0"])
+    assert joined == split
+    code, rep = joined
+    assert code == 0 and rep["hom_cohomology"]
+    assert all(set(H) == {"-1", "0"} for H in rep["hom_cohomology"].values())
+
+
+def test_rectify_and_lift_build_each_convolution_algebra_once(tmp_path, capsys, monkeypatch):
+    # the element arguments are read on the convolution spaces; the library
+    # builds each Hom(C, A) once: Hom(I_1, A) and Hom(k, A) for rectify, and
+    # those of A and A' for lift
+    from curvlab import barcobar, cli, modelcheck
+    from curvlab.convolution import convolution_algebra
+
+    built = []
+
+    def counting(C, A):
+        built.append((C.dim, A.dim))
+        return convolution_algebra(C, A)
+
+    for module in (barcobar, cli, modelcheck):
+        monkeypatch.setattr(module, "convolution_algebra", counting)
+    p = _rectify_files(tmp_path)
+    small_big = [str(p["k"]), str(p["I1"])]
+    labels = ["--labels", '{"1\'": "e_e\'"}']
+    code, rep = run_cli(capsys, ["rectify", *small_big, str(p["A"]), "--x", "{}", "--g0", "{}", *labels])
+    assert code == 0 and rep["verdict"] is True
+    assert sorted(built) == [(1, 2), (3, 2)]
+    del built[:]
+    code, rep = run_cli(capsys, ["lift", *small_big, str(p["id"]), "--u", "{}", "--uprime", "{}", *labels])
+    assert code == 0 and rep["verdict"] is True
+    assert sorted(built) == [(1, 2), (1, 2), (3, 2), (3, 2)]

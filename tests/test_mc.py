@@ -44,6 +44,7 @@ from curvlab.mc import (
     three_homotopy_unpack,
     verify_n_homotopy,
 )
+from reference_algebra import reference_chain_map_dim
 
 
 def random_complex(rng, F, maxdim=4, degs=(0, 1, 2)):
@@ -429,17 +430,69 @@ def test_gauge_classes_match_pairwise_search():
         assert 0 < sum(expected) < len(expected)
 
 
-def test_gauge_classes_refuse_with_the_search_count():
-    # x with itself is a pair the memo could answer at once; it still makes
-    # the search's budget count first
+def test_gauge_classes_refuse_with_the_h0_count():
+    # Hom(I_1, k + k<1>) over F_2: dim H^0(x, x) is 1 for x0 and x4 and 2 for
+    # x1 and x2, with dim H^0(x1, x2) = 1 and dim H^0(x0, x4) = 0
     E = _interval_convolution(2)
-    x, y = mc_enumerate(E)[:2]
-    for u, v in ((x, y), (x, x)):
+    x0, x1, x2, _, x4, _ = mc_enumerate(E)
+
+    def h0(u, v):
+        return h0_hom(E, u, v)["dim"]
+
+    assert (h0(x0, x0), h0(x1, x1), h0(x2, x2), h0(x4, x4)) == (1, 2, 2, 1)
+    assert (h0(x1, x2), h0(x0, x4)) == (1, 0)
+    # the witness search keeps its count p^(dim Z0(x,y) + dim Z0(y,x))
+    for u, v in ((x0, x0), (x0, x1), (x1, x2)):
         with pytest.raises(BudgetExceeded) as search:
             find_gauge_quadruple(E, u, v, budget=1)
-        with pytest.raises(BudgetExceeded) as memo:
-            GaugeClasses(E, budget=1).equivalent(u, v)
-        assert (memo.value.required, memo.value.budget) == (search.value.required, 1)
+        assert search.value.required == 2 ** (reference_chain_map_dim(E, u, v) + reference_chain_map_dim(E, v, u))
+    assert reference_chain_map_dim(E, x0, x4) == reference_chain_map_dim(E, x4, x0) == 0
+    # the verdict refuses only on distinct ends with equal dim H^0(x, x) and
+    # dim H^0(y, y), with the count p^dim H^0(x, y), whatever the memo holds
+    for memo in (GaugeClasses(E, budget=1), None):
+        ask = memo.equivalent if memo else lambda u, v: GaugeClasses(E, budget=1).equivalent(u, v)
+        assert ask(x0, x0) is True
+        assert ask(x0, x1) is False
+        assert ask(x0, x4) is False and find_gauge_quadruple(E, x0, x4, budget=1) is None
+        with pytest.raises(BudgetExceeded) as refused:
+            ask(x1, x2)
+        assert (refused.value.required, refused.value.budget) == (2 ** h0(x1, x2), 1)
+    assert GaugeClasses(E, budget=2).equivalent(x1, x2) is (find_gauge_quadruple(E, x1, x2) is not None)
+
+
+@pytest.mark.parametrize("E", [_interval_convolution(2), _end_algebra(3, (0, 1, 1))], ids=["conv", "end"])
+def test_gauge_query_builds_at_most_two_pair_kernels(monkeypatch, E):
+    """Each verdict builds Z0(x, y) and Z0(y, x) at most once, and none when
+    the memo or unequal dim H^0(x, x), dim H^0(y, y) decide it; Z0(x, x) is
+    built once per element."""
+    built = []
+    build = GaugeClasses._chain_map_basis
+
+    def counting(self, ex, ey):
+        built.append((ex.key, ey.key))
+        return build(self, ex, ey)
+
+    monkeypatch.setattr(GaugeClasses, "_chain_map_basis", counting)
+    elems = mc_enumerate(E)
+    gauge = GaugeClasses(E)
+
+    def key(v):
+        return tuple(sorted(v.items()))
+
+    h0 = {key(x): h0_hom(E, x, x)["dim"] for x in elems}
+    pair_builds = 0
+    for x in elems:
+        for y in elems:
+            rx, ry = gauge._root(key(x)), gauge._root(key(y))
+            decided = rx == ry or ry in gauge._apart.get(rx, ()) or h0[key(x)] != h0[key(y)]
+            before = len(built)
+            gauge.equivalent(x, y)
+            pairs = [b for b in built[before:] if b[0] != b[1]]
+            assert len(pairs) <= (0 if decided else 2)
+            pair_builds += len(pairs)
+    selves = [b for b in built if b[0] == b[1]]
+    assert len(selves) == len(set(selves)) == len(elems)
+    assert 0 < pair_builds < len(elems) * (len(elems) - 1)
 
 
 # over F_3 and F_5 the signs of the seven components show; most of the

@@ -13,7 +13,7 @@ from curvlab.convolution import convolution_algebra, induced_convolution_morphis
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_eq, vec_is_zero
 from curvlab.interval import make_interval
-from curvlab.mc import find_gauge_quadruple
+from curvlab.mc import find_gauge_quadruple, h0_hom
 from curvlab.modelcheck import (
     alg_mc,
     alg_mc_basepoint_substitution,
@@ -342,9 +342,36 @@ def test_memoized_fibration_matches_pairwise_search(degrees, cname):
     assert rep["pairs_checked"] > 0
 
 
-def test_memoized_fibration_refuses_like_the_search():
+def test_memoized_fibration_refuses_with_the_h0_count():
+    # the identity of (k + k<1>) x k x k against k: MC = {0, v} fits in 2
+    # states, and the second query, 0 against v, has dim H^0(0, 0) =
+    # dim H^0(v, v) = 3 and dim H^0(0, v) = 2
+    F = GF(2)
+    A = direct_product(_small_square_zero(F, (1,)), direct_product(ground_algebra(F), ground_algebra(F)))
+    g = CurvedMorphism(A, A, GradedMap.identity(A.space), {})
+    C = dict(standard_coalgebra_battery(F))["k"]
+    E = convolution_algebra(C, A).algebra
+    zero, v = mc_hom_enumerate(C, A, budget=2)
+    assert (h0_hom(E, zero, zero)["dim"], h0_hom(E, v, v)["dim"]) == (3, 3)
+    required = 2 ** h0_hom(E, zero, v)["dim"]
+    assert required == 4
+    for budget in (2, required - 1):
+        with pytest.raises(BudgetExceeded) as memo:
+            is_fibration_mcdg(C, g, budget=budget)
+        assert (memo.value.required, memo.value.budget) == (required, budget)
+    # the pairwise search refuses its first pair, 0 with 0, below
+    # 2^(2 dim Z0(0, 0)) = 64 (E has no degree -1, so Z0 = H0)
+    with pytest.raises(BudgetExceeded) as search:
+        _pairwise_fibration_report(C, g, 63)
+    assert search.value.required == 64
+    rep = is_fibration_mcdg(C, g, budget=required)
+    assert rep == _pairwise_fibration_report(C, g, 64) and rep["verdict"] is True
+
+
+def test_memoized_fibration_answers_where_the_search_refuses():
     # k x k -> (k x k) x (k x k) against dual(k+V): the MC enumerations fit
-    # in 2^4 states, the first gauge pair needs more
+    # in 2^4 states; the first gauge pair's search needs more, its H^0 count
+    # does not
     F = GF(2)
     A = direct_product(ground_algebra(F), ground_algebra(F))
     g = endpoint_projection(A, 3)
@@ -358,11 +385,10 @@ def test_memoized_fibration_refuses_like_the_search():
         find_gauge_quadruple(convAp.algebra, gstar.push_mc(x0), y0, budget=2**4)
     required = search.value.required
     assert required > 2**4
-    for budget in (2**4, required - 1):
-        with pytest.raises(BudgetExceeded) as memo:
-            is_fibration_mcdg(C, g, budget=budget)
-        assert (memo.value.required, memo.value.budget) == (required, budget)
-    assert is_fibration_mcdg(C, g, budget=required)["verdict"] is True
+    with pytest.raises(BudgetExceeded):
+        _pairwise_fibration_report(C, g, 2**4)
+    rep = is_fibration_mcdg(C, g, budget=2**4)
+    assert rep == _pairwise_fibration_report(C, g, required) and rep["verdict"] is True
 
 
 def test_rectify_cofibration_builds_one_gauge_memo(monkeypatch):
@@ -393,3 +419,44 @@ def test_rectify_cofibration_builds_one_gauge_memo(monkeypatch):
     assert rep["verdict"] is True
     assert built.count(big.dim) == 1
     assert find_gauge_quadruple(big, X, rep["lift"]) is not None
+
+
+def test_each_convolution_algebra_is_built_once(monkeypatch):
+    """The model-structure checks build each Hom(C, A) they use once and
+    enumerate its MC set from that build: two per fibration cell, two per
+    rectification, four per lifting square and one for morphisms_via_mc."""
+    from curvlab import barcobar, modelcheck
+    from curvlab.algebra import identity_morphism
+    from curvlab.barcobar import morphisms_via_mc
+    from curvlab.modelcheck import restrict_element
+
+    F = GF(2)
+    A = _small_square_zero(F, (1,))
+    Cs = dualize_algebra(ground_algebra(F))
+    Cb = dualize_algebra(make_interval(F, 1).algebra)
+    idual = inclusion_dual_for_subcoalgebra(Cb, Cs, {"1'": "e_e'"})
+    X = mc_hom_enumerate(Cb, A)[2]
+    g0 = mc_hom_enumerate(Cs, A)[0]
+    u = restrict_element(convolution_algebra(Cb, A), convolution_algebra(Cs, A), idual, X)
+    built = []
+
+    def counting(C, B):
+        built.append((C.dim, B.dim))
+        return convolution_algebra(C, B)
+
+    monkeypatch.setattr(barcobar, "convolution_algebra", counting)
+    monkeypatch.setattr(modelcheck, "convolution_algebra", counting)
+
+    def builds(fn, *args):
+        del built[:]
+        assert fn(*args)["verdict"] is True
+        return sorted(built)
+
+    big, small = (Cb.dim, A.dim), (Cs.dim, A.dim)
+    g = endpoint_projection(A, 3)
+    assert builds(is_fibration_mcdg, Cs, g) == sorted([(Cs.dim, g.source.dim), (Cs.dim, g.target.dim)])
+    assert builds(rectify_cofibration, Cs, Cb, idual, A, X, g0) == sorted([big, small])
+    assert builds(lifting_solver, Cs, Cb, idual, identity_morphism(A), u, X) == sorted([big, big, small, small])
+    del built[:]
+    assert morphisms_via_mc(Cb, A, Cb.space.index("e_e'"), 3)
+    assert built == [big]

@@ -49,12 +49,13 @@ from curvlab.gradedlin import (
     vec_sub,
 )
 from curvlab.interval import make_interval
-from curvlab.mc import GaugeClasses
+from curvlab.mc import GaugeClasses, h0_hom
 from curvlab.randgen import random_curved_algebra, rebased_algebra
 from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
     reference_add_scaled,
     reference_apply,
+    reference_chain_map_dim,
     reference_echelon,
     reference_product,
     reference_reduce,
@@ -339,7 +340,7 @@ def small_mc_elements(A):
 @settings(max_examples=100, **SETTINGS)
 @given(st.data())
 def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
-    """The gauge search's cached chain maps x -> y are the kernel of the
+    """The gauge search's chain maps x -> y are the kernel of the
     degree-0 columns of twisted_map(A, x, y), as LinearSystem gives it."""
     A = data.draw(twist_algebras())
     mc = small_mc_elements(A)
@@ -382,12 +383,32 @@ def verdict_or_refusal(fn):
         return ("refused", exc.required, exc.budget)
 
 
+def h0_refusal(A, x, y, budget):
+    """The verdict's refusal, if any: ("refused", p^dim H^0(x, y), budget)
+    exactly when x != y, dim H^0(x, x) = dim H^0(y, y) and that count is
+    over the budget."""
+    dims = [h0_hom(A, u, v)["dim"] for u, v in ((x, y), (x, x), (y, y))]
+    count = A.field.characteristic ** dims[0]
+    if x != y and dims[1] == dims[2] and count > budget:
+        return ("refused", count, budget)
+    return None
+
+
+def reference_verdict(A, x, y):
+    """quadruple(x, y) is not None where the search answers at 2^12, and a
+    memo-free verdict where it refuses."""
+    search = verdict_or_refusal(lambda: GaugeClasses(A, budget=2**12).quadruple(x, y) is not None)
+    return GaugeClasses(A, budget=2**12).equivalent(x, y) if isinstance(search, tuple) else search
+
+
 @settings(max_examples=200, **SETTINGS)
 @given(st.data())
 def test_gauge_verdict_is_the_quadruple_search(data):
-    """equivalent(x, y) == (quadruple(x, y) is not None) on a run of pairs
-    through one memo, refusing with the same count where the search does;
-    at budgets 1 and p both refuse with the same count."""
+    """Through one memo, equivalent(x, y) refuses exactly as `h0_refusal`
+    says, and otherwise equals (quadruple(x, y) is not None) wherever the
+    search answers, or else a memo-free verdict.  At budgets 1 and p the
+    search still refuses with p^(dim Z0(x,y) + dim Z0(y,x)) over the
+    budget."""
     A = data.draw(gauge_algebras())
     mc = mc_enumerate(A)
     if not mc:
@@ -396,13 +417,20 @@ def test_gauge_verdict_is_the_quadruple_search(data):
     memo = GaugeClasses(A, budget=2**12)
     for x, y in pairs:
         got = verdict_or_refusal(lambda: memo.equivalent(x, y))
-        want = verdict_or_refusal(lambda: GaugeClasses(A, budget=2**12).quadruple(x, y) is not None)
-        assert got == want
+        assert got == (h0_refusal(A, x, y, 2**12) or reference_verdict(A, x, y))
     x, y = pairs[0]
-    for budget in (1, A.field.characteristic):
+    p = A.field.characteristic
+    for budget in (1, p):
+        search = verdict_or_refusal(lambda: GaugeClasses(A, budget).quadruple(x, y) is not None)
+        count = p ** (reference_chain_map_dim(A, x, y) + reference_chain_map_dim(A, y, x))
+        assert search == (("refused", count, budget) if count > budget else reference_verdict(A, x, y))
         got = verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(x, y))
-        want = verdict_or_refusal(lambda: GaugeClasses(A, budget).quadruple(x, y))
-        assert got == want and got[0] == "refused"
+        assert got == (h0_refusal(A, x, y, budget) or reference_verdict(A, x, y))
+    # unequal dim H^0(x, x), dim H^0(y, y) and equal ends answer at budget 1
+    for x, y in pairs:
+        assert GaugeClasses(A, 1).equivalent(x, x) is True
+        if h0_hom(A, x, x)["dim"] != h0_hom(A, y, y)["dim"]:
+            assert GaugeClasses(A, 1).equivalent(x, y) is False
 
 
 @settings(max_examples=20, **SETTINGS)
