@@ -4,14 +4,14 @@ Searches refuse (never silently truncate) when the state count would exceed
 the budget.  Default is 2^16 states, overridable via CURVLAB_MAX_ENUM.
 Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
 enumerator, which resolves a budget of None to `default_budget()`; only the
-gauge counts and the staged count of `mc_convolution_enumerate` are checked
-where they are made.  A gauge verdict (`mc.GaugeClasses.equivalent`) counts
-the p^dim H^0(x, y) classes it solves over, and only for a pair that its
-memo and dim H^0(x, x) = dim H^0(y, y) leave open; the witness search
-(`GaugeClasses.quadruple`) counts its p^(dim Z0(x,y) + dim Z0(y,x)) pairs.
-Radicals (and so coradicals, css
-quotients and conilpotency degrees) and the central idempotents of
-`css_decompose` are computed by linear algebra and take no budget.
+gauge count and the staged count of `mc_convolution_enumerate` are checked
+where they are made.  The gauge solve (`mc.GaugeClasses`), behind the
+verdict, the witness quadruple and the 3-homotopies of n_homotopy_search,
+counts the p^dim H^0(x, y) classes it solves over: it refuses for distinct
+x, y with dim H^0(x, x) = dim H^0(y, y) when that count exceeds the budget,
+and nowhere else.  Radicals (and so coradicals, css quotients and
+conilpotency degrees) and the central idempotents of `css_decompose` are
+computed by linear algebra and take no budget.
 """
 
 from __future__ import annotations

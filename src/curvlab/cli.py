@@ -97,22 +97,47 @@ def _field(args) -> FieldSpec:
     return GF(int(args.field))
 
 
-def _load_algebra(path: str) -> CurvedAlgebra:
-    obj, _ = load_path(path)
-    if isinstance(obj, PresentedCurvedAlgebra):
+def _materialized(obj):
+    """obj, with a presentation materialized: a word the presentation cannot
+    realize (an unknown arrow or vertex) is a DocumentError (exit 2)."""
+    if not isinstance(obj, PresentedCurvedAlgebra):
+        return obj
+    try:
         return obj.materialize().algebra
+    except (KeyError, ValueError) as e:
+        raise DocumentError(f"bad presented document: {e}") from None
+
+
+def _load_algebra(path: str) -> CurvedAlgebra:
+    obj = _materialized(load_path(path)[0])
     if isinstance(obj, CurvedCoalgebra):
         raise DocumentError(f"{path} holds a coalgebra where an algebra is required")
     return obj
 
 
 def _load_coalgebra(path: str) -> CurvedCoalgebra:
-    obj, ann = load_path(path)
-    if isinstance(obj, CurvedCoalgebra):
-        return obj
-    if isinstance(obj, PresentedCurvedAlgebra):
-        obj = obj.materialize().algebra
-    return dualize_algebra(obj)
+    obj = _materialized(load_path(path)[0])
+    return obj if isinstance(obj, CurvedCoalgebra) else dualize_algebra(obj)
+
+
+def _read(source, key: str, name: str):
+    """The entry `key` of a document object, or the index of the label `key`
+    in a graded space: user input, so a missing key or label, or a document
+    that is not an object, is a DocumentError (exit 2) naming `name`."""
+    if isinstance(source, GradedSpace):
+        if key in source.labels():
+            return source.index(key)
+    elif isinstance(source, dict) and key in source:
+        return source[key]
+    raise DocumentError(f"{name}: no key or label {key!r}")
+
+
+def _element(space: GradedSpace, text: Optional[str], flag: str) -> dict:
+    """The element argument `flag`: JSON {label: coefficient} over `space`;
+    DocumentError (exit 2) when it is missing or anything else."""
+    if text is None:
+        raise DocumentError(f"{flag} is required")
+    return parse_element(space, json.loads(text), flag)
 
 
 def _positive(value, name: str) -> int:
@@ -164,17 +189,14 @@ def _pretty(space: GradedSpace, v: dict) -> dict:
 def _load_morphism(path: str) -> CurvedMorphism:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    Asrc, _ = load_document(doc["source"])
-    Atgt, _ = load_document(doc["target"])
-    if isinstance(Asrc, PresentedCurvedAlgebra):
-        Asrc = Asrc.materialize().algebra
-    if isinstance(Atgt, PresentedCurvedAlgebra):
-        Atgt = Atgt.materialize().algebra
-    if not isinstance(doc["map"], dict):
+    Asrc = _materialized(load_document(_read(doc, "source", path))[0])
+    Atgt = _materialized(load_document(_read(doc, "target", path))[0])
+    images = _read(doc, "map", path)
+    if not isinstance(images, dict):
         raise DocumentError("'map' must be an object {label: element}")
     entries: Dict[int, dict] = {}
-    for src_l, img in doc["map"].items():
-        entries[Asrc.space.index(src_l)] = parse_element(Atgt.space, img, f"map[{src_l!r}]")
+    for src_l, img in images.items():
+        entries[_read(Asrc.space, src_l, "'map'")] = parse_element(Atgt.space, img, f"map[{src_l!r}]")
     b = parse_element(Atgt.space, doc.get("b", {}), "b")
     try:
         f = GradedMap(Asrc.space, Atgt.space, 0, entries)
@@ -188,10 +210,8 @@ def _load_morphism(path: str) -> CurvedMorphism:
 
 
 def cmd_validate(args) -> int:
-    obj, _ = load_path(args.file)
+    obj = _materialized(load_path(args.file)[0])
     rep = base_report(args, "curved (co)algebra axioms: d(h)=0 and d^2=[h,-] exact")
-    if isinstance(obj, PresentedCurvedAlgebra):
-        obj = obj.materialize().algebra
     bad = obj.validate()
     rep["valid"] = not bad
     rep["violations"] = bad
@@ -240,8 +260,8 @@ def cmd_moduli(args) -> int:
 
 def cmd_homotopy(args) -> int:
     A = _load_algebra(args.file)
-    x = parse_element(A.space, json.loads(args.x), "--x")
-    y = parse_element(A.space, json.loads(args.y), "--y")
+    x = _element(A.space, args.x, "--x")
+    y = _element(A.space, args.y, "--y")
     n = _positive(args.n, "--n")
     rep = base_report(args, f"{n}-homotopy of MC elements through the interval algebra")
     H = n_homotopy_search(A, x, y, n, budget=args.max_enum)
@@ -256,7 +276,7 @@ def cmd_homotopy(args) -> int:
 
 def cmd_twist(args) -> int:
     A = _load_algebra(args.file)
-    x = parse_element(A.space, json.loads(args.x), "--x")
+    x = _element(A.space, args.x, "--x")
     rep = base_report(args, "twist by an MC element: d^x = d + [x,-], curvature 0")
     try:
         Ax, iso = twist_algebra(A, x)
@@ -299,7 +319,7 @@ def cmd_convolve(args) -> int:
 
 def cmd_cobar(args) -> int:
     C = _load_coalgebra(args.coalgebra)
-    w = C.space.index(args.coaugmentation) if args.coaugmentation else 0
+    w = _read(C.space, args.coaugmentation, "--coaugmentation") if args.coaugmentation else 0
     rep = base_report(args, "truncated cobar construction on the coaugmentation coideal")
     om = cobar(C, w, _positive(args.truncate, "--truncate"))
     rep["dimensions_per_degree"] = {
@@ -313,7 +333,7 @@ def cmd_cobar(args) -> int:
 def cmd_bar_dual(args) -> int:
     A = _load_algebra(args.algebra)
     rep = base_report(args, "truncated dual bar construction (tensor algebra on the shifted dual)")
-    w = A.space.index(args.splitting) if args.splitting else None
+    w = _read(A.space, args.splitting, "--splitting") if args.splitting else None
     bd = bar_dual(A, _positive(args.truncate, "--truncate"), w_index=w)
     rep["dimensions_per_degree"] = {
         str(d): c
@@ -326,7 +346,7 @@ def cmd_bar_dual(args) -> int:
 def cmd_adjunction_check(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     A = _load_algebra(args.algebra)
-    w = C.space.index(args.coaugmentation) if args.coaugmentation else 0
+    w = _read(C.space, args.coaugmentation, "--coaugmentation") if args.coaugmentation else 0
     rep = base_report(args, "bar-cobar morphism counts through MC sets of Hom(C,A)")
     try:
         rep.update(
@@ -344,7 +364,7 @@ def cmd_twisted(args) -> int:
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = parse_basis(A.field, json.loads(args.module), "--module")
     amb = ambient_algebra(A, V)
-    xi = parse_element(amb.space, json.loads(args.xi), "--xi")
+    xi = _element(amb.space, args.xi, "--xi")
     if args.action == "make":
         try:
             M = make_twisted(A, V, xi)
@@ -375,12 +395,16 @@ def cmd_twisted(args) -> int:
 def cmd_obstruction(args) -> int:
     with open(args.extension, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    A, _ = load_document(doc["total"])
-    if isinstance(A, PresentedCurvedAlgebra):
-        A = A.materialize().algebra
-    ideal = [A.space.index(l) for l in doc["ideal"]]
-    ext = extension_from_total(A, ideal)
-    x = parse_element(ext.B.space, json.loads(args.x), "--x")
+    A = _materialized(load_document(_read(doc, "total", args.extension))[0])
+    labels = _read(doc, "ideal", args.extension)
+    if not isinstance(labels, list):
+        raise DocumentError("'ideal' must be a list of labels")
+    ideal = [_read(A.space, l, "'ideal'") for l in labels]
+    try:
+        ext = extension_from_total(A, ideal)
+    except ValueError as e:
+        raise DocumentError(f"'ideal': {e}") from None
+    x = _element(ext.B.space, args.x, "--x")
     if args.action == "class":
         rep = base_report(args, "obstruction cocycle nu(x) = del(x) + xi(x,x)")
         nu, cert = obstruction_class(ext, x)
@@ -401,7 +425,7 @@ def cmd_obstruction(args) -> int:
         return emit(rep, 1)
     if args.action == "gauge-lift":
         rep = base_report(args, "semisplit gauge transport l' = f l g - del(f) g + del(y) h2")
-        y = parse_element(ext.B.space, json.loads(args.y), "--y")
+        y = _element(ext.B.space, args.y, "--y")
         quad = find_gauge_quadruple(ext.B, x, y, budget=args.max_enum)
         if quad is None:
             rep["verdict"] = False
@@ -555,8 +579,8 @@ def cmd_rectify(args) -> int:
     label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
     big = convolution_space(Cp, A)
-    X = parse_element(big, json.loads(args.x), "--x")
-    g0 = parse_element(convolution_space(Csub, A), json.loads(args.g0), "--g0")
+    X = _element(big, args.x, "--x")
+    g0 = _element(convolution_space(Csub, A), args.g0, "--g0")
     rep = base_report(args, "rectification of a homotopy-commutative triangle")
     try:
         res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum)
@@ -574,8 +598,8 @@ def cmd_lift(args) -> int:
     g = _load_morphism(args.morphism)
     label_map = _label_map(Csub, Cp, json.loads(args.labels))
     idual = inclusion_dual_for_subcoalgebra(Cp, Csub, label_map)
-    u = parse_element(convolution_space(Csub, g.source), json.loads(args.u), "--u")
-    up = parse_element(convolution_space(Cp, g.target), json.loads(args.uprime), "--uprime")
+    u = _element(convolution_space(Csub, g.source), args.u, "--u")
+    up = _element(convolution_space(Cp, g.target), args.uprime, "--uprime")
     rep = base_report(args, "lifting solver for an injection against a fibration")
     try:
         res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum)
@@ -719,8 +743,6 @@ def main(argv=None) -> int:
         return fail_budget(e)
     except PrimeFieldRequired as e:
         return fail_input(str(e))
-    except KeyError as e:
-        return fail_input(f"missing key or label: {e}")
 
 
 if __name__ == "__main__":

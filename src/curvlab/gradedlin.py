@@ -285,13 +285,13 @@ def enumerate_affine(
     affine subspace over F_p, as a lazy iterator.
 
     The n-th point takes the base-p digits of n as its coefficients, with
-    kernel[0] the lowest digit; `GaugeClasses.quadruple` relies on this
-    order.  Each point is a copy of `particular` to which c_a kernel[a] is
-    added in place in kernel order, a coordinate that becomes zero being
-    dropped, so keys come in the order that `vec_add` chains give.  This is
-    where searches apply their budget (`None` means `default_budget()`):
-    the call itself raises BudgetExceeded(p ** len(kernel), budget), before
-    any point is produced.
+    kernel[0] the lowest digit; the gauge witness and the exhaustive test
+    oracle rely on this order.  Each point is a copy of `particular` to
+    which c_a kernel[a] is added in place in kernel order, a coordinate that
+    becomes zero being dropped, so keys come in the order that `vec_add`
+    chains give.  This is where searches apply their budget (`None` means
+    `default_budget()`): the call itself raises
+    BudgetExceeded(p ** len(kernel), budget), before any point is produced.
     """
     if not F.is_prime_field:
         raise PrimeFieldRequired("affine enumeration needs a finite field")

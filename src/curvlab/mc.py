@@ -5,11 +5,13 @@ of (co)algebra maps, and the three-homotopy functor data.
 Hom-complex convention: the morphism complex from x to y is A with
 differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
-(f, g, h1, h2) witnesses mutual inversion in H^0.  The verdict
-(`GaugeClasses.equivalent`) reads a memo closed under ~ first, answers
-dim H^0(x, x) != dim H^0(y, y) as distinct, and otherwise makes one affine
-solve per class of H^0(x, y), refusing above p^dim H^0(x, y); the
-exhaustive quadruple search (`GaugeClasses.quadruple`) gives the witness.
+(f, g, h1, h2) witnesses mutual inversion in H^0.  One gauge solve decides
+it (`GaugeClasses`), one affine solve per class of H^0(x, y) under one
+budget rule, refusing above p^dim H^0(x, y).  The verdict (`equivalent`)
+reads a memo closed under ~ first and answers dim H^0(x, x) !=
+dim H^0(y, y) as distinct; the witness (`quadruple`) completes the pair
+(f, g) the solve finds with its homotopies, and `gauge_to_three_homotopy`
+builds from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
 """
 
 from __future__ import annotations
@@ -108,12 +110,13 @@ class GaugeQuadruple:
 def find_gauge_quadruple(
     A: CurvedAlgebra, x: dict, y: dict, budget: Optional[int] = None
 ) -> Optional[GaugeQuadruple]:
-    """Exhaustive search (over F_p) for a homotopy gauge equivalence x ~ y."""
+    """A homotopy gauge equivalence x ~ y over F_p, or None: the witness of
+    a fresh `GaugeClasses`, refusing exactly where its verdict refuses."""
     return GaugeClasses(A, budget).quadruple(x, y)
 
 
 class _ElementData(NamedTuple):
-    """What the gauge search needs of one MC element x."""
+    """What the gauge solve needs of one MC element x."""
 
     key: tuple
     left: List[dict]  # x.e_j over the degree-0 basis
@@ -123,23 +126,20 @@ class _ElementData(NamedTuple):
 
 class GaugeClasses:
     """Gauge equivalence on the MC elements of one algebra over F_p, with
-    what the verdicts and the witness search need cached per element.
+    what the verdicts and witnesses need cached per element.
 
-    `quadruple(x, y)` is the witness: it enumerates the chain maps
-    f: x -> y (outer) and g: y -> x (inner) in base-p order and returns the
-    first (f, g, h1, h2) with d^x h1 = gf - 1 and d^y h2 = fg - 1.  It
-    refuses when the p^(dim Z0(x,y) + dim Z0(y,x)) pairs exceed the budget.
+    x ~ y is isomorphism in H^0 of the MC dg category.  Both answers come
+    from one solve, `_inverse_pair`, which refuses when the p^dim H^0(x, y)
+    classes it tries exceed the budget; these dimensions are invariant
+    under gauge equivalence of either end, so whether a query refuses does
+    not depend on what the memo holds.
 
-    `equivalent(x, y)` is the verdict, quadruple(x, y) is not None, memo
-    first.  x ~ y is isomorphism in H^0 of the MC dg category, an
-    equivalence relation, so the verdicts are kept closed under it:
-    union-find over the elements seen, plus the pairs of classes known to
-    be distinct.  A pair the memo or dim H^0(x, x) != dim H^0(y, y) decides
-    builds no chain-map kernel; any other pair costs one affine solve per
-    class of H^0(x, y), and refuses when those p^dim H^0(x, y) classes
-    exceed the budget.  These dimensions are invariant under gauge
-    equivalence of either end, so whether a query refuses does not depend
-    on what the memo holds.
+    `equivalent(x, y)` is the verdict, memo first: the verdicts are kept
+    closed under ~ (union-find over the elements seen, plus the pairs of
+    classes known apart), and a pair the memo or dim H^0(x, x) !=
+    dim H^0(y, y) decides builds no chain-map kernel.  `quadruple(x, y)` is
+    the witness (f, g, h1, h2) from the same solve: None exactly where the
+    verdict is False, refused exactly where a fresh verdict refuses.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
@@ -186,57 +186,6 @@ class GaugeClasses:
         ]
         return LinearSystem(F, cols, A.dim).kernel
 
-    def quadruple(self, x: dict, y: dict) -> Optional[GaugeQuadruple]:
-        """The first quadruple in search order, or None.
-
-        For a fixed f, g f - 1 is affine in g, and so is its residue modulo
-        d^x: the residue at the n-th g is the one at the g whose lowest
-        nonzero base-p digit is one less, plus the residue of that kernel
-        basis vector times f.  So each g costs one vector addition, and
-        f g - 1 is reduced only where g f - 1 is a coboundary.
-        """
-        A, F = self.A, self.A.field
-        budget = self._budget()
-        ex, ey = self._element(x), self._element(y)
-        kerf, kerg = self._chain_map_basis(ex, ey), self._chain_map_basis(ey, ex)
-        p = F.characteristic
-        total = p ** (len(kerf) + len(kerg))
-        if total > budget:
-            raise BudgetExceeded(total, budget)
-        idx0, idxm1 = A.degree_indices(0), A.degree_indices(-1)
-
-        def homotopy(system: LinearSystem, res: dict) -> Optional[dict]:
-            h = system.solution(res)
-            return None if h is None else {idxm1[a]: c for a, c in h.items()}
-
-        gbasis = [{idx0[a]: c for a, c in k.items()} for k in kerg]
-        minus_one = vec_scale(F, F.neg(F.one()), A.unit)
-        gs = list(enumerate_affine(F, {}, kerg, budget))
-        for fc in enumerate_affine(F, {}, kerf, budget):
-            f = {idx0[a]: c for a, c in fc.items()}
-            steps: List[dict] = []
-            res = [ex.homotopies.residue(minus_one)]
-            for n, gc in enumerate(gs):
-                if n:
-                    i, m = 0, n
-                    while m % p == 0:
-                        i, m = i + 1, m // p
-                    if i == len(steps):
-                        steps.append(ex.homotopies.residue(A.product(gbasis[i], f)))
-                    res.append(vec_add(F, res[n - p**i], steps[i]))
-                h1 = homotopy(ex.homotopies, res[n])
-                if h1 is None:
-                    continue
-                g = {idx0[a]: c for a, c in gc.items()}
-                fg1 = vec_add(F, A.product(f, g), minus_one)
-                h2 = homotopy(ey.homotopies, ey.homotopies.residue(fg1))
-                if h2 is None:
-                    continue
-                quad = GaugeQuadruple(A, x, y, f, g, h1, h2)
-                assert quad.validate() == []
-                return quad
-        return None
-
     def _root(self, k: tuple) -> tuple:
         while self._parent.get(k, k) != k:
             k = self._parent[k]
@@ -249,22 +198,28 @@ class GaugeClasses:
             self._h0[ex.key] = len(self._chain_map_basis(ex, ex)) - ex.homotopies.rank
         return self._h0[ex.key]
 
-    def _has_inverse(self, x: dict, y: dict, ex: _ElementData, ey: _ElementData, budget: int) -> bool:
-        """Whether some f: x -> y has an inverse g: y -> x in H^0, for x, y
-        with dim H^0(x, x) = dim H^0(y, y).
+    def _inverse_pair(
+        self, x: dict, y: dict, ex: _ElementData, ey: _ElementData, budget: int
+    ) -> Optional[Tuple[dict, dict]]:
+        """Some f: x -> y with an inverse g: y -> x in H^0, as (f, g), or
+        None.
 
-        Whether f has one depends only on [f] in H^0(x, y), so f runs over
+        An inverse makes H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic, so
+        unequal dim H^0(x, x) and dim H^0(y, y) answer None before any pair
+        kernel, and unequal dim H^0(x, y) before Z^0(y, x).  Whether f has
+        one depends only on [f] in H^0(x, y), so f runs in base-p order over
         the span of the kernel basis vectors of Z^0(x, y) that are
         independent modulo B^0(x, y) = D_{x->y}(A^-1): p^dim H^0(x, y)
-        points, refused over the budget.  An inverse makes H^0(x, y) and
-        H^0(x, x) isomorphic, so unequal dimensions answer False without
-        building Z^0(y, x).
+        points, refused over the budget.  For x = y, f = 1 is the one point:
+        it has an inverse, so that answers at any budget.
 
         For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
         the row parts of the residues of g f modulo d^x and of f g modulo
         d^y equal those of 1.  They are bilinear in (g_i, f_j), so the
         residues of g_i f_j and f_j g_i are reduced once, and each f is one
-        `LinearSystem` on their sums: |kerg| columns on 2 dim A rows.
+        `LinearSystem` on their sums: |kerg| columns on 2 dim A rows.  The
+        first f whose system is solvable gives the pair, g from its
+        particular solution.
         """
         A, F, n = self.A, self.A.field, self.A.dim
         idx0 = A.degree_indices(0)
@@ -272,16 +227,28 @@ class GaugeClasses:
         def rows(system: LinearSystem, v: dict, shift: int) -> dict:
             return {i + shift: c for i, c in system.residue(v).items() if i < n}
 
-        boundaries = EchelonBasis(
-            F, n, [twisted_apply(A, x, y, A.space.basis_vector(k)) for k in A.degree_indices(-1)]
-        )
-        kerf = self._chain_map_basis(ex, ey)
-        fs = [f for f in ({idx0[a]: c for a, c in k.items()} for k in kerf) if boundaries.add(f)]
-        classes = F.characteristic ** len(fs)
-        if classes > budget:
-            raise BudgetExceeded(classes, budget)
-        if len(fs) != self._h0_dim(ex):
-            return False
+        def combine(coeffs: dict, vectors: List[dict]) -> dict:
+            out: dict = {}
+            for j, c in coeffs.items():
+                F.add_scaled(out, c, vectors[j])
+            return out
+
+        if ex.key == ey.key:
+            fs, points = [A.unit], [{0: F.one()}]
+        else:
+            if self._h0_dim(ex) != self._h0_dim(ey):
+                return None
+            boundaries = EchelonBasis(
+                F, n, [twisted_apply(A, x, y, A.space.basis_vector(k)) for k in A.degree_indices(-1)]
+            )
+            kerf = self._chain_map_basis(ex, ey)
+            fs = [f for f in ({idx0[a]: c for a, c in k.items()} for k in kerf) if boundaries.add(f)]
+            classes = F.characteristic ** len(fs)
+            if classes > budget:
+                raise BudgetExceeded(classes, budget)
+            if len(fs) != self._h0_dim(ex):
+                return None
+            points = enumerate_affine(F, {}, [{j: F.one()} for j in range(len(fs))], budget)
         gs = [{idx0[a]: c for a, c in k.items()} for k in self._chain_map_basis(ey, ex)]
         terms = []  # terms[i][j]: the residues of g_i f_j and f_j g_i
         for g in gs:
@@ -293,8 +260,7 @@ class GaugeClasses:
             terms.append(row)
         target = rows(ex.homotopies, A.unit, 0)
         target.update(rows(ey.homotopies, A.unit, n))
-        units = [{j: F.one()} for j in range(len(fs))]
-        for a in enumerate_affine(F, {}, units, budget):
+        for a in points:
             cols = []
             for row in terms:
                 col: dict = {}
@@ -302,19 +268,18 @@ class GaugeClasses:
                     F.add_scaled(col, c, row[j])
                 cols.append(col)
             system = LinearSystem(F, cols, 2 * n)
-            if system.solution(system.residue(target)) is not None:
-                return True
-        return False
+            sol = system.solution(system.residue(target))
+            if sol is not None:
+                return combine(a, fs), combine(sol, gs)
+        return None
 
     def equivalent(self, x: dict, y: dict) -> bool:
-        """Whether x ~ y, that is quadruple(x, y) is not None, memo first.
+        """Whether x ~ y, memo first.
 
         After the prime-field and MC checks, a pair whose classes the memo
-        has joined or separated is answered from it, and a pair with
-        dim H^0(x, x) != dim H^0(y, y) is recorded apart; neither builds a
-        chain-map kernel.  Any other pair is answered by `_has_inverse`,
-        one affine solve per class of H^0(x, y), and refuses with
-        BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
+        has joined or separated is answered from it and builds no chain-map
+        kernel.  Any other pair is answered by `_inverse_pair`, and refuses
+        with BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
         equivalent(x, x) is True at any budget.
         """
         budget = self._budget()
@@ -324,7 +289,7 @@ class GaugeClasses:
             return True
         if ry in self._apart.get(rx, ()):
             return False
-        if self._h0_dim(ex) != self._h0_dim(ey) or not self._has_inverse(x, y, ex, ey, budget):
+        if self._inverse_pair(x, y, ex, ey, budget) is None:
             self._apart.setdefault(rx, set()).add(ry)
             self._apart.setdefault(ry, set()).add(rx)
             return False
@@ -334,6 +299,29 @@ class GaugeClasses:
             self._apart[r].add(rx)
             self._apart.setdefault(rx, set()).add(r)
         return True
+
+    def quadruple(self, x: dict, y: dict) -> Optional[GaugeQuadruple]:
+        """The witness (f, g, h1, h2) of x ~ y, or None where x and y are
+        not equivalent: the pair `_inverse_pair` finds, with its refusal
+        (none for x = y), completed by the particular solutions of
+        d^x h1 = gf - 1 and d^y h2 = fg - 1.  The memo is neither read nor
+        written, so a witness is that of a fresh instance."""
+        A, F = self.A, self.A.field
+        budget = self._budget()
+        ex, ey = self._element(x), self._element(y)
+        pair = self._inverse_pair(x, y, ex, ey, budget)
+        if pair is None:
+            return None
+        f, g = pair
+        idxm1 = A.degree_indices(-1)
+
+        def homotopy(e: _ElementData, product: dict) -> dict:
+            h = e.homotopies.solution(e.homotopies.residue(vec_sub(F, product, A.unit)))
+            return {idxm1[a]: c for a, c in h.items()}
+
+        quad = GaugeQuadruple(A, x, y, f, g, homotopy(ex, A.product(g, f)), homotopy(ey, A.product(f, g)))
+        assert quad.validate() == []
+        return quad
 
 
 def moduli_set(
@@ -434,19 +422,25 @@ def square_zero_three_homotopy(A: CurvedAlgebra, x: dict, xp: dict) -> Optional[
 def n_homotopy_search(
     A: CurvedAlgebra, x: dict, xp: dict, n: int, budget: Optional[int] = None
 ) -> Optional[NHomotopy]:
-    """Find an n-homotopy between MC elements x, x' (exhaustive over F_p,
-    with the constructive square-zero shortcut tried first for n = 3)."""
+    """An n-homotopy between MC elements x, x', or None where there is none.
+
+    Equal ends give the constant homotopy.  For n = 3 it is built: the
+    square-zero shortcut (any field), else `gauge_to_three_homotopy` on the
+    gauge witness, which refuses as the verdict does and needs F_p.  Other
+    n enumerate the degree-1 coordinates of A @ I^n away from the ends over
+    F_p (that MC system is quadratic), refused above the budget.
+    """
     F = A.field
     if not A.is_mc(x) or not A.is_mc(xp):
         raise ValueError("endpoints must be MC elements")
     if vec_eq(F, x, xp):
         return constant_homotopy(A, x, n)
     if n == 3:
-        cand = square_zero_three_homotopy(A, x, xp)
-        if cand is not None:
-            return cand
-    if not F.is_prime_field:
-        return None
+        H = square_zero_three_homotopy(A, x, xp)
+        if H is not None:
+            return H
+        quad = GaugeClasses(A, budget).quadruple(x, xp)
+        return None if quad is None else gauge_to_three_homotopy(quad)
     I, T = path_object(A, n)
     fixed = _at(F, x, I, "e_e")
     fixed.update(_at(F, xp, I, "e_f"))
@@ -471,14 +465,18 @@ def verify_n_homotopy(A: CurvedAlgebra, x: dict, xp: dict, n: int, X: dict) -> b
     return vec_eq(A.field, e0, x) and vec_eq(A.field, e1, xp)
 
 
-def gauge_to_three_homotopy(
-    quad: GaugeQuadruple, budget: Optional[int] = None
-) -> Optional[NHomotopy]:
+def gauge_to_three_homotopy(quad: GaugeQuadruple) -> Optional[NHomotopy]:
     """Build a 3-homotopy from a gauge quadruple: components
     H_e = x, H_f = y, H_s = g - 1, H_t = f - 1, H_st = -h1, H_ts = -h2
     (so phi_s = g: y -> x and phi_t = f: x -> y, as in
-    `ThreeHomotopyData.identities`), then solve the remaining
-    sts-component linearly.
+    `ThreeHomotopyData.identities`), then solve the sts-component linearly.
+
+    What is left of the MC equation is its sts-component, a degree -1
+    cocycle y -> x, affine in H_sts and H_st.  Its class need not vanish for
+    the given h1, so H_st may also move by a d^x-cocycle z, which keeps
+    identity (5) and moves the class by [z g]; g is invertible in H^0, so
+    some z kills it.  Where H_sts alone suffices, the particular solution
+    leaves H_st = -h1.
     """
     A, F = quad.A, quad.A.field
     I, T = path_object(A, 3)
@@ -492,27 +490,22 @@ def gauge_to_three_homotopy(
         (quad.h2, "ts", m1),
     ):
         X.update(_at(F, part, I, word, c))
-    # solve the sts-component: affine-linear in the sts coordinates
-    sts = I.algebra.space.index("sts")
-    sts_targets = [tensor_index(i, sts, I.algebra.dim) for i in A.degree_indices(-2)]
-    res = T.mc_residual(X)
-    if not sts_targets:
-        if vec_is_zero(F, res):
-            return NHomotopy(A, 3, X)
-        return None
-    # the residual is quadratic: R(X + e_k) - R(X) = d^X e_k + e_k e_k
-    cols = [
-        vec_add(F, twisted_apply(T, X, X, T.space.basis_vector(k)), T.basis_product(k, k))
-        for k in sts_targets
+    idxm1 = A.degree_indices(-1)
+    cocycles = LinearSystem(
+        F, [twisted_apply(A, quad.x, quad.x, A.space.basis_vector(j)) for j in idxm1], A.dim
+    ).kernel
+    moves = [_at(F, A.space.basis_vector(i), I, "sts") for i in A.degree_indices(-2)] + [
+        _at(F, {idxm1[a]: c for a, c in z.items()}, I, "st") for z in cocycles
     ]
+    # R(X + v) - R(X) = d^X v + v v, and v v = 0 on the span of the moves
+    # (every product of two words among st and sts is 0 in I^3)
+    cols = [twisted_apply(T, X, X, v) for v in moves]
     system = LinearSystem(F, cols, T.dim)
-    sol = system.solution(system.residue(vec_scale(F, m1, res)))
+    sol = system.solution(system.residue(vec_scale(F, m1, T.mc_residual(X))))
     if sol is None:
         return None
     for a, c in sol.items():
-        k = sts_targets[a]
-        X[k] = F.add(X.get(k, F.zero()), c)
-    X = {k: c for k, c in X.items() if not F.is_zero(c)}
+        F.add_scaled(X, c, moves[a])
     if not T.is_mc(X):
         return None
     return NHomotopy(A, 3, X)

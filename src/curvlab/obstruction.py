@@ -12,14 +12,12 @@ passes the curved-algebra validator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import CurvedAlgebra, CurvedMorphism
-from .fields import PrimeFieldRequired
 from .gradedlin import (
     GradedMap,
     GradedSpace,
-    enumerate_affine,
     solve_linear,
     vec_add,
     vec_is_zero,
@@ -228,14 +226,15 @@ def build_total(ext: SquareZeroExtension):
 
 
 def twisted_L_differential(ext: SquareZeroExtension, x: dict) -> GradedMap:
-    """d^x_L(l) = d_L l + x.l - l.x on L (x a degree-1 element of B)."""
+    """d^x_L(l) = d_L l + x.l - (-1)^{|l|} l.x on L (x a degree-1 element
+    of B), the sign of `algebra.twisted_apply`."""
     F = ext.field
     L = ext.L
     entries = {}
     for m in range(L.space.dim):
         mm = L.space.basis_vector(m)
         col = vec_add(F, L.dL.apply(mm), L.act_left(x, mm))
-        col = vec_sub(F, col, L.act_right(mm, x))
+        F.add_scaled(col, F.one() if L.space.degree(m) % 2 else F.neg(F.one()), L.act_right(mm, x))
         if col:
             entries[m] = col
     return GradedMap(L.space, L.space, 1, entries)
@@ -276,22 +275,6 @@ def try_lift(ext: SquareZeroExtension, x: dict):
     if not A.is_mc(xl):
         raise AssertionError("computed lift fails the MC equation in the total space")
     return ("lift", xl, l)
-
-
-def exhaustive_lift_search(ext: SquareZeroExtension, x: dict) -> Optional[dict]:
-    """Brute-force oracle over F_p: search all l in L^1 for an MC lift,
-    within the default budget."""
-    F = ext.field
-    if not F.is_prime_field:
-        raise PrimeFieldRequired("exhaustive search needs a finite field")
-    A, pi = build_total(ext)
-    nB = ext.B.dim
-    idx = [m for m in range(ext.L.space.dim) if ext.L.space.degree(m) == 1]
-    units = [A.space.basis_vector(nB + k) for k in idx]
-    for xl in enumerate_affine(F, x, units):
-        if A.is_mc(xl):
-            return xl
-    return None
 
 
 def lift_along_gauge(ext: SquareZeroExtension, l: dict, y: dict, quad) -> dict:

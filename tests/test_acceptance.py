@@ -59,7 +59,6 @@ from curvlab.modelcheck import (
 from curvlab.obstruction import (
     SquareZeroExtension,
     build_total,
-    exhaustive_lift_search,
     lift_along_gauge,
     obstruction_class,
     try_lift,
@@ -79,6 +78,7 @@ from curvlab.semisimple import (
     internal_curved_radical,
     reassemble_check,
 )
+from reference_mc import exhaustive_lift_search
 
 
 class Stopwatch:

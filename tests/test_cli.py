@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from curvlab.cli import main
+from curvlab.documents import parse_element
 from curvlab.gradedlin import GradedMap, GradedSpace
 
 
@@ -412,3 +413,164 @@ def test_rectify_and_lift_build_each_convolution_algebra_once(tmp_path, capsys, 
     code, rep = run_cli(capsys, ["lift", *small_big, str(p["id"]), "--u", "{}", "--uprime", "{}", *labels])
     assert code == 0 and rep["verdict"] is True
     assert sorted(built) == [(1, 2), (1, 2), (3, 2), (3, 2)]
+
+
+def _write(tmp_path, name, doc):
+    f = tmp_path / name
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+def _end_document(tmp_path, F, degrees):
+    from curvlab.algebra import endomorphism_algebra
+    from curvlab.documents import dump_algebra
+
+    E = endomorphism_algebra(GradedSpace.make([(f"v{i}", d) for i, d in enumerate(degrees)], F))
+    return E, _write(tmp_path, "end.json", dump_algebra(E))
+
+
+def test_homotopy_n3_is_built_past_the_search_budget(tmp_path, capsys):
+    # End(k + k<-1> + k<-2>) over F_3: A @ I^3 has 11 free degree-1
+    # coordinates, 3^11 states over the default budget of 2^16, so a search
+    # refuses; the 3-homotopy is built from the gauge witness instead
+    from curvlab.fields import GF
+    from curvlab.mc import interval_tensor, moduli_set, verify_n_homotopy
+
+    E, f = _end_document(tmp_path, GF(3), (0, 1, 2))
+    x, y = next(cls for cls in moduli_set(E) if len(cls) > 1)[:2]
+    pretty = [json.dumps({E.label(i): c for i, c in v.items()}) for v in (x, y)]
+    code, rep = run_cli(capsys, ["homotopy", f, "--x", pretty[0], "--y", pretty[1], "--n", "3"])
+    assert code == 0 and rep["found"] is True
+    X = parse_element(interval_tensor(E, 3).space, rep["homotopy"], "homotopy")
+    assert verify_n_homotopy(E, x, y, 3, X)
+
+
+def test_homotopy_n3_over_Q_requires_a_prime_field(tmp_path, capsys):
+    # End(k + k<-1>) over Q: x = E[v1,v0] and y = 2 E[v1,v0] are gauge
+    # equivalent, but x - y is no coboundary (d = 0), so the square-zero
+    # shortcut fails and the gauge witness needs a prime field
+    from curvlab.fields import QQ, PrimeFieldRequired
+    from curvlab.mc import n_homotopy_search
+
+    E, f = _end_document(tmp_path, QQ, (0, 1))
+    x, y = ({E.space.index("E[v1,v0]"): QQ.coerce(c)} for c in (1, 2))
+    with pytest.raises(PrimeFieldRequired):
+        n_homotopy_search(E, x, y, 3)
+    code, rep = run_cli(capsys, ["homotopy", f, "--x", '{"E[v1,v0]": 1}', "--y", '{"E[v1,v0]": 2}'])
+    assert code == 2 and "prime field" in rep["error"]
+
+
+def _gauge_lift_extension(tmp_path):
+    """End(k + k<-1>) @ I_1 over F_3 with the square-zero ideal spanned by
+    the s-components: a semisplit extension of End(V) x End(V) whose del
+    is nonzero."""
+    from curvlab.algebra import endomorphism_algebra, tensor_algebras
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    F = GF(3)
+    E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], F))
+    T = tensor_algebras(E, make_interval(F, 1).algebra)
+    ideal = [l for l in T.space.labels() if l.endswith("@s")]
+    return T, ideal, _write(tmp_path, "ext.json", {"total": dump_algebra(T), "ideal": ideal})
+
+
+def test_gauge_lift_transports_along_a_witness_with_h2(tmp_path, capsys):
+    from curvlab.mc import find_gauge_quadruple
+    from curvlab.obstruction import build_total, extension_from_total
+
+    T, ideal, f = _gauge_lift_extension(tmp_path)
+    ext = extension_from_total(T, [T.space.index(l) for l in ideal])
+    x, y = ({ext.B.space.index("E[v1,v0]@e_e"): c} for c in (1, 2))
+    quad = find_gauge_quadruple(ext.B, x, y)
+    assert quad.validate() == [] and quad.h2
+    argv = ["obstruction", "gauge-lift", f, "--x", '{"E[v1,v0]@e_e": 1}', "--y", '{"E[v1,v0]@e_e": 2}']
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["verdict"] is True
+    A, _ = build_total(ext)
+    assert A.is_mc(parse_element(A.space, rep["lift_of_y"], "lift_of_y"))
+    assert {l: c for l, c in rep["lift_of_y"].items() if l.startswith("b.")} == {"b.E[v1,v0]@e_e": 2}
+
+
+def test_gauge_lift_without_y_is_an_input_error(tmp_path, capsys):
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    doc = {"total": dump_algebra(make_interval(GF(2), 1).algebra), "ideal": ["s"]}
+    f = _write(tmp_path, "ext.json", doc)
+    code, rep = run_cli(capsys, ["obstruction", "gauge-lift", f, "--x", "{}"])
+    assert code == 2 and "--y" in rep["error"]
+
+
+def _key_documents(tmp_path):
+    """I_1 over F_2 as an algebra, extension and morphism documents built
+    on it, each with one key or label missing or unknown, or with an ideal
+    that is not one, and presentations with a word they cannot realize."""
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    I1 = dump_algebra(make_interval(GF(2), 1).algebra)
+    identity = {l: {l: 1} for l, _ in I1["basis"]}
+    morphism = {"source": I1, "target": I1, "map": identity}
+    docs = {
+        "alg": I1,
+        "no_total": {"ideal": ["s"]},
+        "no_ideal": {"total": I1},
+        "ideal_label": {"total": I1, "ideal": ["zz"]},
+        "not_an_ideal": {"total": I1, "ideal": ["e_e"]},
+        "not_an_object": [I1],
+        "map_label": dict(morphism, map={"zz": {"s": 1}}),
+    }
+    for key in ("source", "target", "map"):
+        docs[f"no_{key}"] = {k: v for k, v in morphism.items() if k != key}
+    quiver = {
+        "field": {"kind": "prime-field", "characteristic": 2},
+        "mode": "presented",
+        "vertices": ["e", "f"],
+        "arrows": [["s", "e", "f", 1], ["t", "f", "e", 1]],
+    }
+    docs["unknown_arrow"] = dict(quiver, d={"s": [[["zz"], 1]]})
+    docs["non_composable"] = dict(quiver, curvature=[[["s", "s"], 1]])
+    return {name: _write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["cobar", "{alg}", "--coaugmentation", "zz"], "--coaugmentation"),
+        (["bar-dual", "{alg}", "--splitting", "zz"], "--splitting"),
+        (["adjunction-check", "{alg}", "{alg}", "--coaugmentation", "zz"], "--coaugmentation"),
+        (["obstruction", "class", "{no_total}", "--x", "{{}}"], "'total'"),
+        (["obstruction", "class", "{no_ideal}", "--x", "{{}}"], "'ideal'"),
+        (["obstruction", "class", "{ideal_label}", "--x", "{{}}"], "'zz'"),
+        (["obstruction", "class", "{not_an_ideal}", "--x", "{{}}"], "'ideal'"),
+        (["obstruction", "class", "{not_an_object}", "--x", "{{}}"], "'total'"),
+        (["tower", "{no_source}"], "'source'"),
+        (["tower", "{no_target}"], "'target'"),
+        (["tower", "{no_map}"], "'map'"),
+        (["tower", "{map_label}"], "'zz'"),
+        (["tower", "{not_an_object}"], "'source'"),
+        (["validate", "{unknown_arrow}"], "'zz'"),
+        (["validate", "{non_composable}"], "non-composable"),
+    ],
+)
+def test_user_keys_and_labels_are_input_errors(tmp_path, capsys, argv, name):
+    paths = _key_documents(tmp_path)
+    code, rep = run_cli(capsys, [a.format(**paths) for a in argv])
+    assert code == 2 and name in rep["error"]
+
+
+def test_a_key_error_of_the_library_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    from curvlab import cli
+
+    def fault(*args, **kwargs):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(cli, "moduli_set", fault)
+    f = tmp_path / "I1p2.json"
+    run_cli(capsys, ["interval", "1", "--field", "2", "--export", str(f)])
+    with pytest.raises(KeyError):
+        main(["moduli", str(f)])

@@ -1,4 +1,4 @@
-"""Six `ast` scans of src/curvlab (no linter ships with the project).
+"""Seven `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -29,6 +29,12 @@ No public function or class is dead: every module-level one that
 an imported name) somewhere in src/curvlab, tests/ or perfbench/ outside
 its own definition.  Methods are not scanned: attribute names collide
 across classes.
+
+Brute force is declared: the functions and methods of src/curvlab that call
+`enumerate_affine` are exactly those in `AFFINE_ENUMERATORS`.  Where exact
+linear algebra decides a question, the enumeration belongs in a
+tests/reference_*.py oracle, and a new program path that enumerates has to
+be added to the list.
 """
 
 import ast
@@ -268,3 +274,53 @@ def test_no_unreferenced_public_function():
         for p in sorted((ROOT / d).rglob("*.py"))
     ]
     assert unreferenced_public(sources, exported, others) == []
+
+
+# the p^n enumerations left in the program: the MC sets (a quadratic system),
+# one gauge solve per class of H^0, and n-homotopies for n != 3
+AFFINE_ENUMERATORS = {
+    "algebra.mc_enumerate",
+    "barcobar.mc_convolution_enumerate",
+    "mc.GaugeClasses._inverse_pair",
+    "mc.n_homotopy_search",
+}
+
+
+def affine_enumerators(sources):
+    """Sorted "module.name" of the module-level functions and the methods
+    (as "module.Class.name") of `sources` (module name -> source text) that
+    call `enumerate_affine`, directly or through an attribute; a call in a
+    nested function counts for the function it is nested in."""
+    out = set()
+    for m, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{n.name}", n)
+                    for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs = [(node.name, node)]
+            else:
+                continue
+            for name, d in defs:
+                if any(isinstance(n, ast.Call) and _call_name(n) == "enumerate_affine" for n in ast.walk(d)):
+                    out.add(f"{m}.{name}")
+    return sorted(out)
+
+
+def test_scan_finds_the_affine_enumerators():
+    sources = {
+        "a": "def brute(F, k):\n    return list(enumerate_affine(F, {}, k))\n\n"
+        "def linear(F, k):\n    return solve(F, k)\n\n"
+        "class C:\n    def search(self):\n        def inner():\n            return gl.enumerate_affine(F, {}, [])\n"
+        "        return inner()\n\n    def other(self):\n        pass\n",
+        "b": "from .gradedlin import enumerate_affine\n\nx = enumerate_affine\n",
+    }
+    assert affine_enumerators(sources) == ["a.C.search", "a.brute"]
+
+
+def test_brute_force_is_declared():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert affine_enumerators(sources) == sorted(AFFINE_ENUMERATORS)

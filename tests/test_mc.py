@@ -45,6 +45,7 @@ from curvlab.mc import (
     verify_n_homotopy,
 )
 from reference_algebra import reference_chain_map_dim
+from reference_mc import exhaustive_gauge_quadruple
 
 
 def random_complex(rng, F, maxdim=4, degs=(0, 1, 2)):
@@ -401,18 +402,34 @@ def _reference_gauge_quadruple(E, x, y):
 
 @pytest.mark.parametrize("p, degrees", END_CASES)
 def test_gauge_search_returns_the_reference_quadruple(p, degrees):
-    # same first quadruple, entry for entry and in the same key order
+    """The exhaustive oracle returns the plain search's first quadruple,
+    entry for entry and in the same key order.  The program's witness
+    validates, is None exactly where the oracle finds none, and refuses
+    exactly where the verdict refuses."""
     E = _end_algebra(p, degrees)
     elems = mc_enumerate(E)
     found = 0
     for x in elems[:4]:
         for y in elems:
-            q = find_gauge_quadruple(E, x, y)
-            found += q is not None
-            got = None if q is None else tuple(list(v.items()) for v in (q.f, q.g, q.h1, q.h2))
+            oracle = exhaustive_gauge_quadruple(E, x, y)
+            got = None if oracle is None else tuple(list(v.items()) for v in (oracle.f, oracle.g, oracle.h1, oracle.h2))
             ref = _reference_gauge_quadruple(E, x, y)
             assert got == (None if ref is None else tuple(list(v.items()) for v in ref))
+            q = find_gauge_quadruple(E, x, y)
+            assert (q is None) == (oracle is None)
+            assert q is None or q.validate() == []
+            found += q is not None
+            for budget in (1, p):
+                witness = _verdict_or_refusal(lambda: find_gauge_quadruple(E, x, y, budget) is not None)
+                assert witness == _verdict_or_refusal(lambda: GaugeClasses(E, budget).equivalent(x, y))
     assert found >= 4
+
+
+def _verdict_or_refusal(fn):
+    try:
+        return fn()
+    except BudgetExceeded as exc:
+        return ("refused", exc.required, exc.budget)
 
 
 def test_gauge_classes_match_pairwise_search():
@@ -424,7 +441,7 @@ def test_gauge_classes_match_pairwise_search():
         classes = GaugeClasses(E)
         verdicts = [classes.equivalent(x, y) for x in elems for y in elems]
         expected = [
-            find_gauge_quadruple(E, x, y) is not None for x in elems for y in elems
+            exhaustive_gauge_quadruple(E, x, y) is not None for x in elems for y in elems
         ]
         assert verdicts == expected
         assert 0 < sum(expected) < len(expected)
@@ -441,23 +458,29 @@ def test_gauge_classes_refuse_with_the_h0_count():
 
     assert (h0(x0, x0), h0(x1, x1), h0(x2, x2), h0(x4, x4)) == (1, 2, 2, 1)
     assert (h0(x1, x2), h0(x0, x4)) == (1, 0)
-    # the witness search keeps its count p^(dim Z0(x,y) + dim Z0(y,x))
+    # the oracle keeps its count p^(dim Z0(x,y) + dim Z0(y,x))
     for u, v in ((x0, x0), (x0, x1), (x1, x2)):
         with pytest.raises(BudgetExceeded) as search:
-            find_gauge_quadruple(E, u, v, budget=1)
+            exhaustive_gauge_quadruple(E, u, v, budget=1)
         assert search.value.required == 2 ** (reference_chain_map_dim(E, u, v) + reference_chain_map_dim(E, v, u))
     assert reference_chain_map_dim(E, x0, x4) == reference_chain_map_dim(E, x4, x0) == 0
-    # the verdict refuses only on distinct ends with equal dim H^0(x, x) and
-    # dim H^0(y, y), with the count p^dim H^0(x, y), whatever the memo holds
+    # the verdict and the witness refuse only on distinct ends with equal
+    # dim H^0(x, x) and dim H^0(y, y), with the count p^dim H^0(x, y),
+    # whatever the memo holds
     for memo in (GaugeClasses(E, budget=1), None):
-        ask = memo.equivalent if memo else lambda u, v: GaugeClasses(E, budget=1).equivalent(u, v)
-        assert ask(x0, x0) is True
-        assert ask(x0, x1) is False
-        assert ask(x0, x4) is False and find_gauge_quadruple(E, x0, x4, budget=1) is None
-        with pytest.raises(BudgetExceeded) as refused:
-            ask(x1, x2)
-        assert (refused.value.required, refused.value.budget) == (2 ** h0(x1, x2), 1)
-    assert GaugeClasses(E, budget=2).equivalent(x1, x2) is (find_gauge_quadruple(E, x1, x2) is not None)
+
+        def gauge():
+            return memo or GaugeClasses(E, budget=1)
+
+        assert gauge().equivalent(x0, x0) is True
+        assert gauge().quadruple(x0, x0).validate() == []
+        assert gauge().equivalent(x0, x1) is False and gauge().quadruple(x0, x1) is None
+        assert gauge().equivalent(x0, x4) is False and gauge().quadruple(x0, x4) is None
+        for ask in (gauge().equivalent, gauge().quadruple):
+            with pytest.raises(BudgetExceeded) as refused:
+                ask(x1, x2)
+            assert (refused.value.required, refused.value.budget) == (2 ** h0(x1, x2), 1)
+    assert GaugeClasses(E, budget=2).equivalent(x1, x2) is (exhaustive_gauge_quadruple(E, x1, x2) is not None)
 
 
 @pytest.mark.parametrize("E", [_interval_convolution(2), _end_algebra(3, (0, 1, 1))], ids=["conv", "end"])
@@ -515,6 +538,31 @@ def test_gauge_to_three_homotopy_over_odd_primes(p, degrees):
     assert with_homotopies >= 8
 
 
+def test_gauge_to_three_homotopy_moves_h1_by_a_cocycle():
+    """End(k^2 + k<-1>^2) over F_2: for some witnesses the sts-component
+    alone cannot be solved, since the class of the residual in H^-1 does
+    not vanish for the given h1.  Moving H_st by a d^x-cocycle kills it,
+    so every equivalent pair gets a 3-homotopy, and n_homotopy_search
+    builds one where the search over the 2^24 coordinates of A @ I^3
+    refused."""
+    E = _end_algebra(2, (0, 0, 1, 1))
+    elems = mc_enumerate(E)
+    gauge = GaugeClasses(E)
+    moved = 0
+    for x in elems:
+        for y in elems:
+            q = gauge.quadruple(x, y)
+            if q is None:
+                continue
+            H = gauge_to_three_homotopy(q)
+            assert H is not None and verify_n_homotopy(E, x, y, 3, H.X)
+            assert all(three_homotopy_unpack(E, H.X).identities().values())
+            if three_homotopy_unpack(E, H.X).components["st"] != q.h1:  # -h1 = h1 over F_2
+                moved += 1
+                assert verify_n_homotopy(E, x, y, 3, n_homotopy_search(E, x, y, 3).X)
+    assert moved == 16
+
+
 def test_gauge_to_three_homotopy_over_Q():
     # End(k + k<-1>): x = E[v1,v0] and y = 2 E[v1,v0] are acyclic, and
     # f = diag(1, 2) with g = diag(3, 3/2) inverts it up to h1 = 2 E[v0,v1]
@@ -538,11 +586,10 @@ def test_gauge_to_three_homotopy_over_Q():
 def _reference_moduli(E):
     """The partition of MC(E) by first fit against each class's first
     member, every verdict from the exhaustive quadruple search."""
-    gauge = GaugeClasses(E)
     classes = []
     for x in mc_enumerate(E):
         for cls in classes:
-            if gauge.quadruple(cls[0], x) is not None:
+            if exhaustive_gauge_quadruple(E, cls[0], x) is not None:
                 cls.append(x)
                 break
         else:

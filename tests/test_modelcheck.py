@@ -26,6 +26,7 @@ from curvlab.modelcheck import (
     rectify_cofibration,
     standard_coalgebra_battery,
 )
+from reference_mc import exhaustive_gauge_quadruple
 
 
 def I3_category(F=QQ):
@@ -296,13 +297,13 @@ def _pairwise_fibration_report(C, g, budget):
     checked = 0
     for x in X:
         for yp in Y:
-            if find_gauge_quadruple(EAp, gstar.push_mc(x), yp, budget=budget) is None:
+            if exhaustive_gauge_quadruple(EAp, gstar.push_mc(x), yp, budget=budget) is None:
                 continue
             found = False
             for xt in X:
                 if not vec_eq(F, gstar.push_mc(xt), yp):
                     continue
-                if find_gauge_quadruple(EA, x, xt, budget=budget) is not None:
+                if exhaustive_gauge_quadruple(EA, x, xt, budget=budget) is not None:
                     found = True
                     break
             checked += 1
@@ -382,7 +383,7 @@ def test_memoized_fibration_answers_where_the_search_refuses():
     x0 = mc_hom_enumerate(C, g.source, budget=2**4)[0]
     y0 = mc_hom_enumerate(C, g.target, budget=2**4)[0]
     with pytest.raises(BudgetExceeded) as search:
-        find_gauge_quadruple(convAp.algebra, gstar.push_mc(x0), y0, budget=2**4)
+        exhaustive_gauge_quadruple(convAp.algebra, gstar.push_mc(x0), y0, budget=2**4)
     required = search.value.required
     assert required > 2**4
     with pytest.raises(BudgetExceeded):

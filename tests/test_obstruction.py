@@ -11,7 +11,6 @@ from curvlab.obstruction import (
     Bimodule,
     SquareZeroExtension,
     build_total,
-    exhaustive_lift_search,
     extension_from_total,
     lift_along_gauge,
     obstruction_class,
@@ -22,6 +21,7 @@ from curvlab.randgen import (
     random_square_zero_extension,
     regular_bimodule,
 )
+from reference_mc import exhaustive_lift_search
 
 
 def test_build_total_trivial_L():
@@ -104,6 +104,28 @@ def test_try_lift_agrees_with_exhaustive():
                 assert brute is None
             checked += 1
     assert checked >= 30
+
+
+def test_try_lift_signs_over_F3():
+    # End(k + k<-1>) @ I_1 over F_3 with the ideal of the s-components: the
+    # lifts l have degree 1, so d^x_L l = d_L l + x.l + l.x; with the sign
+    # of an even l, x = E[v1,v0]@e_f got a "lift" that is not MC
+    from curvlab.algebra import endomorphism_algebra, tensor_algebras
+    from curvlab.interval import make_interval
+
+    F = GF(3)
+    E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], F))
+    T = tensor_algebras(E, make_interval(F, 1).algebra)
+    ext = extension_from_total(T, [i for i, l in enumerate(T.space.labels()) if l.endswith("@s")])
+    A, _ = build_total(ext)
+    lifted = 0
+    for x in mc_enumerate(ext.B):
+        verdict = try_lift(ext, x)
+        assert (verdict[0] == "lift") == (exhaustive_lift_search(ext, x) is not None)
+        if verdict[0] == "lift":
+            assert A.is_mc(verdict[1])
+            lifted += 1
+    assert lifted == 9
 
 
 def obstructed_witness(F):

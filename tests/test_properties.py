@@ -49,7 +49,7 @@ from curvlab.gradedlin import (
     vec_sub,
 )
 from curvlab.interval import make_interval
-from curvlab.mc import GaugeClasses, h0_hom
+from curvlab.mc import GaugeClasses, h0_hom, n_homotopy_search, verify_n_homotopy
 from curvlab.randgen import random_curved_algebra, rebased_algebra
 from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
@@ -66,6 +66,7 @@ from reference_algebra import (
     reference_vec_scale,
     reference_vec_sub,
 )
+from reference_mc import exhaustive_gauge_quadruple
 from reference_semisimple import reference_primitive_idempotents, reference_radical
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
@@ -355,7 +356,8 @@ def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
 
 
 # ---------------------------------------------------------------------------
-# gauge verdicts: the affine solve per H^0 class against the quadruple search
+# gauge verdicts and witnesses: the affine solve per H^0 class against the
+# exhaustive quadruple search
 
 GAUGE_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5)}
 # End(V) for V with one basis vector per degree listed: adjacent degrees give
@@ -395,20 +397,33 @@ def h0_refusal(A, x, y, budget):
 
 
 def reference_verdict(A, x, y):
-    """quadruple(x, y) is not None where the search answers at 2^12, and a
-    memo-free verdict where it refuses."""
-    search = verdict_or_refusal(lambda: GaugeClasses(A, budget=2**12).quadruple(x, y) is not None)
+    """The exhaustive oracle's quadruple(x, y) is not None where it answers
+    at 2^12, and a memo-free verdict where it refuses."""
+    search = verdict_or_refusal(lambda: exhaustive_gauge_quadruple(A, x, y, 2**12) is not None)
     return GaugeClasses(A, budget=2**12).equivalent(x, y) if isinstance(search, tuple) else search
+
+
+def witness_or_refusal(gauge, x, y):
+    """gauge.quadruple(x, y) is not None, or its refusal; a witness must
+    validate."""
+
+    def witness():
+        q = gauge.quadruple(x, y)
+        assert q is None or q.validate() == []
+        return q is not None
+
+    return verdict_or_refusal(witness)
 
 
 @settings(max_examples=200, **SETTINGS)
 @given(st.data())
 def test_gauge_verdict_is_the_quadruple_search(data):
-    """Through one memo, equivalent(x, y) refuses exactly as `h0_refusal`
-    says, and otherwise equals (quadruple(x, y) is not None) wherever the
-    search answers, or else a memo-free verdict.  At budgets 1 and p the
-    search still refuses with p^(dim Z0(x,y) + dim Z0(y,x)) over the
-    budget."""
+    """Through one memo, equivalent(x, y) and quadruple(x, y) refuse exactly
+    as `h0_refusal` says, and otherwise equal (the oracle's quadruple(x, y)
+    is not None) wherever the oracle answers, or else a memo-free verdict;
+    every witness validates.  At budgets 1 and p the same holds of fresh
+    instances, while the oracle still refuses with
+    p^(dim Z0(x,y) + dim Z0(y,x)) over the budget."""
     A = data.draw(gauge_algebras())
     mc = mc_enumerate(A)
     if not mc:
@@ -416,21 +431,45 @@ def test_gauge_verdict_is_the_quadruple_search(data):
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(mc), st.sampled_from(mc)), min_size=1, max_size=6))
     memo = GaugeClasses(A, budget=2**12)
     for x, y in pairs:
-        got = verdict_or_refusal(lambda: memo.equivalent(x, y))
-        assert got == (h0_refusal(A, x, y, 2**12) or reference_verdict(A, x, y))
+        want = h0_refusal(A, x, y, 2**12) or reference_verdict(A, x, y)
+        assert verdict_or_refusal(lambda: memo.equivalent(x, y)) == want
+        assert witness_or_refusal(memo, x, y) == want
     x, y = pairs[0]
     p = A.field.characteristic
     for budget in (1, p):
-        search = verdict_or_refusal(lambda: GaugeClasses(A, budget).quadruple(x, y) is not None)
+        search = verdict_or_refusal(lambda: exhaustive_gauge_quadruple(A, x, y, budget) is not None)
         count = p ** (reference_chain_map_dim(A, x, y) + reference_chain_map_dim(A, y, x))
         assert search == (("refused", count, budget) if count > budget else reference_verdict(A, x, y))
-        got = verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(x, y))
-        assert got == (h0_refusal(A, x, y, budget) or reference_verdict(A, x, y))
+        want = h0_refusal(A, x, y, budget) or reference_verdict(A, x, y)
+        assert verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(x, y)) == want
+        assert witness_or_refusal(GaugeClasses(A, budget), x, y) == want
     # unequal dim H^0(x, x), dim H^0(y, y) and equal ends answer at budget 1
     for x, y in pairs:
         assert GaugeClasses(A, 1).equivalent(x, x) is True
+        assert GaugeClasses(A, 1).quadruple(x, x).validate() == []
         if h0_hom(A, x, x)["dim"] != h0_hom(A, y, y)["dim"]:
             assert GaugeClasses(A, 1).equivalent(x, y) is False
+            assert GaugeClasses(A, 1).quadruple(x, y) is None
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(st.data())
+def test_three_homotopy_is_built_on_the_equivalent_pairs(data):
+    """n_homotopy_search(x, y, 3) refuses only as the verdict does, and
+    otherwise returns a verified 3-homotopy exactly on the gauge-equivalent
+    pairs."""
+    A = data.draw(gauge_algebras())
+    mc = mc_enumerate(A)
+    if not mc:
+        return
+    x, y = data.draw(st.sampled_from(mc)), data.draw(st.sampled_from(mc))
+    got = verdict_or_refusal(lambda: n_homotopy_search(A, x, y, 3, 2**12))
+    want = h0_refusal(A, x, y, 2**12) or reference_verdict(A, x, y)
+    if isinstance(got, tuple):
+        assert got == want
+        return
+    assert (got is not None) == (want is True or isinstance(want, tuple))
+    assert got is None or verify_n_homotopy(A, x, y, 3, got.X)
 
 
 @settings(max_examples=20, **SETTINGS)
