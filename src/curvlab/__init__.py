@@ -67,7 +67,6 @@ from .mc import (
 from .twisted import TwistedModule, induce, make_twisted, module_hom_complex
 from .obstruction import (
     SquareZeroExtension,
-    build_total,
     lift_along_gauge,
     obstruction_class,
     try_lift,

@@ -53,7 +53,6 @@ from .modelcheck import (
     rectify_cofibration,
 )
 from .obstruction import (
-    build_total,
     extension_from_total,
     lift_along_gauge,
     obstruction_class,
@@ -108,11 +107,22 @@ def _materialized(obj):
         raise DocumentError(f"bad presented document: {e}") from None
 
 
-def _load_algebra(path: str) -> CurvedAlgebra:
-    obj = _materialized(load_path(path)[0])
+def _algebra(obj, name: str) -> CurvedAlgebra:
+    """A loaded document read as an algebra, a presentation materialized: a
+    coalgebra is a DocumentError (exit 2) naming `name`."""
+    obj = _materialized(obj)
     if isinstance(obj, CurvedCoalgebra):
-        raise DocumentError(f"{path} holds a coalgebra where an algebra is required")
+        raise DocumentError(f"{name} holds a coalgebra where an algebra is required")
     return obj
+
+
+def _load_algebra(path: str) -> CurvedAlgebra:
+    return _algebra(load_path(path)[0], path)
+
+
+def _nested_algebra(doc, key: str, path: str) -> CurvedAlgebra:
+    """The algebra document at entry `key` of the document object `doc`."""
+    return _algebra(load_document(_read(doc, key, path))[0], f"{path}: {key!r}")
 
 
 def _load_coalgebra(path: str) -> CurvedCoalgebra:
@@ -189,8 +199,8 @@ def _pretty(space: GradedSpace, v: dict) -> dict:
 def _load_morphism(path: str) -> CurvedMorphism:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    Asrc = _materialized(load_document(_read(doc, "source", path))[0])
-    Atgt = _materialized(load_document(_read(doc, "target", path))[0])
+    Asrc = _nested_algebra(doc, "source", path)
+    Atgt = _nested_algebra(doc, "target", path)
     images = _read(doc, "map", path)
     if not isinstance(images, dict):
         raise DocumentError("'map' must be an object {label: element}")
@@ -348,14 +358,11 @@ def cmd_adjunction_check(args) -> int:
     A = _load_algebra(args.algebra)
     w = _read(C.space, args.coaugmentation, "--coaugmentation") if args.coaugmentation else 0
     rep = base_report(args, "bar-cobar morphism counts through MC sets of Hom(C,A)")
-    try:
-        rep.update(
-            adjunction_count_check(
-                C, A, w, N_max=_positive(args.truncate, "--truncate"), budget=args.max_enum
-            )
+    rep.update(
+        adjunction_count_check(
+            C, A, w, N_max=_positive(args.truncate, "--truncate"), budget=args.max_enum
         )
-    except BudgetExceeded as e:
-        return fail_budget(e)
+    )
     return emit(rep, 0 if rep.get("conclusive") else 1)
 
 
@@ -395,7 +402,7 @@ def cmd_twisted(args) -> int:
 def cmd_obstruction(args) -> int:
     with open(args.extension, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    A = _materialized(load_document(_read(doc, "total", args.extension))[0])
+    A = _nested_algebra(doc, "total", args.extension)
     labels = _read(doc, "ideal", args.extension)
     if not isinstance(labels, list):
         raise DocumentError("'ideal' must be a list of labels")
@@ -403,7 +410,7 @@ def cmd_obstruction(args) -> int:
     try:
         ext = extension_from_total(A, ideal)
     except ValueError as e:
-        raise DocumentError(f"'ideal': {e}") from None
+        raise DocumentError(f"'total' along 'ideal': {e}") from None
     x = _element(ext.B.space, args.x, "--x")
     if args.action == "class":
         rep = base_report(args, "obstruction cocycle nu(x) = del(x) + xi(x,x)")
@@ -416,7 +423,7 @@ def cmd_obstruction(args) -> int:
         verdict = try_lift(ext, x)
         rep["verdict"] = verdict[0]
         if verdict[0] == "lift":
-            rep["lift"] = _pretty(_total_cache(ext).space, verdict[1])
+            rep["lift"] = _pretty(ext.total.space, verdict[1])
             return emit(rep, 0)
         rep["obstruction_class"] = {
             ext.L.space.basis[i][0]: ext.field.format_coeff(c)
@@ -438,14 +445,9 @@ def cmd_obstruction(args) -> int:
             return emit(rep, 1)
         yl = lift_along_gauge(ext, verdict[2], y, quad)
         rep["verdict"] = True
-        rep["lift_of_y"] = _pretty(_total_cache(ext).space, yl)
+        rep["lift_of_y"] = _pretty(ext.total.space, yl)
         return emit(rep, 0)
     return fail_input(f"unknown obstruction action {args.action!r}")
-
-
-def _total_cache(ext):
-    A, _ = build_total(ext)
-    return A
 
 
 def cmd_radical(args) -> int:
@@ -565,10 +567,7 @@ def cmd_fib_check(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     g = _load_morphism(args.morphism)
     rep = base_report(args, "strong-fibration witness: hom surjectivity + H^0 iso lifting")
-    try:
-        rep.update(is_fibration_mcdg(C, g, budget=args.max_enum))
-    except BudgetExceeded as e:
-        return fail_budget(e)
+    rep.update(is_fibration_mcdg(C, g, budget=args.max_enum))
     return emit(rep, 0 if rep.get("verdict") else 1)
 
 
@@ -582,10 +581,7 @@ def cmd_rectify(args) -> int:
     X = _element(big, args.x, "--x")
     g0 = _element(convolution_space(Csub, A), args.g0, "--g0")
     rep = base_report(args, "rectification of a homotopy-commutative triangle")
-    try:
-        res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum)
-    except BudgetExceeded as e:
-        return fail_budget(e)
+    res = rectify_cofibration(Csub, Cp, idual, A, X, g0, budget=args.max_enum)
     rep.update(
         {k: (_pretty(big, v) if k == "lift" else v) for k, v in res.items()}
     )
@@ -601,10 +597,7 @@ def cmd_lift(args) -> int:
     u = _element(convolution_space(Csub, g.source), args.u, "--u")
     up = _element(convolution_space(Cp, g.target), args.uprime, "--uprime")
     rep = base_report(args, "lifting solver for an injection against a fibration")
-    try:
-        res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum)
-    except BudgetExceeded as e:
-        return fail_budget(e)
+    res = lifting_solver(Csub, Cp, idual, g, u, up, budget=args.max_enum)
     big = convolution_space(Cp, g.source)
     rep.update({k: (_pretty(big, v) if k == "lift" else v) for k, v in res.items()})
     return emit(rep, 0 if res.get("verdict") else 1)

@@ -1,12 +1,21 @@
 """Square-zero extensions of dg algebras and the obstruction calculus for
-lifting Maurer-Cartan elements: the obstruction cocycle nu(x) = del(x) + xi(x,x),
-the lifting decision via linear algebra, and the semisplit gauge-transport
-formula l' = f l g - del(f) g + del(y) h2.
+lifting Maurer-Cartan elements.
 
-An extension is stored Hochschild-style: base B (a dg algebra), a B-bimodule
+An extension is given Hochschild-style: base B (a dg algebra), a B-bimodule
 L with differential, del: B -> L of degree +1 and xi: B @ B -> L of degree 0.
-The ground truth for the cocycle conditions is that the total space B + L
-passes the curved-algebra validator.
+Its total algebra T = B + L (d_T = d_B + del + d_L, products m_B + xi and
+the actions, L * L = 0) is built and validated once, when the extension is
+made; data that does not give a curved algebra is rejected there, with the
+validator's violations.  Everything else is the MC calculus of T, with x in
+B at the same indices of T:
+  - the obstruction nu(x) = del(x) + xi(x,x) is the L-part of the MC
+    residual of x in T (its B-part is the residual of x in B, zero);
+  - d^x_L is the twisted differential D_{x->x} of T on L, which it
+    preserves since L is a dg ideal; x lifts to an MC element x + l of T
+    iff d^x_L l = -nu(x), one linear system;
+  - on a semisplit extension (xi = 0) a lift x + l is carried along a
+    homotopy gauge equivalence x ~ y to y + l' with
+    l' = f l g - del(f) g + del(y) h2, the products taken in T.
 """
 
 from __future__ import annotations
@@ -14,16 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .algebra import CurvedAlgebra, CurvedMorphism
-from .gradedlin import (
-    GradedMap,
-    GradedSpace,
-    solve_linear,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-)
+from .algebra import CurvedAlgebra, twisted_apply
+from .gradedlin import GradedMap, GradedSpace, LinearSystem, vec_add, vec_is_zero
 
 
 @dataclass
@@ -39,264 +40,131 @@ class Bimodule:
     left: Dict[Tuple[int, int], dict] = field(default_factory=dict)
     right: Dict[Tuple[int, int], dict] = field(default_factory=dict)
 
-    def act_left(self, b: dict, m: dict) -> dict:
-        F = self.space.field
-        out: dict = {}
-        for i, c in b.items():
-            for j, x in m.items():
-                for k, y in self.left.get((i, j), {}).items():
-                    s = F.add(out.get(k, F.zero()), F.mul(F.mul(c, x), y))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
-    def act_right(self, m: dict, b: dict) -> dict:
-        F = self.space.field
-        out: dict = {}
-        for j, x in m.items():
-            for i, c in b.items():
-                for k, y in self.right.get((j, i), {}).items():
-                    s = F.add(out.get(k, F.zero()), F.mul(F.mul(x, c), y))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
-
 
 @dataclass
 class SquareZeroExtension:
+    """B + L with del and xi; `total` is the total algebra T, whose basis is
+    that of B (labels b.*) followed by that of L (labels l.*).  Raises
+    ValueError unless B is dg and T passes `CurvedAlgebra.validate`."""
+
     B: CurvedAlgebra  # dg (h = 0)
     L: Bimodule
     partial: GradedMap  # del: B -> L, degree +1
     xi: Dict[Tuple[int, int], dict] = field(default_factory=dict)  # B@B -> L, degree 0
+    total: CurvedAlgebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not vec_is_zero(self.B.field, self.B.h):
             raise ValueError("square-zero extensions require a dg base (h = 0)")
+        self.total = self._assemble()
+        bad = self.total.validate()
+        if bad:
+            raise ValueError("total space fails the curved algebra axioms: " + "; ".join(bad))
+
+    def _assemble(self) -> CurvedAlgebra:
+        B, L, F = self.B, self.L, self.field
+        nB, one = B.dim, F.one()
+        space = GradedSpace.make(
+            [(f"b.{l}", d) for l, d in B.space.basis] + [(f"l.{l}", d) for l, d in L.space.basis], F
+        )
+
+        def put(table: dict, key, *parts) -> None:
+            col: dict = {}
+            for part in parts:
+                F.add_scaled(col, one, part)
+            if col:
+                table[key] = col
+
+        mult: Dict[Tuple[int, int], dict] = {}
+        for i in range(nB):
+            for j in range(nB):
+                put(mult, (i, j), B.basis_product(i, j), _into_T(nB, self.xi.get((i, j), {})))
+        for i in range(nB):
+            for m in range(L.space.dim):
+                put(mult, (i, nB + m), _into_T(nB, L.left.get((i, m), {})))
+                put(mult, (nB + m, i), _into_T(nB, L.right.get((m, i), {})))
+        entries: Dict[int, dict] = {}
+        for i in range(nB):
+            put(entries, i, B.d.entries.get(i, {}), _into_T(nB, self.partial.entries.get(i, {})))
+        for m in range(L.space.dim):
+            put(entries, nB + m, _into_T(nB, L.dL.entries.get(m, {})))
+        return CurvedAlgebra(space, dict(B.unit), mult, GradedMap(space, space, 1, entries), {})
 
     @property
     def field(self):
         return self.B.field
-
-    def xi_of(self, u: dict, v: dict) -> dict:
-        F = self.field
-        out: dict = {}
-        for i, c in u.items():
-            for j, x in v.items():
-                for k, y in self.xi.get((i, j), {}).items():
-                    s = F.add(out.get(k, F.zero()), F.mul(F.mul(c, x), y))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
 
     @property
     def semisplit(self) -> bool:
         F = self.field
         return all(vec_is_zero(F, col) for col in self.xi.values())
 
-    # -- the three Hochschild-cocycle conditions, elementwise ---------------
 
-    def condition_reports(self) -> List[str]:
-        F = self.field
-        B, L = self.B, self.L
-        out = []
-        # (1) del d_B + d_L del = 0
-        for i in range(B.dim):
-            v = B.space.basis_vector(i)
-            lhs = vec_add(
-                F, self.partial.apply(B.d.apply(v)), L.dL.apply(self.partial.apply(v))
-            )
-            if not vec_is_zero(F, lhs):
-                out.append(f"condition (1) fails on {B.label(i)}")
-                break
-        # (2) xi(ab,c) - xi(a,bc) + a xi(b,c) - xi(a,b) c = 0
-        done = False
-        for i in range(B.dim):
-            if done:
-                break
-            a = B.space.basis_vector(i)
-            for j in range(B.dim):
-                if done:
-                    break
-                b = B.space.basis_vector(j)
-                ab = B.product(a, b)
-                for k in range(B.dim):
-                    c = B.space.basis_vector(k)
-                    bc = B.product(b, c)
-                    lhs = vec_sub(F, self.xi_of(ab, c), self.xi_of(a, bc))
-                    lhs = vec_add(F, lhs, L.act_left(a, self.xi_of(b, c)))
-                    lhs = vec_sub(F, lhs, L.act_right(self.xi_of(a, b), c))
-                    if not vec_is_zero(F, lhs):
-                        out.append(
-                            f"condition (2) fails on ({B.label(i)},{B.label(j)},{B.label(k)})"
-                        )
-                        done = True
-                        break
-        # (3) del(ab) - del(a) b - (-1)^{|a|} a del(b)
-        #     + d_L xi(a,b) + xi(da, b) + (-1)^{|a|} xi(a, db) = 0
-        done = False
-        for i in range(B.dim):
-            if done:
-                break
-            a = B.space.basis_vector(i)
-            sa = F.one() if B.degree(i) % 2 == 0 else F.neg(F.one())
-            for j in range(B.dim):
-                b = B.space.basis_vector(j)
-                lhs = self.partial.apply(B.product(a, b))
-                F.add_scaled(lhs, F.neg(F.one()), L.act_right(self.partial.apply(a), b))
-                F.add_scaled(lhs, F.neg(sa), L.act_left(a, self.partial.apply(b)))
-                F.add_scaled(lhs, 1, L.dL.apply(self.xi_of(a, b)))
-                F.add_scaled(lhs, 1, self.xi_of(B.d.apply(a), b))
-                F.add_scaled(lhs, sa, self.xi_of(a, B.d.apply(b)))
-                if not vec_is_zero(F, lhs):
-                    out.append(f"condition (3) fails on ({B.label(i)},{B.label(j)})")
-                    done = True
-                    break
-        return out
+def _into_T(nB: int, l: dict) -> dict:
+    """An element of L at its indices in T."""
+    return {nB + k: c for k, c in l.items()}
 
 
-def build_total(ext: SquareZeroExtension):
-    """Total algebra A = B + L with d = d_B + del + d_L, m = m_B + xi + actions.
-
-    Returns (A, pi: A -> B, iota indices of L inside A).  The construction is
-    validated via validate_algebra (the sign-convention-independent ground
-    truth); condition failures are reported by name first.
-    """
-    bad = ext.condition_reports()
-    if bad:
-        raise ValueError("not a square-zero extension: " + "; ".join(bad))
-    B, L = ext.B, ext.L
-    F = ext.field
-    nB = B.dim
-    basis = [(f"b.{l}", d) for l, d in B.space.basis] + [
-        (f"l.{l}", d) for l, d in L.space.basis
-    ]
-    space = GradedSpace.make(basis, F)
-
-    mult: Dict[Tuple[int, int], dict] = {}
-    for i in range(nB):
-        a = B.space.basis_vector(i)
-        for j in range(nB):
-            b = B.space.basis_vector(j)
-            col: dict = {}
-            for k, c in B.basis_product(i, j).items():
-                col[k] = c
-            for k, c in ext.xi_of(a, b).items():
-                col[nB + k] = F.add(col.get(nB + k, F.zero()), c)
-            col = {k: c for k, c in col.items() if not F.is_zero(c)}
-            if col:
-                mult[(i, j)] = col
-    for i in range(nB):
-        a = B.space.basis_vector(i)
-        for m in range(L.space.dim):
-            mm = L.space.basis_vector(m)
-            col = {nB + k: c for k, c in L.act_left(a, mm).items()}
-            if col:
-                mult[(i, nB + m)] = col
-            col = {nB + k: c for k, c in L.act_right(mm, a).items()}
-            if col:
-                mult[(nB + m, i)] = col
-    # L * L = 0: no entries
-    entries: Dict[int, dict] = {}
-    for i in range(nB):
-        v = B.space.basis_vector(i)
-        col: dict = dict(B.d.entries.get(i, {}))
-        for k, c in ext.partial.apply(v).items():
-            col[nB + k] = F.add(col.get(nB + k, F.zero()), c)
-        col = {k: c for k, c in col.items() if not F.is_zero(c)}
-        if col:
-            entries[i] = col
-    for m in range(L.space.dim):
-        col = {nB + k: c for k, c in L.dL.entries.get(m, {}).items()}
-        if col:
-            entries[nB + m] = col
-    d = GradedMap(space, space, 1, entries)
-    A = CurvedAlgebra(space, dict(B.unit), mult, d, {})
-    bad = A.validate()
-    if bad:
-        raise ValueError("total space fails the curved algebra axioms: " + "; ".join(bad))
-    pi_entries = {i: {i: F.one()} for i in range(nB)}
-    pi = CurvedMorphism(A, B, GradedMap(A.space, B.space, 0, pi_entries), {})
-    return A, pi
-
-
-def twisted_L_differential(ext: SquareZeroExtension, x: dict) -> GradedMap:
-    """d^x_L(l) = d_L l + x.l - (-1)^{|l|} l.x on L (x a degree-1 element
-    of B), the sign of `algebra.twisted_apply`."""
-    F = ext.field
-    L = ext.L
-    entries = {}
-    for m in range(L.space.dim):
-        mm = L.space.basis_vector(m)
-        col = vec_add(F, L.dL.apply(mm), L.act_left(x, mm))
-        F.add_scaled(col, F.one() if L.space.degree(m) % 2 else F.neg(F.one()), L.act_right(mm, x))
-        if col:
-            entries[m] = col
-    return GradedMap(L.space, L.space, 1, entries)
+def _L_part(nB: int, v: dict) -> dict:
+    """The L-part of an element of T, at its indices in L."""
+    return {k - nB: c for k, c in v.items() if k >= nB}
 
 
 def obstruction_class(ext: SquareZeroExtension, x: dict):
-    """nu(x) = del(x) + xi(x,x) with its d^x_L-cocycle certificate."""
+    """nu(x) = del(x) + xi(x,x), the L-part of the MC residual of x in T,
+    with its certificate d^x_L nu(x) = 0."""
     if not ext.B.is_mc(x):
         raise ValueError("x must be a Maurer-Cartan element of the base")
-    F = ext.field
-    nu = vec_add(F, ext.partial.apply(x), ext.xi_of(x, x))
-    dxL = twisted_L_differential(ext, x)
-    cert = vec_is_zero(F, dxL.apply(nu))
+    T, nB = ext.total, ext.B.dim
+    nu = _L_part(nB, T.mc_residual(x))
+    cert = vec_is_zero(ext.field, twisted_apply(T, x, x, _into_T(nB, nu)))
     return nu, cert
 
 
 def try_lift(ext: SquareZeroExtension, x: dict):
     """Lift x to MC of the total space, or report the obstruction.
 
-    Returns ("lift", x + l as an element of the total space, l) or
-    ("obstructed", nu) when nu(x) is not a -d^x_L-coboundary.
+    Returns ("lift", x + l as an element of T, l) or ("obstructed", nu, None)
+    when nu(x) is not a -d^x_L-coboundary.  The columns of d^x_L are
+    D_{x->x} of T on the basis of L; l is the particular solution of
+    d^x_L l = -nu(x).
     """
     F = ext.field
     nu, cert = obstruction_class(ext, x)
     if not cert:
         raise AssertionError("nu(x) failed its cocycle certificate")
-    dxL = twisted_L_differential(ext, x)
-    target = vec_scale(F, F.neg(F.one()), nu)
-    sol = solve_linear(dxL, target)
-    if sol is None:
+    T, nB, nL = ext.total, ext.B.dim, ext.L.space.dim
+    columns = [_L_part(nB, twisted_apply(T, x, x, T.space.basis_vector(nB + m))) for m in range(nL)]
+    system = LinearSystem(F, columns, nL)
+    l = system.solution(system.residue(F.scale(-1, nu)))
+    if l is None:
         return ("obstructed", nu, None)
-    l = sol[0]
-    A, pi = build_total(ext)
-    nB = ext.B.dim
-    xl = dict(x)
-    for k, c in l.items():
-        xl[nB + k] = c
-    if not A.is_mc(xl):
+    xl = vec_add(F, x, _into_T(nB, l))
+    if not T.is_mc(xl):
         raise AssertionError("computed lift fails the MC equation in the total space")
     return ("lift", xl, l)
 
 
 def lift_along_gauge(ext: SquareZeroExtension, l: dict, y: dict, quad) -> dict:
     """Given a semisplit extension, a lift x + l of x, and a homotopy gauge
-    equivalence quad: x ~ y, produce the lift y + l' with
-    l' = f l g - del(f) g + del(y) h2.  Verified MC in the total space.
+    equivalence quad: x ~ y, produce the lift y + l' of y with
+    l' = f l g - del(f) g + del(y) h2, the L-part of
+    f l g - L(d_T f) g + L(d_T y) h2 in T.  Verified MC in T.
     """
     if not ext.semisplit:
         raise ValueError("the gauge-transport formula requires a semisplit extension")
     F = ext.field
-    L = ext.L
+    T, nB = ext.total, ext.B.dim
     f, g, h2 = quad.f, quad.g, quad.h2
-    lp = L.act_right(L.act_left(f, l), g)
-    lp = vec_sub(F, lp, L.act_right(ext.partial.apply(f), g))
-    lp = vec_add(F, lp, L.act_right(ext.partial.apply(y), h2))
-    A, pi = build_total(ext)
-    nB = ext.B.dim
-    yl = dict(y)
-    for k, c in lp.items():
-        yl[nB + k] = F.add(yl.get(nB + k, F.zero()), c)
-    yl = {k: c for k, c in yl.items() if not F.is_zero(c)}
-    if not A.is_mc(yl):
+
+    def L_of_d(b: dict) -> dict:
+        return _into_T(nB, _L_part(nB, T.d.apply(b)))
+
+    lp = T.product(T.product(f, _into_T(nB, l)), g)
+    F.add_scaled(lp, -F.one(), T.product(L_of_d(f), g))
+    F.add_scaled(lp, 1, T.product(L_of_d(y), h2))
+    yl = F.nonzero(vec_add(F, y, lp))
+    if not T.is_mc(yl):
         raise AssertionError("gauge-transported lift fails the MC equation")
     return yl
 

@@ -21,7 +21,7 @@ from .algebra import (
 from .fields import FieldSpec
 from .gradedlin import Complex, GradedMap, GradedSpace, LinearSystem, kernel_basis
 from .interval import make_interval
-from .obstruction import Bimodule, SquareZeroExtension, build_total
+from .obstruction import Bimodule, SquareZeroExtension
 
 
 def random_complex(rng: random.Random, F: FieldSpec, maxdim: int = 6, degs=(-1, 0, 1, 2)):
@@ -173,22 +173,29 @@ def random_base_algebra(rng: random.Random, F: FieldSpec, maxdim: int = 5) -> Cu
 
 
 def regular_bimodule(B: CurvedAlgebra, shift_by: int = 0) -> Bimodule:
-    """B itself as a B-bimodule, optionally shifted."""
+    """B itself as a B-bimodule, shifted: L = sB with |sm| = |m| - shift_by.
+
+    For an odd shift the Koszul signs of s are d(sm) = -s(dm) and
+    b.sm = (-1)^{|b|} s(bm), with sm.b = s(mb); over F_2 they are all +1.
+    """
     F = B.field
     space = GradedSpace.make(
         [(f"L{l}", d - shift_by) for l, d in B.space.basis], F
     )
+    odd = shift_by % 2 == 1
     left = {}
     right = {}
     for i in range(B.dim):
+        sign = -1 if odd and B.degree(i) % 2 else 1
         for m in range(B.dim):
             col = B.basis_product(i, m)
             if col:
-                left[(i, m)] = dict(col)
+                left[(i, m)] = F.scale(sign, col)
             col = B.basis_product(m, i)
             if col:
                 right[(m, i)] = dict(col)
-    dL = GradedMap(space, space, 1, {j: dict(c) for j, c in B.d.entries.items()})
+    dsign = -1 if odd else 1
+    dL = GradedMap(space, space, 1, {j: F.scale(dsign, c) for j, c in B.d.entries.items()})
     return Bimodule(space, dL, left, right)
 
 
@@ -291,7 +298,8 @@ def random_square_zero_extension(
     rng: random.Random, F: FieldSpec, max_total_dim: int = 10, semisplit: Optional[bool] = None
 ) -> SquareZeroExtension:
     """Random valid square-zero extension: random base and bimodule, then a
-    random point of the (linear) space of Hochschild pairs."""
+    random point of the (linear) space of Hochschild pairs, drawn again
+    until its total algebra passes validation."""
     while True:
         B = random_base_algebra(rng, F, maxdim=max_total_dim // 2)
         L = regular_bimodule(B, shift_by=rng.choice([0, 1, 1, 2]))
@@ -322,13 +330,10 @@ def random_square_zero_extension(
                 xi.setdefault((i, j), {})[m] = val
         if semisplit:
             xi = {}
-        ext = SquareZeroExtension(
-            B, L, GradedMap(B.space, L.space, 1, partial_entries), xi
-        )
-        if ext.condition_reports():
-            continue
         try:
-            build_total(ext)
+            ext = SquareZeroExtension(
+                B, L, GradedMap(B.space, L.space, 1, partial_entries), xi
+            )
         except ValueError:
             continue
         if semisplit is True and not ext.semisplit:

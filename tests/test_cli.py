@@ -478,7 +478,7 @@ def _gauge_lift_extension(tmp_path):
 
 def test_gauge_lift_transports_along_a_witness_with_h2(tmp_path, capsys):
     from curvlab.mc import find_gauge_quadruple
-    from curvlab.obstruction import build_total, extension_from_total
+    from curvlab.obstruction import extension_from_total
 
     T, ideal, f = _gauge_lift_extension(tmp_path)
     ext = extension_from_total(T, [T.space.index(l) for l in ideal])
@@ -488,7 +488,7 @@ def test_gauge_lift_transports_along_a_witness_with_h2(tmp_path, capsys):
     argv = ["obstruction", "gauge-lift", f, "--x", '{"E[v1,v0]@e_e": 1}', "--y", '{"E[v1,v0]@e_e": 2}']
     code, rep = run_cli(capsys, argv)
     assert code == 0 and rep["verdict"] is True
-    A, _ = build_total(ext)
+    A = ext.total
     assert A.is_mc(parse_element(A.space, rep["lift_of_y"], "lift_of_y"))
     assert {l: c for l, c in rep["lift_of_y"].items() if l.startswith("b.")} == {"b.E[v1,v0]@e_e": 2}
 
@@ -561,6 +561,81 @@ def test_user_keys_and_labels_are_input_errors(tmp_path, capsys, argv, name):
     paths = _key_documents(tmp_path)
     code, rep = run_cli(capsys, [a.format(**paths) for a in argv])
     assert code == 2 and name in rep["error"]
+
+
+def _nested_coalgebra_documents(tmp_path):
+    """An extension and morphism documents over I_1 (F_2) in which the
+    total, the source or the target is a coalgebra document."""
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    I1 = dump_algebra(make_interval(GF(2), 1).algebra)
+    co = dict(I1, kind="coalgebra")
+    identity = {l: {l: 1} for l, _ in I1["basis"]}
+    docs = {
+        "total": {"total": co, "ideal": ["s"]},
+        "source": {"source": co, "target": I1, "map": identity},
+        "target": {"source": I1, "target": co, "map": identity},
+    }
+    return {name: _write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["obstruction", "class", "{total}", "--x", "{{}}"], "'total'"),
+        (["obstruction", "lift", "{total}", "--x", "{{}}"], "'total'"),
+        (["obstruction", "gauge-lift", "{total}", "--x", "{{}}", "--y", "{{}}"], "'total'"),
+        (["tower", "{source}"], "'source'"),
+        (["css-section", "{target}"], "'target'"),
+    ],
+)
+def test_a_nested_coalgebra_is_an_input_error(tmp_path, capsys, argv, key):
+    paths = _nested_coalgebra_documents(tmp_path)
+    code, rep = run_cli(capsys, [a.format(**paths) for a in argv])
+    assert code == 2 and key in rep["error"] and "coalgebra" in rep["error"]
+
+
+@pytest.mark.parametrize("action", ["class", "lift", "gauge-lift"])
+def test_an_invalid_total_is_an_input_error(tmp_path, capsys, action):
+    # I_1 over F_2 with s.e_e = s added: s.1 = 2s = 0 breaks the unit law,
+    # while s still spans a square-zero dg ideal
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    I1 = dump_algebra(make_interval(GF(2), 1).algebra)
+    I1["mult"].append(["s", "e_e", "s", 1])
+    f = _write(tmp_path, "ext.json", {"total": I1, "ideal": ["s"]})
+    code, rep = run_cli(capsys, ["obstruction", action, f, "--x", "{}", "--y", "{}"])
+    assert code == 2 and "'total'" in rep["error"] and "l.s*1 != l.s" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["adjunction-check", "{I1}", "{A}"], 3),
+        (["fib-check", "{I1}", "{id}"], 3),
+        (["rectify", "{k}", "{I1}", "{A}", "--x", "{{}}", "--g0", "{{}}", "--labels", '{{"1\'": "e_e\'"}}'], 3),
+        (["lift", "{k}", "{I1}", "{id}", "--u", "{{}}", "--uprime", "{{}}", "--labels", '{{"1\'": "e_e\'"}}'], 1),
+    ],
+)
+def test_budget_refusals_of_the_search_commands(tmp_path, capsys, argv, code):
+    # the three searches refuse through the one handler of main; lift turns
+    # the refusal of its MC enumeration into an incomplete false verdict
+    paths = {name: str(p) for name, p in _rectify_files(tmp_path).items()}
+    got, rep = run_cli(capsys, ["--max-enum", "1"] + [a.format(**paths) for a in argv])
+    assert got == code
+    if code == 3:
+        assert rep == {
+            "refusal": "enumeration requires 4 states, budget is 1; "
+            "raise the budget (CURVLAB_MAX_ENUM or --max-enum) to proceed",
+            "budget": 1,
+            "required": 4,
+        }
+    else:
+        assert rep["witness"] == "budget exhausted" and rep["search_complete"] is False
 
 
 def test_a_key_error_of_the_library_is_not_an_input_error(tmp_path, capsys, monkeypatch):

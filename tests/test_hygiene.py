@@ -1,4 +1,4 @@
-"""Seven `ast` scans of src/curvlab (no linter ships with the project).
+"""Eight `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -35,6 +35,12 @@ Brute force is declared: the functions and methods of src/curvlab that call
 linear algebra decides a question, the enumeration belongs in a
 tests/reference_*.py oracle, and a new program path that enumerates has to
 be added to the list.
+
+Validators are declared: the functions and methods of src/curvlab named
+`validate` or ending in `_reports` are exactly those in `VALIDATORS`, one
+per structure.  A second checker for a structure (a weaker copy of its
+axioms, as the Hochschild conditions of a square-zero extension were
+beside the validation of its total algebra) has to be added to the list.
 """
 
 import ast
@@ -324,3 +330,47 @@ def test_scan_finds_the_affine_enumerators():
 def test_brute_force_is_declared():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert affine_enumerators(sources) == sorted(AFFINE_ENUMERATORS)
+
+
+VALIDATORS = {
+    "algebra.CurvedAlgebra.validate",
+    "algebra.CurvedMorphism.validate",
+    "coalgebra.CurvedCoalgebra.validate",
+    "mc.GaugeQuadruple.validate",
+}
+
+
+def validators(sources):
+    """Sorted qualified names ("module.Class.name", "module.name", a nested
+    function under its enclosing ones) of the functions and methods of
+    `sources` (module name -> source text) named `validate` or ending in
+    `_reports`."""
+    out = []
+
+    def visit(prefix, body):
+        for n in body:
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{n.name}"
+                if not isinstance(n, ast.ClassDef) and (n.name == "validate" or n.name.endswith("_reports")):
+                    out.append(name)
+                visit(name, n.body)
+
+    for m, src in sources.items():
+        visit(m, ast.parse(src).body)
+    return sorted(out)
+
+
+def test_scan_finds_the_validators():
+    sources = {
+        "a": "class S:\n    def validate(self):\n        return []\n\n"
+        "    def condition_reports(self):\n        return []\n\n"
+        "def validate_all(xs):\n    return xs\n\n"
+        "def check(x):\n    def validate():\n        return []\n    return validate()\n",
+        "b": "def reports():\n    return []\n\nvalidate = None\n",
+    }
+    assert validators(sources) == ["a.S.condition_reports", "a.S.validate", "a.check.validate"]
+
+
+def test_validators_are_declared():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert validators(sources) == sorted(VALIDATORS)

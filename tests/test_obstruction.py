@@ -3,25 +3,24 @@ from itertools import islice
 
 import pytest
 
-from curvlab.algebra import ground_algebra, mc_enumerate, square_zero_algebra
+from curvlab.algebra import CurvedMorphism, ground_algebra, mc_enumerate, square_zero_algebra
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import GradedMap, GradedSpace, vec_eq, vec_is_zero
 from curvlab.mc import find_gauge_quadruple
 from curvlab.obstruction import (
     Bimodule,
     SquareZeroExtension,
-    build_total,
     extension_from_total,
     lift_along_gauge,
     obstruction_class,
     try_lift,
-    twisted_L_differential,
 )
 from curvlab.randgen import (
+    random_base_algebra,
     random_square_zero_extension,
     regular_bimodule,
 )
-from reference_mc import exhaustive_lift_search
+from reference_mc import exhaustive_lift_search, obstructed_witness
 
 
 def test_build_total_trivial_L():
@@ -31,8 +30,9 @@ def test_build_total_trivial_L():
         GradedSpace.make([], F), GradedMap(GradedSpace.make([], F), GradedSpace.make([], F), 1, {})
     )
     ext = SquareZeroExtension(B, L, GradedMap(B.space, L.space, 1, {}), {})
-    A, pi = build_total(ext)
+    A = ext.total
     assert A.dim == 1
+    pi = CurvedMorphism(A, B, GradedMap(A.space, B.space, 0, {0: {0: F.one()}}), {})
     assert pi.validate() == []
 
 
@@ -45,7 +45,7 @@ def test_build_total_k_plus_V():
     right = {(m, 0): {m: F.one()} for m in range(2)}
     L = Bimodule(V, dV, left, right)
     ext = SquareZeroExtension(B, L, GradedMap(B.space, V, 1, {}), {})
-    A, pi = build_total(ext)
+    A = ext.total
     assert A.validate() == []
     assert A.dim == 3
     # matches the direct square-zero construction
@@ -98,7 +98,7 @@ def test_try_lift_agrees_with_exhaustive():
             brute = exhaustive_lift_search(ext, x)
             if verdict[0] == "lift":
                 assert brute is not None
-                A, _ = build_total(ext)
+                A = ext.total
                 assert A.is_mc(verdict[1])
             else:
                 assert brute is None
@@ -117,7 +117,7 @@ def test_try_lift_signs_over_F3():
     E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], F))
     T = tensor_algebras(E, make_interval(F, 1).algebra)
     ext = extension_from_total(T, [i for i, l in enumerate(T.space.labels()) if l.endswith("@s")])
-    A, _ = build_total(ext)
+    A = ext.total
     lifted = 0
     for x in mc_enumerate(ext.B):
         verdict = try_lift(ext, x)
@@ -128,24 +128,10 @@ def test_try_lift_signs_over_F3():
     assert lifted == 9
 
 
-def obstructed_witness(F):
-    """B = k + kx (|x| = 1, d = 0), L = km (|m| = 2, trivial x-action),
-    del(x) = m: nu(x) = m is not a coboundary since L^1 = 0."""
-    V = GradedSpace.make([("x", 1)], F)
-    B = square_zero_algebra(V, GradedMap(V, V, 1, {}))
-    Lspace = GradedSpace.make([("m", 2)], F)
-    left = {(0, 0): {0: F.one()}}  # only the unit acts
-    right = {(0, 0): {0: F.one()}}
-    L = Bimodule(Lspace, GradedMap(Lspace, Lspace, 1, {}), left, right)
-    partial = GradedMap(B.space, Lspace, 1, {B.space.index("x"): {0: F.one()}})
-    return SquareZeroExtension(B, L, partial, {})
-
-
 def test_obstructed_instance_exists():
     F = GF(2)
     ext = obstructed_witness(F)
-    assert ext.condition_reports() == []
-    A, pi = build_total(ext)
+    A = ext.total
     assert A.validate() == []
     x = {ext.B.space.index("x"): 1}
     assert ext.B.is_mc(x)
@@ -155,6 +141,22 @@ def test_obstructed_instance_exists():
     assert exhaustive_lift_search(ext, x) is None
     # the zero MC element still lifts
     assert try_lift(ext, {})[0] == "lift"
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=str)
+def test_regular_bimodule_is_a_dg_bimodule_for_every_shift(F):
+    # B + sB with del = 0 and xi = 0 is a valid total algebra for odd shifts
+    # too: d(sm) = -s(dm) and b.sm = (-1)^{|b|} s(bm); over F_2 the tables
+    # are those of B itself
+    rng = random.Random(12)
+    for _ in range(40):
+        B = random_base_algebra(rng, F, maxdim=5)
+        for shift in range(4):
+            L = regular_bimodule(B, shift_by=shift)
+            SquareZeroExtension(B, L, GradedMap(B.space, L.space, 1, {}), {})
+            if F.characteristic == 2:
+                assert L.dL.entries == B.d.entries
+                assert L.left == {k: c for k, c in B.mult.items() if c}
 
 
 def test_lift_along_gauge_trivial_quad():
@@ -173,7 +175,7 @@ def test_lift_along_gauge_trivial_quad():
             quad = GaugeQuadruple(ext.B, x, x, dict(ext.B.unit), dict(ext.B.unit), {}, {})
             assert quad.validate() == []
             yl = lift_along_gauge(ext, l, x, quad)
-            A, _ = build_total(ext)
+            A = ext.total
             assert A.is_mc(yl)
 
 
@@ -198,10 +200,11 @@ def test_lift_along_gauge_transports():
                     continue
                 i, m = dvars[a]
                 partial_entries.setdefault(i, {})[m] = val
-            ext = SquareZeroExtension(
-                B, L, GradedMap(B.space, L.space, 1, partial_entries), {}
-            )
-            if ext.condition_reports():
+            try:
+                ext = SquareZeroExtension(
+                    B, L, GradedMap(B.space, L.space, 1, partial_entries), {}
+                )
+            except ValueError:
                 continue
             elems = mc_enumerate(B)
             assert len(elems) == 2
@@ -212,7 +215,7 @@ def test_lift_along_gauge_transports():
             if vx[0] != "lift":
                 continue
             yl = lift_along_gauge(ext, vx[2], y, quad)
-            A, _ = build_total(ext)
+            A = ext.total
             assert A.is_mc(yl)
             transported += 1
     assert transported >= 3
@@ -237,7 +240,7 @@ def test_roundtrip_extraction():
     F = GF(2)
     rng = random.Random(9)
     ext = random_square_zero_extension(rng, F)
-    A, pi = build_total(ext)
+    A = ext.total
     nB = ext.B.dim
     ext2 = extension_from_total(A, list(range(nB, A.dim)))
     # data round-trips

@@ -5,7 +5,9 @@ reference loops, the two-sided twist against its per-basis reference, the
 MC linearisation and the cached chain maps, the tensor layout (Koszul
 conventions, the label-based index, split and map), the radical and the
 primitive central idempotents against the enumerating references of
-reference_semisimple.py, and the CLI exit codes on mutated documents."""
+reference_semisimple.py, the obstruction calculus read off the total algebra
+against the Hochschild formulas of reference_mc.py, and the CLI exit codes
+on mutated documents."""
 
 import contextlib
 import copy
@@ -15,6 +17,7 @@ import json
 import os
 import random
 import tempfile
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.algebra import (
+    algebra_in_basis,
     endomorphism_algebra,
     mc_enumerate,
     tensor_algebras,
@@ -49,8 +53,9 @@ from curvlab.gradedlin import (
     vec_sub,
 )
 from curvlab.interval import make_interval
-from curvlab.mc import GaugeClasses, h0_hom, n_homotopy_search, verify_n_homotopy
-from curvlab.randgen import random_curved_algebra, rebased_algebra
+from curvlab.mc import GaugeClasses, find_gauge_quadruple, h0_hom, n_homotopy_search, verify_n_homotopy
+from curvlab.obstruction import extension_from_total, lift_along_gauge, obstruction_class, try_lift
+from curvlab.randgen import random_curved_algebra, random_square_zero_extension, rebased_algebra
 from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
     reference_add_scaled,
@@ -66,7 +71,14 @@ from reference_algebra import (
     reference_vec_scale,
     reference_vec_sub,
 )
-from reference_mc import exhaustive_gauge_quadruple
+from reference_mc import (
+    exhaustive_gauge_quadruple,
+    exhaustive_lift_search,
+    obstructed_witness,
+    reference_lift_along_gauge,
+    reference_obstruction_class,
+    reference_try_lift,
+)
 from reference_semisimple import reference_primitive_idempotents, reference_radical
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
@@ -645,6 +657,101 @@ def test_primitive_central_idempotents_match_reference(field, seed, rebase):
     B, _, _ = css_quotient(A)
     found = _primitive_central_idempotents(B)
     assert [typed(z) for z in found] == [typed(z) for z in reference_primitive_idempotents(B)]
+
+
+# ---------------------------------------------------------------------------
+# obstruction calculus
+
+
+def lift_verdicts(ext, xs):
+    """Checks nu(x), its certificate, the lift verdict with l and, on a
+    semisplit extension, every gauge transport of a lift against the
+    Hochschild formulas (values, coefficient types and key order), and the
+    verdict against the exhaustive search over F_p; returns the verdicts."""
+    F = ext.field
+    verdicts = []
+    for x in xs:
+        nu, cert = obstruction_class(ext, x)
+        ref_nu, ref_cert = reference_obstruction_class(ext, x)
+        assert (typed(nu), cert) == (typed(ref_nu), ref_cert)
+        verdict = try_lift(ext, x)
+        ref = reference_try_lift(ext, x)
+        assert verdict[0] == ref[0] and typed(verdict[1]) == typed(ref[1])
+        assert verdict[2] == ref[2] and (ref[2] is None or typed(verdict[2]) == typed(ref[2]))
+        if F.is_prime_field:
+            assert (verdict[0] == "lift") == (exhaustive_lift_search(ext, x) is not None)
+        verdicts.append(verdict[0])
+        if verdict[0] != "lift" or not ext.semisplit or not F.is_prime_field:
+            continue
+        for y in xs:
+            quad = find_gauge_quadruple(ext.B, x, y)
+            if quad is not None:
+                yl = lift_along_gauge(ext, verdict[2], y, quad)
+                assert typed(yl) == typed(reference_lift_along_gauge(ext, verdict[2], y, quad))
+    return verdicts
+
+
+def resplit(rng, ext):
+    """The total algebra of ext split along another complement of L: in the
+    basis e_j + phi(e_j) (j in B; phi: B -> L of degree 0, random, zero on
+    the support of the unit), read back as an extension.  Its del and xi
+    change by the Hochschild coboundary of phi, so xi is nonzero."""
+    T, nB, F = ext.total, ext.B.dim, ext.field
+    rows = []
+    for j in range(T.dim):
+        row = {j: F.one()}
+        if j < nB and j not in T.unit:
+            for m in range(nB, T.dim):
+                if T.degree(m) == T.degree(j) and rng.random() < 0.5:
+                    row[m] = F.coerce(rng.randint(1, F.characteristic - 1))
+        rows.append(row)
+    system = LinearSystem(F, rows, T.dim)
+
+    def coords(v):
+        return system.solution(system.residue(v))
+
+    A = algebra_in_basis(T, GradedSpace.make(T.space.basis, F), rows, coords, T.unit, T.h)
+    return extension_from_total(A, list(range(nB, T.dim)))
+
+
+OBSTRUCTION_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.sampled_from(sorted(OBSTRUCTION_FIELDS)), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_obstruction_calculus_matches_the_hochschild_formulas(field, seed, semisplit, split_again):
+    """nu(x), d^x_L, the lift l and the gauge transport l', read off the
+    total algebra, equal the Hochschild formulas on every MC element of
+    random square-zero extensions (these lift), also split along another
+    complement."""
+    rng = random.Random(seed)
+    ext = random_square_zero_extension(rng, OBSTRUCTION_FIELDS[field], semisplit=semisplit or None)
+    if split_again:
+        ext = resplit(rng, ext)
+    assert set(lift_verdicts(ext, mc_enumerate(ext.B))) <= {"lift"}
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(st.sampled_from(sorted(OBSTRUCTION_FIELDS)), st.integers(0, 2**32 - 1))
+def test_obstruction_calculus_with_xi_matches_the_hochschild_formulas(field, seed):
+    """End(k + k<-1>) @ I_1 along the s-components, split along a random
+    complement: xi(x, x) != 0 for many MC elements x of the base."""
+    F = OBSTRUCTION_FIELDS[field]
+    E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], F))
+    T = tensor_algebras(E, make_interval(F, 1).algebra)
+    ext = extension_from_total(T, [i for i, l in enumerate(T.space.labels()) if l.endswith("@s")])
+    ext = resplit(random.Random(seed), ext)
+    assert set(lift_verdicts(ext, mc_enumerate(ext.B))) <= {"lift"}
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_obstructed_lifts_match_the_hochschild_formulas(F):
+    """On the obstructed witness every c x with c != 0 is obstructed and 0
+    lifts, as the formulas (and over F_p the exhaustive search) say."""
+    ext = obstructed_witness(F)
+    cs = F.elements() if F.is_prime_field else [0, 1, 2, Fraction(-1, 2)]
+    xs = [{ext.B.space.index("x"): F.coerce(c)} if c else {} for c in cs]
+    assert lift_verdicts(ext, xs) == ["lift"] + ["obstructed"] * (len(xs) - 1)
 
 
 # ---------------------------------------------------------------------------
