@@ -24,6 +24,8 @@ at the splitting functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, tensor_index, twisted_apply
@@ -106,10 +108,19 @@ def mc_hom_enumerate(
 def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = None) -> List[dict]:
     """All MC elements of the convolution algebra conv = Hom(C, A) over F_p.
 
-    Uses the coradical filtration to solve stage by stage (grouplike
-    components by bounded brute force, higher stages by affine linear
-    algebra); falls back to plain enumeration when the filtration is not
-    basis-aligned.  Deterministic output order.
+    Solves stage by stage along the coradical filtration of C.  Stage 0 is
+    Hom(C_0, A), and C_0 splits into the blocks that Delta and d_C join:
+    the residual rows of a block read only its own coordinates, so each
+    block's p^(its degree-1 coordinates) points are enumerated once and
+    stage 0 is the product of the points kept.  Higher stages are affine
+    linear algebra over each partial solution.  Falls back to plain
+    enumeration when the filtration is not basis-aligned or d_C does not
+    respect it.  Deterministic output order (sorted by `vec_key`).
+
+    Stage 0 refuses, before any point, when the points of the blocks number
+    more than the budget (required = sum over blocks of p^n_b), and again,
+    before the product, when the product of the kept sets does (required =
+    prod over blocks of |MC_b|).
     """
     C, A, E = conv.C, conv.A, conv.algebra
     F = A.field
@@ -138,13 +149,49 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
     def residual_rows(X, upto_stage):
         return stage_rows(E.mc_residual(X), upto_stage)
 
-    # stage-0 brute force
-    p = F.characteristic
-    s0 = stage_vars.get(0, [])
-    sols: List[dict] = []
-    for X in enumerate_affine(F, {}, [E.space.basis_vector(k) for k in s0], budget):
-        if residual_rows(X, 0):
+    # stage 0 by blocks: join c to the support of Delta(c) and of d_C(c),
+    # which the stage checks above keep inside stage 0
+    s0 = [ci for ci in range(C.dim) if stages[ci] == 0]
+    linked: Dict[int, set] = {ci: set() for ci in s0}
+    for ci in s0:
+        for j in set(F.nonzero(C.d.entries.get(ci, {}))).union(*F.nonzero(C.comult.get(ci, {}))):
+            linked[ci].add(j)
+            linked[j].add(ci)
+    block: Dict[int, int] = {}
+    nblocks = 0
+    for ci in s0:
+        if ci in block:
             continue
+        todo = [ci]
+        while todo:
+            j = todo.pop()
+            if j not in block:
+                block[j] = nblocks
+                todo.extend(linked[j])
+        nblocks += 1
+    coord_block = {
+        tensor_index(ci, ai, A.dim): b for ci, b in block.items() for ai in range(A.dim)
+    }
+    block_vars = [[k for k in stage_vars[0] if coord_block[k] == b] for b in range(nblocks)]
+    p = F.characteristic
+    required = sum(p ** len(vs) for vs in block_vars)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    kept = [
+        [
+            X
+            for X in enumerate_affine(F, {}, [E.space.basis_vector(k) for k in vs], budget)
+            if not any(coord_block.get(k) == b for k in E.mc_residual(X))
+        ]
+        for b, vs in enumerate(block_vars)
+    ]
+    required = prod(len(points) for points in kept)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    sols: List[dict] = []
+    for points in product(*kept):
+        # the coordinates in ascending order, as one enumeration of stage 0 gives them
+        X = dict(sorted(kv for pt in points for kv in pt.items()))
         # solve higher stages
         partials = [X]
         for s in range(1, maxstage + 1):

@@ -200,8 +200,9 @@ def regular_bimodule(B: CurvedAlgebra, shift_by: int = 0) -> Bimodule:
 
 
 def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):
-    """Basis of the space of valid Hochschild pairs (del, xi): the three
-    cocycle conditions are linear, so solve them exactly.
+    """Basis of the space of valid normalised Hochschild pairs (del, xi):
+    the three cocycle conditions and xi(1, -) = xi(-, 1) = 0, which the unit
+    laws of the total algebra need, are linear, so solve them exactly.
 
     Variables: del entries (i -> m) with deg(m) = deg(i) + 1, and xi entries
     ((i,j) -> m) with deg(m) = deg(i) + deg(j).
@@ -239,7 +240,7 @@ def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):
             if ii == i:
                 for k, c in L.dL.entries.get(m, {}).items():
                     add(("c1", i, k), a, c)
-    # (2) xi(ab, c) - xi(a, bc) + a xi(b,c) - xi(a,b) c = 0
+    # (2) a xi(b,c) - xi(ab, c) + xi(a, bc) - xi(a,b) c = 0
     for i in range(B.dim):
         for j in range(B.dim):
             pij = B.basis_product(i, j)
@@ -249,9 +250,9 @@ def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):
                 for (x, y, m), a in xpos.items():
                     coeff = F.zero()
                     if y == k:
-                        coeff = F.add(coeff, pij.get(x, F.zero()))
+                        coeff = F.sub(coeff, pij.get(x, F.zero()))
                     if x == i:
-                        coeff = F.sub(coeff, pjk.get(y, F.zero()))
+                        coeff = F.add(coeff, pjk.get(y, F.zero()))
                     if not F.is_zero(coeff):
                         add(eq + (m,), a, coeff)
                 # a xi(b,c): left action of e_i on xi_{j,k}
@@ -263,7 +264,7 @@ def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):
                         for mm, c in L.right.get((m, k), {}).items():
                             add(eq + (mm,), a, F.neg(c))
     # (3) del(ab) - del(a) b - (-1)^{|a|} a del(b)
-    #     + d_L xi(a,b) + xi(da, b) + (-1)^{|a|} xi(a, db) = 0
+    #     + d_L xi(a,b) - xi(da, b) - (-1)^{|a|} xi(a, db) = 0
     for i in range(B.dim):
         si = F.one() if B.degree(i) % 2 == 0 else F.neg(F.one())
         for j in range(B.dim):
@@ -286,10 +287,14 @@ def hochschild_pair_space(B: CurvedAlgebra, L: Bimodule):
                         add(eq + (mm,), a, c)
                 cda = B.d.entries.get(i, {}).get(x, F.zero())
                 if y == j and not F.is_zero(cda):
-                    add(eq + (m,), a, cda)
+                    add(eq + (m,), a, F.neg(cda))
                 cdb = B.d.entries.get(j, {}).get(y, F.zero())
                 if x == i and not F.is_zero(cdb):
-                    add(eq + (m,), a, F.mul(si, cdb))
+                    add(eq + (m,), a, F.neg(F.mul(si, cdb)))
+    # (4) xi(1, b) = 0 and xi(b, 1) = 0 for 1 = sum_u c_u e_u
+    for (x, y, m), a in xpos.items():
+        add(("u1", y, m), a, B.unit.get(x, F.zero()))
+        add(("u2", x, m), a, B.unit.get(y, F.zero()))
     ker = kernel_basis(F, list(rows.values()), nvars)
     return dvars, xvars, ker
 
@@ -298,8 +303,8 @@ def random_square_zero_extension(
     rng: random.Random, F: FieldSpec, max_total_dim: int = 10, semisplit: Optional[bool] = None
 ) -> SquareZeroExtension:
     """Random valid square-zero extension: random base and bimodule, then a
-    random point of the (linear) space of Hochschild pairs, drawn again
-    until its total algebra passes validation."""
+    random point of the (linear) space of normalised Hochschild pairs, whose
+    total algebra the extension validates at construction."""
     while True:
         B = random_base_algebra(rng, F, maxdim=max_total_dim // 2)
         L = regular_bimodule(B, shift_by=rng.choice([0, 1, 1, 2]))
@@ -330,12 +335,7 @@ def random_square_zero_extension(
                 xi.setdefault((i, j), {})[m] = val
         if semisplit:
             xi = {}
-        try:
-            ext = SquareZeroExtension(
-                B, L, GradedMap(B.space, L.space, 1, partial_entries), xi
-            )
-        except ValueError:
-            continue
+        ext = SquareZeroExtension(B, L, GradedMap(B.space, L.space, 1, partial_entries), xi)
         if semisplit is True and not ext.semisplit:
             continue
         return ext

@@ -1,6 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab.algebra import (
+    CurvedAlgebra,
+    direct_product,
     endomorphism_algebra,
     ground_algebra,
     mc_enumerate,
@@ -11,13 +17,16 @@ from curvlab.barcobar import (
     bar_dual,
     cobar,
     conilpotency_degree,
+    mc_convolution_enumerate,
     mc_hom_enumerate,
     morphisms_via_mc,
 )
 from curvlab.coalgebra import dualize_algebra
+from curvlab.convolution import convolution_algebra
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_is_zero
 from curvlab.interval import make_interval
+from curvlab.randgen import acyclic_k_algebra, random_curved_algebra
 
 
 def dual_sqz(F, degree=1):
@@ -91,8 +100,6 @@ def test_cobar_curvature_vanishes_iff_compatible():
     assert vec_is_zero(F, om.algebra.h)
     # incompatible distinguished element: dual of K = k[x]/x^2 with dx = 1
     # has d(1') = x' != 0, so the cobar picks up a curvature element
-    from curvlab.randgen import acyclic_k_algebra
-
     CK = dualize_algebra(acyclic_k_algebra(F))
     omK = cobar(CK, CK.space.index("1'"), 3)
     assert omK.algebra.validate() == []  # curved but valid: d^2 = [h,-]
@@ -142,6 +149,88 @@ def test_staged_refusal_reports_the_count_it_compared():
     with pytest.raises(BudgetExceeded) as e:
         mc_hom_enumerate(C, A, budget=256)
     assert e.value.required > e.value.budget
+
+
+def end_k2(F):
+    return endomorphism_algebra(GradedSpace.make([("u", 0), ("w", 0)], F))
+
+
+def sqz(F, degrees):
+    V = GradedSpace.make([(f"v{i}", d) for i, d in enumerate(degrees)], F)
+    return square_zero_algebra(V, GradedMap(V, V, 1, {}))
+
+
+# stage 0 of each coalgebra, by the blocks that Delta and d_C join: End(k^2)*
+# is one simple block of dimension 4 (not grouplike); (End(k^2) x k)* adds a
+# grouplike block; I_1 and I_2 have two grouplike blocks and higher stages
+COALGEBRAS = {
+    "End(k2)*": lambda F: dualize_algebra(end_k2(F)),
+    "(End(k2) x k)*": lambda F: dualize_algebra(direct_product(end_k2(F), ground_algebra(F))),
+    "I_1": lambda F: dualize_algebra(make_interval(F, 1).algebra),
+    "I_2": lambda F: dualize_algebra(make_interval(F, 2).algebra),
+}
+
+
+def cubic(F):
+    """k[v]/v^3 with |v| = 1 and d = 0: its MC elements in Hom(C, -) are the
+    X with X^2 = 0, which couples the coordinates of a block."""
+    space = GradedSpace.make([("1", 0), ("v", 1), ("v2", 2)], F)
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1}, (1, 1): {2: 1}}
+    return CurvedAlgebra(space, {0: 1}, mult, GradedMap(space, space, 1, {}), {})
+
+
+ALGEBRAS = {
+    "k[v]/v^3": cubic,
+    "k + k<1>": lambda F: sqz(F, [1]),
+    "k + k<0> + k<1>": lambda F: sqz(F, [0, 1]),
+    "K": acyclic_k_algebra,
+    "I^1": lambda F: make_interval(F, 1).algebra,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("aname", sorted(ALGEBRAS))
+@pytest.mark.parametrize("cname", sorted(COALGEBRAS))
+def test_stage_zero_by_blocks_matches_brute_force(p, aname, cname):
+    # the product over the blocks of stage 0 gives the MC set of plain
+    # enumeration, element for element and in the same order
+    F = GF(p)
+    conv = convolution_algebra(COALGEBRAS[cname](F), ALGEBRAS[aname](F))
+    assert mc_convolution_enumerate(conv) == mc_enumerate(conv.algebra)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.sampled_from(sorted(ALGEBRAS)))
+def test_stage_zero_by_blocks_matches_brute_force_on_random_duals(p, seed, aname):
+    F = GF(p)
+    C = dualize_algebra(random_curved_algebra(random.Random(seed), F, 4))
+    conv = convolution_algebra(C, ALGEBRAS[aname](F))
+    try:
+        brute = mc_enumerate(conv.algebra, budget=3**8)
+    except BudgetExceeded:
+        return
+    assert mc_convolution_enumerate(conv) == brute
+
+
+def test_stage_zero_refuses_with_the_sum_and_then_the_product():
+    # (k^5)* has five grouplike blocks.  Against k + (v, u -> w) over F_2,
+    # with |v| = |u| = 1 and du = w, each block has the four points
+    # av + bu, of which the two with b = 0 are MC: 5 * 4 = 20 points to
+    # enumerate, 2^5 = 32 in the product of the kept sets
+    F = GF(2)
+    k = ground_algebra(F)
+    k5 = k
+    for i in range(4):
+        k5 = direct_product(k5, k, f"a{i}", f"b{i}")
+    V = GradedSpace.make([("v", 1), ("u", 1), ("w", 2)], F)
+    A = square_zero_algebra(V, GradedMap(V, V, 1, {1: {2: 1}}))
+    conv = convolution_algebra(dualize_algebra(k5), A)
+    for budget, required in ((19, 20), (20, 32), (31, 32)):
+        with pytest.raises(BudgetExceeded) as e:
+            mc_convolution_enumerate(conv, budget)
+        assert (e.value.required, e.value.budget) == (required, budget)
+    mc = mc_convolution_enumerate(conv, 32)
+    assert len(mc) == 32 and mc == mc_enumerate(conv.algebra)
 
 
 def test_conilpotency_degree():

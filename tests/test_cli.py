@@ -618,24 +618,20 @@ def test_an_invalid_total_is_an_input_error(tmp_path, capsys, action):
         (["adjunction-check", "{I1}", "{A}"], 3),
         (["fib-check", "{I1}", "{id}"], 3),
         (["rectify", "{k}", "{I1}", "{A}", "--x", "{{}}", "--g0", "{{}}", "--labels", '{{"1\'": "e_e\'"}}'], 3),
-        (["lift", "{k}", "{I1}", "{id}", "--u", "{{}}", "--uprime", "{{}}", "--labels", '{{"1\'": "e_e\'"}}'], 1),
+        (["lift", "{k}", "{I1}", "{id}", "--u", "{{}}", "--uprime", "{{}}", "--labels", '{{"1\'": "e_e\'"}}'], 3),
     ],
 )
 def test_budget_refusals_of_the_search_commands(tmp_path, capsys, argv, code):
-    # the three searches refuse through the one handler of main; lift turns
-    # the refusal of its MC enumeration into an incomplete false verdict
+    # every search, lift included, refuses through the one handler of main
     paths = {name: str(p) for name, p in _rectify_files(tmp_path).items()}
     got, rep = run_cli(capsys, ["--max-enum", "1"] + [a.format(**paths) for a in argv])
     assert got == code
-    if code == 3:
-        assert rep == {
-            "refusal": "enumeration requires 4 states, budget is 1; "
-            "raise the budget (CURVLAB_MAX_ENUM or --max-enum) to proceed",
-            "budget": 1,
-            "required": 4,
-        }
-    else:
-        assert rep["witness"] == "budget exhausted" and rep["search_complete"] is False
+    assert rep == {
+        "refusal": "enumeration requires 4 states, budget is 1; "
+        "raise the budget (CURVLAB_MAX_ENUM or --max-enum) to proceed",
+        "budget": 1,
+        "required": 4,
+    }
 
 
 def test_a_key_error_of_the_library_is_not_an_input_error(tmp_path, capsys, monkeypatch):

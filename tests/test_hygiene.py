@@ -1,4 +1,4 @@
-"""Eight `ast` scans of src/curvlab (no linter ships with the project).
+"""Nine `ast` scans of src/curvlab (no linter ships with the project).
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -35,6 +35,10 @@ Brute force is declared: the functions and methods of src/curvlab that call
 linear algebra decides a question, the enumeration belongs in a
 tests/reference_*.py oracle, and a new program path that enumerates has to
 be added to the list.
+
+Refusals reach the user: `except BudgetExceeded` occurs in src/curvlab
+only in `cli.main`, which reports it with exit 3, so no search turns a
+refusal back into a verdict.
 
 Validators are declared: the functions and methods of src/curvlab named
 `validate` or ending in `_reports` are exactly those in `VALIDATORS`, one
@@ -330,6 +334,48 @@ def test_scan_finds_the_affine_enumerators():
 def test_brute_force_is_declared():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert affine_enumerators(sources) == sorted(AFFINE_ENUMERATORS)
+
+
+def budget_handlers(sources):
+    """Sorted qualified names ("module.Class.name", "module.name", a nested
+    function under its enclosing ones; "module" at module level) of the
+    places in `sources` (module name -> source text) with an `except`
+    clause that names BudgetExceeded, alone, in a tuple or as an attribute."""
+    out = set()
+
+    def names(t):
+        if isinstance(t, ast.Tuple):
+            return [n for e in t.elts for n in names(e)]
+        return [t.id if isinstance(t, ast.Name) else t.attr if isinstance(t, ast.Attribute) else None]
+
+    def visit(prefix, node):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(f"{prefix}.{n.name}", n)
+            else:
+                if isinstance(n, ast.ExceptHandler) and n.type is not None and "BudgetExceeded" in names(n.type):
+                    out.add(prefix)
+                visit(prefix, n)
+
+    for m, src in sources.items():
+        visit(m, ast.parse(src))
+    return sorted(out)
+
+
+def test_scan_finds_the_budget_handlers():
+    sources = {
+        "a": "def main():\n    try:\n        run()\n    except BudgetExceeded as e:\n        return 3\n\n"
+        "class S:\n    def solve(self):\n        try:\n            pass\n        except (ValueError, gl.BudgetExceeded):\n"
+        "            return None\n\n"
+        "def other():\n    try:\n        pass\n    except ValueError:\n        pass\n",
+        "b": "try:\n    import x\nexcept BudgetExceeded:\n    pass\n",
+    }
+    assert budget_handlers(sources) == ["a.S.solve", "a.main", "b"]
+
+
+def test_only_main_handles_a_refusal():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert budget_handlers(sources) == ["cli.main"]
 
 
 VALIDATORS = {

@@ -16,6 +16,7 @@ from curvlab.obstruction import (
     try_lift,
 )
 from curvlab.randgen import (
+    hochschild_pair_space,
     random_base_algebra,
     random_square_zero_extension,
     regular_bimodule,
@@ -159,6 +160,36 @@ def test_regular_bimodule_is_a_dg_bimodule_for_every_shift(F):
                 assert L.left == {k: c for k, c in B.mult.items() if c}
 
 
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=str)
+def test_every_hochschild_pair_makes_a_valid_total(F):
+    # each basis vector of the pair space passes the total algebra's unit,
+    # associativity and Leibniz checks, so no draw is ever made again
+    rng = random.Random(11)
+    with_xi = 0
+    for _ in range(40):
+        B = random_base_algebra(rng, F, maxdim=5)
+        L = regular_bimodule(B, shift_by=rng.choice([0, 1, 2]))
+        dvars, xvars, ker = hochschild_pair_space(B, L)
+        for k in ker:
+            partial, xi = {}, {}
+            for a, c in k.items():
+                if a < len(dvars):
+                    i, m = dvars[a]
+                    partial.setdefault(i, {})[m] = c
+                else:
+                    i, j, m = xvars[a - len(dvars)]
+                    xi.setdefault((i, j), {})[m] = c
+            SquareZeroExtension(B, L, GradedMap(B.space, L.space, 1, partial), xi)
+            with_xi += bool(xi)
+    assert with_xi > 0
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(5)], ids=str)
+def test_random_extensions_reach_xi_over_odd_primes(F):
+    rng = random.Random(1)
+    assert any(not random_square_zero_extension(rng, F).semisplit for _ in range(20))
+
+
 def test_lift_along_gauge_trivial_quad():
     F = GF(2)
     rng = random.Random(6)
@@ -185,7 +216,6 @@ def test_lift_along_gauge_transports():
     rng = random.Random(7)
     V = GradedSpace.make([("h", 0), ("x", 1)], F)
     B = square_zero_algebra(V, GradedMap(V, V, 1, {0: {1: 1}}))
-    from curvlab.randgen import hochschild_pair_space
     from curvlab.gradedlin import enumerate_affine, vec_add, vec_scale
 
     transported = 0
