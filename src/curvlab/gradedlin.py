@@ -29,6 +29,11 @@ class GradedSpace:
         labels = [l for l, _ in self.basis]
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
+        by_degree: Dict[int, list] = {}
+        for i, (_, d) in enumerate(self.basis):
+            by_degree.setdefault(d, []).append(i)
+        # the indices of each degree, for `indices_of_degree`
+        object.__setattr__(self, "_by_degree", {d: tuple(idx) for d, idx in by_degree.items()})
 
     @staticmethod
     def make(basis, field: FieldSpec) -> "GradedSpace":
@@ -54,7 +59,9 @@ class GradedSpace:
         return sorted({d for _, d in self.basis})
 
     def indices_of_degree(self, n: int) -> List[int]:
-        return [i for i, (_, d) in enumerate(self.basis) if d == n]
+        """The basis indices of degree n, ascending, as a new list copied
+        from the tables that the (frozen) space builds once."""
+        return list(self._by_degree.get(n, ()))
 
     def dim_in_degree(self, n: int) -> int:
         return len(self.indices_of_degree(n))

@@ -151,10 +151,13 @@ class GaugeClasses:
         self._apart: Dict[tuple, set] = {}  # root -> roots of distinct classes
 
     def _budget(self) -> int:
-        """The budget of a query, after the prime-field check."""
+        """The budget of a query, after the prime-field check.  A budget of
+        None is resolved by `default_budget()` on the first query and kept."""
         if not self.A.field.is_prime_field:
             raise PrimeFieldRequired("gauge search requires a prime field")
-        return default_budget() if self.budget is None else self.budget
+        if self.budget is None:
+            self.budget = default_budget()
+        return self.budget
 
     def _element(self, x: dict) -> _ElementData:
         """The data of x, built once per element: d^x on degree -1 as a

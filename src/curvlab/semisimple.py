@@ -16,13 +16,19 @@ for both fields.  Over F_p the splitters are a basis of the kernel of the
 linear map z -> z^p - z on Z (Berlekamp, Bell Syst. Tech. J. 46, 1967;
 Eberly-Giesbrecht, ISSAC 1996), which is the F_p-span of the primitive
 idempotents; over Q they are a basis of Z, split by the CRT idempotents of
-their minimal polynomials.  Nothing is enumerated, so no part of the css
+their minimal polynomials, which `polynomials.factor_over_q` factors by
+Zassenhaus's algorithm.  Nothing is enumerated, so no part of the css
 pipeline takes a budget.
+
+A section of a css surjection inverts it on the annihilator of its kernel,
+which is the sum of the factors the kernel misses; the source is not
+decomposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import (
@@ -50,6 +56,7 @@ from .gradedlin import (
     vec_scale,
     vec_sub,
 )
+from .polynomials import factor_over_q, poly_divmod, poly_inverse, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +420,14 @@ def _split_by_minimal_polynomial(B: CurvedAlgebra, e: dict, z: dict) -> List[dic
     """Over Q: the CRT idempotents of the coprime prime-power factors of the
     minimal polynomial of ez in eBe, or [e] when it is a prime power.  A
     block whose centre is a field extension of Q is not split: its factor
-    is simple over Q."""
+    is simple over Q.
+
+    The factors come from `factor_over_q`.  The idempotent of q^m is the
+    one polynomial v rest of degree below that of the minimal polynomial
+    with v rest = 1 mod q^m and rest the cofactor of q^m; it is evaluated at
+    ez by Horner's rule from its leading coefficient.  A common factor of
+    q^m and rest, or a piece that is not idempotent, is an internal error.
+    """
     F = B.field
     w = B.product(e, z)
     # minimal polynomial of w in eBe: powers until dependence
@@ -426,39 +440,29 @@ def _split_by_minimal_polynomial(B: CurvedAlgebra, e: dict, z: dict) -> List[dic
         pows.append(nxt)
     if len(pows) == 1:  # degree 1: w is a multiple of e
         return [e]
-    from fractions import Fraction
-
-    import sympy
-
-    lam = sympy.symbols("lam")
-    # solve nxt = sum c_a pows[a]
+    # solve nxt = sum c_a pows[a]; the minimal polynomial is lam^n - sum c_a lam^a
     system = LinearSystem(F, pows, B.dim)
     sol = system.solution(system.residue(nxt))
     assert sol is not None
-    # minimal poly: lam^n - sum c_a lam^a
-    n = len(pows)
-    p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol.get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
-    fac = sympy.factor_list(p)[1]
-    if len(fac) < 2:
+    minpoly = [-sol.get(a, 0) for a in range(len(pows))] + [Fraction(1)]
+    factors = factor_over_q(minpoly)
+    if len(factors) < 2:
         return [e]
     pieces = []
-    for q, m in fac:
-        qm = sympy.Poly(q**m, lam)
-        rest = sympy.Poly(sympy.quo(p, qm), lam)
-        u, v, g = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
-        if sympy.simplify(g - 1) != 0:
-            return [e]
-        # the idempotent v(w) rest(w), evaluated by Horner in eBe
+    for q, m in factors:
+        qm = [1]
+        for _ in range(m):
+            qm = poly_mul(qm, q)
+        rest = poly_divmod(minpoly, qm)[0]
         piece: dict = {}
-        for c in sympy.Poly(sympy.expand(v * rest.as_expr()), lam).all_coeffs():
+        for c in reversed(poly_mul(poly_inverse(rest, qm), rest)):
             piece = B.product(piece, w)
-            cc = Fraction(str(sympy.nsimplify(c)))
-            if cc:
-                F.add_scaled(piece, cc, e)
+            if c:
+                F.add_scaled(piece, Fraction(c), e)
         pieces.append(piece)
-    if all(x and vec_eq(F, B.product(x, x), x) for x in pieces):
-        return pieces
-    return [e]
+    if not all(x and vec_eq(F, B.product(x, x), x) for x in pieces):
+        raise AssertionError("a CRT piece of the minimal polynomial is not idempotent (internal error)")
+    return pieces
 
 
 def _corner_algebra(B: CurvedAlgebra, z: dict, tag: str):
@@ -595,27 +599,37 @@ def reassemble_check(dec: CurvedDecomposition) -> bool:
 def css_section(pi: CurvedMorphism) -> CurvedMorphism:
     """Section of a surjection of curved semisimple algebras.
 
-    The kernel is a product of curved simple factors; the section is the
-    inverse of pi restricted to the complementary factors.  The returned
-    morphism is multiplicative and d-compatible; it is unital onto the
-    complementary central idempotent (not onto 1_A unless the kernel is 0).
+    The d-closed two-sided ideals of a css algebra are the sums of its
+    curved simple factors, and every factor is unital.  So the kernel K of
+    pi must be such an ideal, and then the complementary factors are its
+    annihilator {a : a k = 0 for every k in K}, one kernel; no decomposition
+    of the source is made.  The section is the inverse of pi restricted to
+    them.  The returned morphism is multiplicative and d-compatible; it is
+    unital onto the complementary central idempotent (not onto 1_A unless
+    the kernel is 0).
     """
     A, Bq = pi.source, pi.target
-    F = A.field
+    F, n = A.field, A.dim
     if internal_curved_radical(A) or internal_curved_radical(Bq):
         raise ValueError("css_section requires curved semisimple source and target")
-    decA = css_decompose(A)
-    # factors inside the kernel of pi vs complement
-    kernel = EchelonBasis(F, A.dim, solve_linear(pi.f, {})[1])
-    comp_rows: List[dict] = []
-    for fa in decA.factors:
-        if not all(kernel.contains(u) for u in fa.basis_in_B):
-            comp_rows.extend(fa.basis_in_B)
-    comp_red, _ = rref(F, comp_rows, A.dim)
+    not_iso = "projection does not restrict to an isomorphism on the complement"
+    K = solve_linear(pi.f, {})[1]
+    kernel = EchelonBasis(F, n, K)
+    units = [A.space.basis_vector(i) for i in range(n)]
+    left = [[A.product(e, k) for k in K] for e in units]  # left[j][t] = e_j k_t
+    if not (
+        all(kernel.contains(v) for row in left for v in row)
+        and all(kernel.contains(A.product(k, e)) for k in K for e in units)
+        and all(kernel.contains(A.d.apply(k)) for k in K)
+    ):
+        raise ValueError(not_iso)
+    # row t * n + i of the annihilator's system is coordinate i of a k_t
+    columns = [{t * n + i: c for t, v in enumerate(row) for i, c in v.items()} for row in left]
+    comp_red, _ = rref(F, LinearSystem(F, columns, n * len(K)).kernel, n)
     # pi restricted to the complement must be bijective onto Bq
     img_rows = [pi.f.apply(r) for r in comp_red]
     if span_rank(F, img_rows, Bq.dim) != Bq.dim or len(comp_red) != Bq.dim:
-        raise ValueError("projection does not restrict to an isomorphism on the complement")
+        raise ValueError(not_iso)
     entries: Dict[int, dict] = {}
     system = LinearSystem(F, img_rows, Bq.dim)
     for j in range(Bq.dim):

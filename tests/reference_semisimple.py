@@ -7,19 +7,36 @@ Reference primitive central idempotents for the tests of
 `semisimple._primitive_central_idempotents`: over F_p every point of the
 closed centre is enumerated and the minimal nonzero idempotents kept, over
 Q blocks are split by the first splitting centre element until nothing
-changes."""
+changes, each split by `reference_split_by_minimal_polynomial`.
 
+Reference rational split for the tests of
+`semisimple._split_by_minimal_polynomial`: the minimal polynomial factored
+by sympy, the CRT idempotents by sympy's gcdex.  `sympy_factor_list` is the
+same factorization as [(monic coefficients, multiplicity)].
+
+Reference section for the tests of `semisimple.css_section`: the source is
+decomposed by `css_decompose`, and the complement of the kernel is the sum
+of the factors that the kernel does not contain."""
+
+from fractions import Fraction
+
+import sympy
+
+from curvlab.algebra import CurvedMorphism
 from curvlab.gradedlin import (
     EchelonBasis,
+    GradedMap,
+    LinearSystem,
     enumerate_affine,
     in_span,
     kernel_basis,
     rref,
+    solve_linear,
     span_rank,
     vec_eq,
     vec_is_zero,
 )
-from curvlab.semisimple import _closed_center, _split_by_minimal_polynomial
+from curvlab.semisimple import _closed_center, css_decompose, internal_curved_radical
 
 
 def _ideal_closure(A, gens):
@@ -139,7 +156,7 @@ def reference_primitive_idempotents(B, budget=None):
             for e in idems:
                 parts = [e]
                 for z in center:
-                    parts = _split_by_minimal_polynomial(B, e, z)
+                    parts = reference_split_by_minimal_polynomial(B, e, z)
                     if len(parts) > 1:
                         changed = True
                         break
@@ -163,3 +180,103 @@ def reference_primitive_idempotents(B, budget=None):
         if all(vec_is_zero(F, B.product(z, w)) for w in ortho):
             ortho.append(z)
     return ortho
+
+
+def reference_split_by_minimal_polynomial(B, e, z):
+    """Over Q: the CRT idempotents of the coprime prime-power factors of the
+    minimal polynomial of ez in eBe, or [e] when it is a prime power, by
+    sympy (the program's split before it factored without sympy)."""
+    F = B.field
+    w = B.product(e, z)
+    # minimal polynomial of w in eBe: powers until dependence
+    pows = [dict(e)]
+    span = EchelonBasis(F, B.dim, pows)
+    while True:
+        nxt = B.product(pows[-1], w)
+        if not span.add(nxt):
+            break
+        pows.append(nxt)
+    if len(pows) == 1:  # degree 1: w is a multiple of e
+        return [e]
+    lam = sympy.symbols("lam")
+    # solve nxt = sum c_a pows[a]
+    system = LinearSystem(F, pows, B.dim)
+    sol = system.solution(system.residue(nxt))
+    assert sol is not None
+    # minimal poly: lam^n - sum c_a lam^a
+    n = len(pows)
+    p = sympy.Poly(lam**n - sum(sympy.Rational(str(sol.get(a, Fraction(0)))) * lam**a for a in range(n)), lam)
+    fac = sympy.factor_list(p)[1]
+    if len(fac) < 2:
+        return [e]
+    pieces = []
+    for q, m in fac:
+        qm = sympy.Poly(q**m, lam)
+        rest = sympy.Poly(sympy.quo(p, qm), lam)
+        u, v, g = sympy.gcdex(qm.as_expr(), rest.as_expr(), lam)
+        if sympy.simplify(g - 1) != 0:
+            return [e]
+        # the idempotent v(w) rest(w), evaluated by Horner in eBe
+        piece: dict = {}
+        for c in sympy.Poly(sympy.expand(v * rest.as_expr()), lam).all_coeffs():
+            piece = B.product(piece, w)
+            cc = Fraction(str(sympy.nsimplify(c)))
+            if cc:
+                F.add_scaled(piece, cc, e)
+        pieces.append(piece)
+    if all(x and vec_eq(F, B.product(x, x), x) for x in pieces):
+        return pieces
+    return [e]
+
+
+def sympy_factor_list(f):
+    """The monic irreducible factors over Q of the polynomial with
+    coefficients f (constant term first, Fractions or ints), with their
+    multiplicities, as sympy.factor_list finds them: a sorted list of
+    (tuple of Fraction coefficients, multiplicity)."""
+    lam = sympy.symbols("lam")
+    p = sympy.Poly([sympy.Rational(str(c)) for c in reversed(f)], lam)
+    out = []
+    for q, m in sympy.factor_list(p)[1]:
+        c = [Fraction(str(a)) for a in reversed(sympy.Poly(q, lam).all_coeffs())]
+        out.append((tuple(a / c[-1] for a in c), m))
+    return sorted(out)
+
+
+def reference_css_section(pi):
+    """The section of a css surjection pi as the program made it before it
+    read the complement off the kernel: the source is decomposed, and the
+    section inverts pi on the factors that the kernel does not contain."""
+    A, Bq = pi.source, pi.target
+    F = A.field
+    if internal_curved_radical(A) or internal_curved_radical(Bq):
+        raise ValueError("css_section requires curved semisimple source and target")
+    decA = css_decompose(A)
+    # factors inside the kernel of pi vs complement
+    kernel = EchelonBasis(F, A.dim, solve_linear(pi.f, {})[1])
+    comp_rows = []
+    for fa in decA.factors:
+        if not all(kernel.contains(u) for u in fa.basis_in_B):
+            comp_rows.extend(fa.basis_in_B)
+    comp_red, _ = rref(F, comp_rows, A.dim)
+    # pi restricted to the complement must be bijective onto Bq
+    img_rows = [pi.f.apply(r) for r in comp_red]
+    if span_rank(F, img_rows, Bq.dim) != Bq.dim or len(comp_red) != Bq.dim:
+        raise ValueError("projection does not restrict to an isomorphism on the complement")
+    entries = {}
+    system = LinearSystem(F, img_rows, Bq.dim)
+    for j in range(Bq.dim):
+        sol = system.solution(system.residue(Bq.space.basis_vector(j)))
+        assert sol is not None
+        v = {}
+        for a, c in sol.items():
+            F.add_scaled(v, c, comp_red[a])
+        if v:
+            entries[j] = v
+    sec = CurvedMorphism(Bq, A, GradedMap(Bq.space, A.space, 0, entries), {}, unital=False)
+    # exactness check: pi . sec = id
+    for j in range(Bq.dim):
+        b = Bq.space.basis_vector(j)
+        if not vec_eq(F, pi.f.apply(sec.f.apply(b)), b):
+            raise AssertionError("section does not split the projection")
+    return sec

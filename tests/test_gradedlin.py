@@ -181,3 +181,17 @@ def test_linear_system_matches_solve_and_kernel_basis(p):
             assert system.residue(vec_add(F, b1, b2)) == vec_add(
                 F, system.residue(b1), system.residue(b2)
             )
+
+
+def test_indices_of_degree_is_built_once_and_copied():
+    V = GradedSpace.make([("a", 0), ("b", 1), ("c", 0), ("d", -1)], GF(2))
+    tables = V._by_degree
+    idx = V.indices_of_degree(0)
+    assert idx == [0, 2] and V.indices_of_degree(1) == [1] and V.indices_of_degree(5) == []
+    idx.append(99)
+    assert V.indices_of_degree(0) == [0, 2] and V.dim_in_degree(0) == 2
+    assert V._by_degree is tables
+    assert shift(V, 1).indices_of_degree(-1) == [0, 2]
+    # the tables take no part in equality and hashing
+    fresh = GradedSpace.make([("a", 0), ("b", 1), ("c", 0), ("d", -1)], GF(2))
+    assert fresh == V and hash(fresh) == hash(V)

@@ -1,4 +1,5 @@
-"""Nine `ast` scans of src/curvlab (no linter ships with the project).
+"""Ten `ast` scans of src/curvlab (no linter ships with the project), and
+one check of pyproject.toml.
 
 Every module-level import is used by its module: a name bound by a
 top-level `import` or `from ... import` must occur as a name (or as the
@@ -16,8 +17,7 @@ helper that only tests use belongs in a tests/reference_*.py module.
 
 No function-local `from .m import ...` repeats a module that the same file
 already imports from at module level: there is no import cycle for it to
-avoid, so the names belong in the module-level import.  (The lazy
-`import sympy` is not a relative import and is not concerned.)
+avoid, so the names belong in the module-level import.
 
 No module imports an underscore name from another curvlab module, at any
 depth: a private helper serves its own module, and what other modules need
@@ -45,6 +45,10 @@ Validators are declared: the functions and methods of src/curvlab named
 per structure.  A second checker for a structure (a weaker copy of its
 axioms, as the Hochschild conditions of a square-zero extension were
 beside the validation of its total algebra) has to be added to the list.
+
+The program has no runtime dependency: no module imports sympy, at any
+depth (it is a test oracle, in tests/reference_semisimple.py), and the
+`dependencies` of pyproject.toml are empty.
 """
 
 import ast
@@ -420,3 +424,42 @@ def test_scan_finds_the_validators():
 def test_validators_are_declared():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert validators(sources) == sorted(VALIDATORS)
+
+
+def sympy_imports(source: str):
+    """Line numbers of the imports of sympy or a submodule of it, at any
+    depth of the source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "sympy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_finds_a_sympy_import():
+    src = (
+        "import os, sympy\n"
+        "from fractions import Fraction\n\n"
+        "def f():\n"
+        "    from sympy.polys import factor_list\n"
+        "    import sympyish\n"
+        "    from .sympy import x\n"
+    )
+    assert sympy_imports(src) == [1, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_sympy_import(path):
+    assert sympy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []

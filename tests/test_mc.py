@@ -12,7 +12,7 @@ from curvlab.algebra import (
 )
 from curvlab.coalgebra import dualize_algebra
 from curvlab.convolution import convolution_algebra
-from curvlab.fields import GF, QQ
+from curvlab.fields import GF, QQ, PrimeFieldRequired
 from curvlab.gradedlin import (
     BudgetExceeded,
     Complex,
@@ -608,3 +608,29 @@ def test_moduli_set_matches_the_quadruple_partition(degrees):
     want = [[list(x.items()) for x in cls] for cls in _reference_moduli(E)]
     assert got == want
     assert 1 < len(got) < sum(map(len, got))
+
+
+def test_gauge_budget_is_read_once_per_instance(monkeypatch):
+    # a budget of None is resolved by default_budget() on the first query
+    # and kept; the prime-field check still runs on every query
+    import curvlab.mc as mc_module
+
+    reads = []
+
+    def counting():
+        reads.append(1)
+        return 2**16
+
+    monkeypatch.setattr(mc_module, "default_budget", counting)
+    E = _end_algebra(3, (0, 1, 1))
+    elems = mc_enumerate(E)
+    gauge = GaugeClasses(E)
+    for x in elems[:4]:
+        for y in elems[:4]:
+            assert gauge.equivalent(x, y) is (gauge.quadruple(x, y) is not None)
+    assert len(reads) == 1
+    EQ = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1)], QQ))
+    overQ = GaugeClasses(EQ, budget=5)
+    for _ in range(2):
+        with pytest.raises(PrimeFieldRequired):
+            overQ.equivalent({}, {})

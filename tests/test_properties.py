@@ -5,7 +5,8 @@ reference loops, the two-sided twist against its per-basis reference, the
 MC linearisation and the cached chain maps, the tensor layout (Koszul
 conventions, the label-based index, split and map), the radical and the
 primitive central idempotents against the enumerating references of
-reference_semisimple.py, the obstruction calculus read off the total algebra
+reference_semisimple.py, the factorizer of the rational split against
+sympy.factor_list, the obstruction calculus read off the total algebra
 against the Hochschild formulas of reference_mc.py, and the CLI exit codes
 on mutated documents."""
 
@@ -56,6 +57,7 @@ from curvlab.interval import make_interval
 from curvlab.mc import GaugeClasses, find_gauge_quadruple, h0_hom, n_homotopy_search, verify_n_homotopy
 from curvlab.obstruction import extension_from_total, lift_along_gauge, obstruction_class, try_lift
 from curvlab.randgen import random_curved_algebra, random_square_zero_extension, rebased_algebra
+from curvlab.polynomials import factor_over_q
 from curvlab.semisimple import _primitive_central_idempotents, css_quotient, graded_radical
 from reference_algebra import (
     reference_add_scaled,
@@ -79,7 +81,7 @@ from reference_mc import (
     reference_obstruction_class,
     reference_try_lift,
 )
-from reference_semisimple import reference_primitive_idempotents, reference_radical
+from reference_semisimple import reference_primitive_idempotents, reference_radical, sympy_factor_list
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
 KERNEL_FIELDS = {"F2": GF(2), "F3": GF(3), "F5": GF(5), "Q": QQ}
@@ -657,6 +659,36 @@ def test_primitive_central_idempotents_match_reference(field, seed, rebase):
     B, _, _ = css_quotient(A)
     found = _primitive_central_idempotents(B)
     assert [typed(z) for z in found] == [typed(z) for z in reference_primitive_idempotents(B)]
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Integer polynomials of degree 1 .. 8 (constant term first): products
+    of factors of degree 1 .. 3, some repeated, or arbitrary ones."""
+    coeff = st.integers(-9, 9)
+    if draw(st.booleans()):
+        g = [1]
+        for _ in range(draw(st.integers(1, 4))):
+            q = draw(st.lists(coeff, min_size=1, max_size=3)) + [draw(st.sampled_from([1, 2, 3, -1, -4]))]
+            for _ in range(draw(st.integers(1, 3))):
+                if len(g) + len(q) - 2 > 8:
+                    break
+                g = [sum(g[i] * q[k - i] for i in range(len(g)) if 0 <= k - i < len(q)) for k in range(len(g) + len(q) - 1)]
+        if len(g) > 1:
+            return g
+    return draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8)) + [draw(st.integers(1, 6))]
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(integer_polynomials())
+def test_factor_over_q_matches_sympy(g):
+    """The Zassenhaus factorizer of the rational split gives the monic
+    irreducible factors and multiplicities of sympy.factor_list, as a
+    multiset, with Fraction coefficients."""
+    f = [Fraction(c, g[-1]) for c in g]
+    found = factor_over_q(f)
+    assert sorted((tuple(q), m) for q, m in found) == sympy_factor_list(f)
+    assert all(type(c) is Fraction for q, _ in found for c in q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,25 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from reference_linalg import dense, reference_rref, span_set
-from reference_semisimple import _ideal_closure, is_nilpotent_ideal, reference_radical
+from reference_semisimple import (
+    _ideal_closure,
+    is_nilpotent_ideal,
+    reference_css_section,
+    reference_primitive_idempotents,
+    reference_radical,
+    reference_split_by_minimal_polynomial,
+)
 
+import curvlab.semisimple as semisimple
 from curvlab.algebra import (
+    CurvedAlgebra,
+    CurvedMorphism,
     compose_morphisms,
     direct_product,
     endomorphism_algebra,
@@ -34,6 +49,7 @@ from curvlab.randgen import (
     rebased_algebra,
 )
 from curvlab.semisimple import (
+    _primitive_central_idempotents,
     css_decompose,
     css_quotient,
     css_section,
@@ -389,3 +405,194 @@ def test_css_decompose_past_the_enumeration_budget():
         [(i, 1)] for i in range(17)
     ]
     assert reassemble_check(dec)
+
+
+# ---------------------------------------------------------------------------
+# the rational split on products of number fields
+
+
+def number_field(f, tag):
+    """Q[x]/(f) for the monic int polynomial f (constant term first), from
+    its structure constants in the basis 1, x, ..., x^(d-1), all of degree 0."""
+    deg = len(f) - 1
+    space = GradedSpace.make([(f"{tag}{i}", 0) for i in range(deg)], QQ)
+
+    def power(k):  # x^k mod f
+        c = [Fraction(0)] * k + [Fraction(1)]
+        for top in range(k, deg - 1, -1):
+            t = c[top]
+            for i, a in enumerate(f):
+                c[top - deg + i] -= t * a
+        return {i: v for i, v in enumerate(c[:deg]) if v}
+
+    mult = {(i, j): power(i + j) for i in range(deg) for j in range(deg)}
+    return CurvedAlgebra(space, {0: QQ.one()}, mult, GradedMap(space, space, 1, {}), {})
+
+
+def _Q():
+    return ground_algebra(QQ)
+
+
+NUMBER_FIELDS = {  # name: (builder, number of factors)
+    "Q(i)": (lambda: number_field([1, 0, 1], "i"), 1),
+    "Q(i)xQ": (lambda: direct_product(number_field([1, 0, 1], "i"), _Q()), 2),
+    "Q(cbrt2)xQ(i)": (lambda: direct_product(number_field([-2, 0, 0, 1], "c"), number_field([1, 0, 1], "i")), 2),
+    "Q(sqrt2)xQ(sqrt2)": (lambda: direct_product(number_field([-2, 0, 1], "r"), number_field([-2, 0, 1], "s")), 2),
+    "Q(zeta5)xQ": (lambda: direct_product(number_field([1, 1, 1, 1, 1], "z"), _Q()), 2),
+    "QxQxQ(i)": (lambda: direct_product(direct_product(_Q(), _Q()), number_field([1, 0, 1], "i"), "kk", "i"), 3),
+}
+
+
+def exact(vectors):
+    """Vectors as lists of (key, type, value), in key order."""
+    return [[(k, type(c), c) for k, c in v.items()] for v in vectors]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+def test_number_field_products_split_as_the_sympy_oracle(name, seed, monkeypatch):
+    # in its own basis and in random unitriangular ones, where the splitters
+    # are mixed and the minimal polynomials have degree up to dim B
+    build, count = NUMBER_FIELDS[name]
+    B = build() if seed is None else rebased_algebra(random.Random(seed), build())
+    assert B.validate() == []
+    dec = css_decompose(B)
+    assert [f.kind for f in dec.factors] == ["type1"] * count
+    assert reassemble_check(dec)
+    got = _primitive_central_idempotents(B)
+    assert exact(got) == exact([f.idempotent for f in dec.factors])
+    assert sorted(sorted(z.items()) for z in got) == sorted(
+        sorted(z.items()) for z in reference_primitive_idempotents(B)
+    )
+    monkeypatch.setattr(semisimple, "_split_by_minimal_polynomial", reference_split_by_minimal_polynomial)
+    assert exact(_primitive_central_idempotents(B)) == exact(got)
+    want = css_decompose(B)
+    assert [exact(f.basis_in_B) for f in dec.factors] == [exact(f.basis_in_B) for f in want.factors]
+
+
+def test_rational_split_matches_the_sympy_oracle_on_the_q_share(monkeypatch):
+    # the criterion-5 generator over Q (the radical benchmark's Q share):
+    # every factor identical to the one the sympy split gives
+    def factors():
+        pool = random.Random(53)
+        out = []
+        for _ in range(20):
+            B, _, _ = css_quotient(random_curved_algebra(pool, QQ, maxdim=8))
+            out.append([(f.kind, exact([f.idempotent]), exact(f.basis_in_B)) for f in css_decompose(B).factors])
+        return out
+
+    got = factors()
+    assert sum(len(fs) >= 2 for fs in got) >= 5
+    monkeypatch.setattr(semisimple, "_split_by_minimal_polynomial", reference_split_by_minimal_polynomial)
+    assert factors() == got
+
+
+def test_rational_split_faults_raise(monkeypatch):
+    # a common factor of the CRT parts, or a piece that is not idempotent,
+    # is a program fault: it raises instead of leaving the block unsplit
+    split = semisimple._split_by_minimal_polynomial
+    B = direct_product(_Q(), _Q())
+    z = {0: QQ.one()}  # minimal polynomial x^2 - x
+    assert len(split(B, dict(B.unit), z)) == 2
+    x, x_minus = [Fraction(0), Fraction(1)], (lambda a: [Fraction(-a), Fraction(1)])
+    monkeypatch.setattr(semisimple, "factor_over_q", lambda f: [(x, 1), (x_minus(2), 1)])
+    with pytest.raises(AssertionError, match="not idempotent"):
+        split(B, dict(B.unit), z)
+    # k[v]/v^2 and z = 1 + v: minimal polynomial (x - 1)^2, given as two factors
+    V = GradedSpace.make([("v", 0)], QQ)
+    D = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    monkeypatch.setattr(semisimple, "factor_over_q", lambda f: [(x_minus(1), 1)] * 2)
+    with pytest.raises(AssertionError, match="not coprime"):
+        split(D, dict(D.unit), {0: QQ.one(), 1: QQ.one()})
+
+
+def test_css_pipeline_over_q_runs_without_sympy():
+    # sympy is a test oracle only: with its import blocked, the quotient,
+    # the decomposition and a section over Q still run
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import random\n"
+        "from curvlab.algebra import direct_product, ground_algebra\n"
+        "from curvlab.fields import QQ\n"
+        "from curvlab.randgen import random_curved_algebra\n"
+        "from curvlab.semisimple import css_decompose, css_quotient, css_section, quotient_algebra\n"
+        "k = ground_algebra(QQ)\n"
+        "pool = random.Random(53)\n"
+        "algebras = [direct_product(direct_product(k, k), k)] + [random_curved_algebra(pool, QQ, maxdim=8) for _ in range(6)]\n"
+        "for A in algebras:\n"
+        "    B, pi, _ = css_quotient(A)\n"
+        "    dec = css_decompose(B)\n"
+        "    if len(dec.factors) >= 2:\n"
+        "        R, pi2 = quotient_algebra(B, dec.factors[-1].basis_in_B, tag='p')\n"
+        "        css_section(pi2)\n"
+        "    print(len(dec.factors))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[0] == "3"
+
+
+# ---------------------------------------------------------------------------
+# sections against the decomposing oracle
+
+
+def _outcome(section, pi):
+    """section(pi) as (key, type, value) lists per column, or the error it
+    raised."""
+    try:
+        sec = section(pi)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return [(j, exact([v])) for j, v in sec.f.entries.items()]
+
+
+@pytest.mark.parametrize("field, draws", [(GF(2), 50), (GF(3), 20), (QQ, 20)], ids=["F2", "F3", "Q"])
+def test_css_section_matches_the_decomposing_oracle(field, draws):
+    # the criterion-5 draws: for every projection onto a sub-product of
+    # factors (killing any set of them), the same section, key order and
+    # coefficient types included
+    pool = random.Random(53)
+    sections = 0
+    for _ in range(draws):
+        B, _, _ = css_quotient(random_curved_algebra(pool, field, maxdim=8))
+        factors = css_decompose(B).factors
+        for r in range(len(factors) + 1):
+            for killed in itertools.combinations(factors, r):
+                _, pi = quotient_algebra(B, [v for f in killed for v in f.basis_in_B], tag="p")
+                got = _outcome(css_section, pi)
+                assert got == _outcome(reference_css_section, pi)
+                sections += isinstance(got, list)
+    assert sections >= 2 * draws
+
+
+def _linear_map(A, B, images):
+    """The degree-0 linear map A -> B with the given images of basis labels
+    (label -> {label: coefficient}); unlisted basis vectors go to 0."""
+    F = A.field
+    entries = {
+        A.space.index(a): {B.space.index(b): F.coerce(c) for b, c in img.items()} for a, img in images.items()
+    }
+    return CurvedMorphism(A, B, GradedMap(A.space, B.space, 0, entries), {})
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), QQ], ids=["F2", "F3", "Q"])
+def test_css_section_refuses_kernels_that_are_not_sums_of_factors(F):
+    # the same ValueError as the oracle where the kernel is not a d-closed
+    # two-sided ideal: k - k in k x k is not an ideal; three of the four
+    # matrix units of End(k^2) x k are part of a factor and no ideal; x in
+    # the type-2 factor k[x]/x^2 (dx = 1) of k x k[x]/x^2 spans an ideal
+    # that d leaves
+    k, kk = ground_algebra(F), direct_product(ground_algebra(F), ground_algebra(F))
+    E = endomorphism_algebra(GradedSpace.make([("a", 0), ("b", 0)], F))
+    cases = [
+        _linear_map(kk, k, {"L.1": {"1": 1}, "R.1": {"1": 1}}),
+        _linear_map(direct_product(E, k, "E", "k"), kk, {"E.E[a,a]": {"L.1": 1}, "k.1": {"R.1": 1}}),
+        _linear_map(direct_product(k, acyclic_k_algebra(F), "k", "K"), kk, {"k.1": {"L.1": 1}, "K.1": {"R.1": 1}}),
+    ]
+    for pi in cases:
+        with pytest.raises(ValueError, match="does not restrict to an isomorphism"):
+            css_section(pi)
+        assert _outcome(css_section, pi) == _outcome(reference_css_section, pi)
