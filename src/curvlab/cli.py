@@ -168,14 +168,21 @@ def _budget(value) -> Optional[int]:
     return None if value == "0" else _positive(value, "--max-enum")
 
 
+def _bounds(lo: int, hi: int, name: str) -> Tuple[int, int]:
+    """A window of degrees lo..hi; DocumentError (exit 2) unless lo <= hi."""
+    if lo > hi:
+        raise DocumentError(f"{name} must be lo <= hi, got {lo} > {hi}")
+    return lo, hi
+
+
 def _window(text: str) -> Tuple[int, int]:
-    """--window "lo,hi": two integers; DocumentError (exit 2) for anything
-    else."""
+    """--window "lo,hi": two integers with lo <= hi; DocumentError (exit 2)
+    for anything else."""
     try:
         lo, hi = (int(t) for t in text.split(","))
     except ValueError:
         raise DocumentError(f"--window must be two integers lo,hi, got {text!r}") from None
-    return lo, hi
+    return _bounds(lo, hi, "--window")
 
 
 def _label_map(small: CurvedCoalgebra, big: CurvedCoalgebra, data) -> Dict[str, str]:
@@ -234,7 +241,7 @@ def cmd_interval(args) -> int:
     except ValueError as e:
         return fail_input(f"bad --field {args.field!r}: {e}")
     n = None if args.n == "inf" else _positive(args.n, "n")
-    I = make_interval(F, n, truncation=args.truncate)
+    I = make_interval(F, n, truncation=None if args.truncate is None else _positive(args.truncate, "--truncate"))
     rep = base_report(args, "interval algebra: dim 2n+1, dims (2,...,2,1) per degree")
     rep["n"] = args.n
     rep["dimension"] = I.algebra.dim
@@ -368,6 +375,7 @@ def cmd_adjunction_check(args) -> int:
 
 def cmd_twisted(args) -> int:
     A = _load_algebra(args.algebra)
+    lo, hi = _bounds(args.lo, args.hi, "--lo/--hi")
     rep = base_report(args, "twisted modules: differentials are MC elements of A@End(V)")
     V = parse_basis(A.field, json.loads(args.module), "--module")
     amb = ambient_algebra(A, V)
@@ -384,7 +392,7 @@ def cmd_twisted(args) -> int:
     if args.action == "hom":
         M = make_twisted(A, V, xi)
         c = module_hom_complex(M, M)
-        H = cohomology(c, args.lo, args.hi)
+        H = cohomology(c, lo, hi)
         rep["cohomology"] = {str(n): H[n]["dim"] for n in sorted(H)}
         return emit(rep, 0)
     if args.action == "induce":
@@ -514,6 +522,7 @@ def cmd_tower(args) -> int:
 def cmd_omega_cat(args) -> int:
     C = _load_coalgebra(args.coalgebra)
     window = _window(args.window) if args.window else None
+    words = _positive(args.words, "--words")
     rep = base_report(args, "categorical cobar of a pointed coalgebra with split coradical")
     try:
         D = omega_cat(C)
@@ -539,7 +548,7 @@ def cmd_omega_cat(args) -> int:
         rep["hom_cohomology"] = {}
         for x in D.objects:
             for y in D.objects:
-                H = hom_window_cohomology(D, x, y, lo, hi, word_bound=args.words)
+                H = hom_window_cohomology(D, x, y, lo, hi, word_bound=words)
                 rep["hom_cohomology"][f"{x}->{y}"] = {str(n): H[n] for n in sorted(H)}
     return emit(rep, 0)
 

@@ -112,6 +112,12 @@ def vec_eq(F: FieldSpec, u: dict, v: dict) -> bool:
     return vec_is_zero(F, vec_sub(F, u, v))
 
 
+def nonzero_key(F: FieldSpec, v: dict) -> tuple:
+    """The nonzero coordinates of v in ascending order: a hashable key, the
+    same for two vectors with reduced coefficients iff `vec_eq` holds."""
+    return tuple(sorted(F.nonzero(v).items()))
+
+
 def vec_key(v: dict, dim: int) -> tuple:
     """Deterministic sort key for a coefficient vector."""
     return tuple(str(v.get(i, 0)) for i in range(dim))

@@ -7,17 +7,22 @@ differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
 (f, g, h1, h2) witnesses mutual inversion in H^0.  One gauge solve decides
 it (`GaugeClasses`), one affine solve per class of H^0(x, y) under one
-budget rule, refusing above p^dim H^0(x, y).  The verdict (`equivalent`)
-reads a memo closed under ~ first and answers dim H^0(x, x) !=
-dim H^0(y, y) as distinct; the witness (`quadruple`) completes the pair
-(f, g) the solve finds with its homotopies, and `gauge_to_three_homotopy`
-builds from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
+budget rule, refusing above p^dim H^0(x, y).  Each element keeps its
+halves of D on degrees 0 and -1, the one of x as a source and the one of x
+as a target, so a pair's columns are sums of two cached halves.  The
+verdict (`equivalent`, or `indexed` over a fixed list) reads a memo closed
+under ~ first, and answers as distinct where dim H^0(x, x) !=
+dim H^0(y, y) or, from two ranks, dim H^0(x, y) != dim H^0(x, x); only the
+other pairs build a chain-map kernel.  The witness (`quadruple`) completes
+the pair (f, g) the solve finds with its homotopies, and
+`gauge_to_three_homotopy` builds from it the 3-homotopy that
+`n_homotopy_search` returns for n = 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     CurvedAlgebra,
@@ -42,6 +47,7 @@ from .gradedlin import (
     LinearSystem,
     cohomology,
     enumerate_affine,
+    nonzero_key,
     solve_linear,
     vec_add,
     vec_eq,
@@ -116,11 +122,20 @@ def find_gauge_quadruple(
 
 
 class _ElementData(NamedTuple):
-    """What the gauge solve needs of one MC element x."""
+    """What the gauge solve needs of one MC element x.
+
+    D_{x->y}(e) = de + ye - (-1)^{|e|} ex is the sum of a source half
+    D_{x->0}(e), which depends on x only, and a target half ye, which
+    depends on y only.  x keeps both of its halves on the basis of degree 0
+    and on that of degree -1, so every column of a hom complex between two
+    elements is one `vec_add`.
+    """
 
     key: tuple
-    left: List[dict]  # x.e_j over the degree-0 basis
-    right: List[dict]  # e_j.x over the degree-0 basis
+    source0: List[dict]  # de - ex for e of degree 0
+    target0: List[dict]  # xe for e of degree 0
+    sourcem1: List[dict]  # de + ex for e of degree -1
+    targetm1: List[dict]  # xe for e of degree -1
     homotopies: LinearSystem  # d^x h = t for h of degree -1
 
 
@@ -134,12 +149,16 @@ class GaugeClasses:
     under gauge equivalence of either end, so whether a query refuses does
     not depend on what the memo holds.
 
-    `equivalent(x, y)` is the verdict, memo first: the verdicts are kept
-    closed under ~ (union-find over the elements seen, plus the pairs of
-    classes known apart), and a pair the memo or dim H^0(x, x) !=
-    dim H^0(y, y) decides builds no chain-map kernel.  `quadruple(x, y)` is
-    the witness (f, g, h1, h2) from the same solve: None exactly where the
-    verdict is False, refused exactly where a fresh verdict refuses.
+    Each element is keyed and its halves of the hom complexes built once
+    (`_ElementData`); `indexed(xs)` queries a fixed list by position, so a
+    caller with many queries keys each element once.  `equivalent(x, y)`
+    is the verdict, memo first: the verdicts are kept closed under ~
+    (union-find over the elements seen, plus the pairs of classes known
+    apart), and a pair that the memo, dim H^0(x, x) != dim H^0(y, y) or
+    dim H^0(x, y) != dim H^0(x, x) decides builds no chain-map kernel.
+    `quadruple(x, y)` is the witness (f, g, h1, h2) from the same solve:
+    None exactly where the verdict is False, refused exactly where a fresh
+    verdict refuses.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
@@ -160,34 +179,32 @@ class GaugeClasses:
         return self.budget
 
     def _element(self, x: dict) -> _ElementData:
-        """The data of x, built once per element: d^x on degree -1 as a
-        linear system, and the products with the degree-0 basis that
-        `_chain_map_basis` reuses over every pair."""
+        """The data of x, built once per element: its source and target
+        halves on degrees 0 and -1, and d^x on degree -1 as a linear
+        system."""
         A, F = self.A, self.A.field
-        key = tuple(sorted(F.nonzero(x).items()))
+        key = nonzero_key(F, x)
         if key not in self._elements:
             if not A.is_mc(x):
                 raise ValueError("hom_complex requires Maurer-Cartan endpoints")
-            es = [A.space.basis_vector(j) for j in A.degree_indices(0)]
-            cols = [twisted_apply(A, x, x, A.space.basis_vector(j)) for j in A.degree_indices(-1)]
+            e0, em1 = ([A.space.basis_vector(j) for j in A.degree_indices(deg)] for deg in (0, -1))
+            sourcem1 = [twisted_apply(A, x, {}, e) for e in em1]  # D_{x->0}(e)
+            targetm1 = [A.product(x, e) for e in em1]
             self._elements[key] = _ElementData(
                 key,
-                [A.product(x, e) for e in es],
-                [A.product(e, x) for e in es],
-                LinearSystem(F, cols, A.dim),
+                [twisted_apply(A, x, {}, e) for e in e0],
+                [A.product(x, e) for e in e0],
+                sourcem1,
+                targetm1,
+                LinearSystem(F, self._columns(sourcem1, targetm1), A.dim),
             )
         return self._elements[key]
 
-    def _chain_map_basis(self, ex: _ElementData, ey: _ElementData) -> List[dict]:
-        """Kernel basis of D(a) = da + ya - ax on degree 0 (the chain maps
-        x -> y), as `kernel_basis` gives it.  Not cached: a verdict needs a
-        pair's kernels once, and the memo answers the pair after that."""
-        A, F = self.A, self.A.field
-        cols = [
-            vec_sub(F, vec_add(F, A.d.entries.get(j, {}), ly), rx)
-            for j, ly, rx in zip(A.degree_indices(0), ey.left, ex.right)
-        ]
-        return LinearSystem(F, cols, A.dim).kernel
+    def _columns(self, sources: List[dict], targets: List[dict]) -> List[dict]:
+        """The columns of D_{x->y} on the basis of one degree, from x's
+        source half and y's target half on it."""
+        F = self.A.field
+        return [vec_add(F, s, t) for s, t in zip(sources, targets)]
 
     def _root(self, k: tuple) -> tuple:
         while self._parent.get(k, k) != k:
@@ -195,26 +212,29 @@ class GaugeClasses:
         return k
 
     def _h0_dim(self, ex: _ElementData) -> int:
-        """dim H^0(x, x): the chain maps x -> x modulo d^x(A^-1), computed
-        once per element."""
+        """dim H^0(x, x) = dim A^0 - rank D^0 - rank d^x(A^-1), by rank
+        alone, computed once per element."""
         if ex.key not in self._h0:
-            self._h0[ex.key] = len(self._chain_map_basis(ex, ex)) - ex.homotopies.rank
+            rank = len(EchelonBasis(self.A.field, self.A.dim, self._columns(ex.source0, ex.target0)))
+            self._h0[ex.key] = len(ex.source0) - rank - ex.homotopies.rank
         return self._h0[ex.key]
 
-    def _inverse_pair(
-        self, x: dict, y: dict, ex: _ElementData, ey: _ElementData, budget: int
-    ) -> Optional[Tuple[dict, dict]]:
+    def _inverse_pair(self, ex: _ElementData, ey: _ElementData, budget: int) -> Optional[Tuple[dict, dict]]:
         """Some f: x -> y with an inverse g: y -> x in H^0, as (f, g), or
         None.
 
         An inverse makes H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic, so
-        unequal dim H^0(x, x) and dim H^0(y, y) answer None before any pair
-        kernel, and unequal dim H^0(x, y) before Z^0(y, x).  Whether f has
-        one depends only on [f] in H^0(x, y), so f runs in base-p order over
-        the span of the kernel basis vectors of Z^0(x, y) that are
-        independent modulo B^0(x, y) = D_{x->y}(A^-1): p^dim H^0(x, y)
-        points, refused over the budget.  For x = y, f = 1 is the one point:
-        it has an inverse, so that answers at any budget.
+        unequal dim H^0(x, x) and dim H^0(y, y) answer None first.  Then
+        dim H^0(x, y) = dim A^0 - rank D^0 - rank B^0, with B^0(x, y) =
+        D_{x->y}(A^-1), comes from two ranks over the cached columns, with
+        no kernel: over the budget the pair refuses with
+        BudgetExceeded(p^dim H^0(x, y), budget), and unequal to
+        dim H^0(x, x) it answers None.  Only then are Z^0(x, y) and
+        Z^0(y, x) built.  Whether f has an inverse depends only on [f] in
+        H^0(x, y), so f runs in base-p order over the span of the kernel
+        basis vectors of Z^0(x, y) that are independent modulo B^0(x, y):
+        p^dim H^0(x, y) points.  For x = y, f = 1 is the one point: it has
+        an inverse, so that answers at any budget.
 
         For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
         the row parts of the residues of g f modulo d^x and of f g modulo
@@ -225,6 +245,18 @@ class GaugeClasses:
         particular solution.
         """
         A, F, n = self.A, self.A.field, self.A.dim
+        if ex.key != ey.key:  # decide by dimensions first, by ranks alone
+            h0 = self._h0_dim(ex)
+            if h0 != self._h0_dim(ey):
+                return None
+            cols = self._columns(ex.source0, ey.target0)
+            boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
+            dim = len(cols) - len(EchelonBasis(F, n, cols)) - len(boundaries)  # of H^0(x, y)
+            classes = F.characteristic**dim
+            if classes > budget:
+                raise BudgetExceeded(classes, budget)
+            if dim != h0:
+                return None
         idx0 = A.degree_indices(0)
 
         def rows(system: LinearSystem, v: dict, shift: int) -> dict:
@@ -236,23 +268,16 @@ class GaugeClasses:
                 F.add_scaled(out, c, vectors[j])
             return out
 
+        def chain_maps(cols: List[dict]) -> List[dict]:
+            return [{idx0[a]: c for a, c in k.items()} for k in LinearSystem(F, cols, n).kernel]
+
         if ex.key == ey.key:
             fs, points = [A.unit], [{0: F.one()}]
         else:
-            if self._h0_dim(ex) != self._h0_dim(ey):
-                return None
-            boundaries = EchelonBasis(
-                F, n, [twisted_apply(A, x, y, A.space.basis_vector(k)) for k in A.degree_indices(-1)]
-            )
-            kerf = self._chain_map_basis(ex, ey)
-            fs = [f for f in ({idx0[a]: c for a, c in k.items()} for k in kerf) if boundaries.add(f)]
-            classes = F.characteristic ** len(fs)
-            if classes > budget:
-                raise BudgetExceeded(classes, budget)
-            if len(fs) != self._h0_dim(ex):
-                return None
-            points = enumerate_affine(F, {}, [{j: F.one()} for j in range(len(fs))], budget)
-        gs = [{idx0[a]: c for a, c in k.items()} for k in self._chain_map_basis(ey, ex)]
+            fs = [f for f in chain_maps(cols) if boundaries.add(f)]
+            assert len(fs) == h0
+            points = enumerate_affine(F, {}, [{j: F.one()} for j in range(h0)], budget)
+        gs = chain_maps(self._columns(ey.source0, ex.target0))
         terms = []  # terms[i][j]: the residues of g_i f_j and f_j g_i
         for g in gs:
             row = []
@@ -276,23 +301,15 @@ class GaugeClasses:
                 return combine(a, fs), combine(sol, gs)
         return None
 
-    def equivalent(self, x: dict, y: dict) -> bool:
-        """Whether x ~ y, memo first.
-
-        After the prime-field and MC checks, a pair whose classes the memo
-        has joined or separated is answered from it and builds no chain-map
-        kernel.  Any other pair is answered by `_inverse_pair`, and refuses
-        with BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
-        equivalent(x, x) is True at any budget.
-        """
-        budget = self._budget()
-        ex, ey = self._element(x), self._element(y)
+    def _verdict(self, ex: _ElementData, ey: _ElementData, budget: int) -> bool:
+        """x ~ y from the memo, else from `_inverse_pair`, whose answer the
+        memo then keeps: the one verdict behind `equivalent` and `indexed`."""
         rx, ry = self._root(ex.key), self._root(ey.key)
         if rx == ry:
             return True
         if ry in self._apart.get(rx, ()):
             return False
-        if self._inverse_pair(x, y, ex, ey, budget) is None:
+        if self._inverse_pair(ex, ey, budget) is None:
             self._apart.setdefault(rx, set()).add(ry)
             self._apart.setdefault(ry, set()).add(rx)
             return False
@@ -303,6 +320,35 @@ class GaugeClasses:
             self._apart.setdefault(rx, set()).add(r)
         return True
 
+    def equivalent(self, x: dict, y: dict) -> bool:
+        """Whether x ~ y, memo first.
+
+        After the prime-field and MC checks, a pair whose classes the memo
+        has joined or separated is answered from it and builds no chain-map
+        kernel.  Any other pair is answered by `_inverse_pair`, and refuses
+        with BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
+        equivalent(x, x) is True at any budget.
+        """
+        budget = self._budget()
+        return self._verdict(self._element(x), self._element(y), budget)
+
+    def indexed(self, xs: Sequence[dict]) -> Callable[[int, int], bool]:
+        """The verdict on (xs[i], xs[j]) by position: `equivalent` without
+        re-keying its ends.  Each element's data is looked up once, on its
+        first query, so every error surfaces where `equivalent` raises it."""
+        data: List[Optional[_ElementData]] = [None] * len(xs)
+
+        def at(i: int) -> _ElementData:
+            if data[i] is None:
+                data[i] = self._element(xs[i])
+            return data[i]
+
+        def same(i: int, j: int) -> bool:
+            budget = self._budget()
+            return self._verdict(at(i), at(j), budget)
+
+        return same
+
     def quadruple(self, x: dict, y: dict) -> Optional[GaugeQuadruple]:
         """The witness (f, g, h1, h2) of x ~ y, or None where x and y are
         not equivalent: the pair `_inverse_pair` finds, with its refusal
@@ -312,7 +358,7 @@ class GaugeClasses:
         A, F = self.A, self.A.field
         budget = self._budget()
         ex, ey = self._element(x), self._element(y)
-        pair = self._inverse_pair(x, y, ex, ey, budget)
+        pair = self._inverse_pair(ex, ey, budget)
         if pair is None:
             return None
         f, g = pair
@@ -334,24 +380,22 @@ def moduli_set(
 
     Each element joins the first class whose first member it is gauge
     equivalent to, or opens a new class.  The verdicts come from one
-    `GaugeClasses` memo, so a comparison is solved (one affine solve per
-    class of H^0, refused above p^dim H^0 of the pair) only where neither
-    the memo nor dim H^0(x, x) decides it.  Classes and their members are
-    deterministically ordered.
+    `GaugeClasses` memo, queried by index, so each element is keyed once
+    and a comparison is solved only where neither the memo nor the
+    dimensions of H^0 decide it (refused above p^dim H^0 of the pair).
+    Classes and their members are deterministically ordered.
     """
     elems = mc_enumerate(A, budget=budget) if mc is None else mc
-    gauge = GaugeClasses(A, budget)
-    classes: List[List[dict]] = []
-    for x in elems:
-        placed = False
+    same = GaugeClasses(A, budget).indexed(elems)
+    classes: List[List[int]] = []
+    for i in range(len(elems)):
         for cls in classes:
-            if gauge.equivalent(cls[0], x):
-                cls.append(x)
-                placed = True
+            if same(cls[0], i):
+                cls.append(i)
                 break
-        if not placed:
-            classes.append([x])
-    return classes
+        else:
+            classes.append([i])
+    return [[elems[i] for i in cls] for cls in classes]
 
 
 # ---------------------------------------------------------------------------

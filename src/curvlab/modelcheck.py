@@ -37,6 +37,7 @@ from .gradedlin import (
     GradedSpace,
     LinearSystem,
     in_span,
+    nonzero_key,
     rref,
     span_rank,
     vec_add,
@@ -410,6 +411,27 @@ def restrict_element(conv_big, conv_small, idual: CurvedMorphism, x: dict) -> di
     return induced_convolution_morphism(conv_big, conv_small, cmap_dual=idual).f.apply(x)
 
 
+def _images_among(F, X: List[dict], Y: List[dict], push) -> Tuple[List[dict], List[int], Dict[int, List[int]]]:
+    """The images push(x) of X found by key among Y: the targets (Y, then
+    any image not in Y, since g need not be a morphism, so that the verdict
+    still meets, and rejects, such an image), image[i] = the index of
+    push(X[i]) among them, and the indices in X of each target's
+    preimages.  The keys are dropped on return, before any gauge query."""
+    targets = list(Y)
+    index = {nonzero_key(F, y): b for b, y in enumerate(Y)}
+    image: List[int] = []
+    lifts: Dict[int, List[int]] = {}
+    for i, x in enumerate(X):
+        gx = push(x)
+        key = nonzero_key(F, gx)
+        if key not in index:
+            index[key] = len(targets)
+            targets.append(gx)
+        image.append(index[key])
+        lifts.setdefault(index[key], []).append(i)
+    return targets, image, lifts
+
+
 def is_fibration_mcdg(
     C: CurvedCoalgebra,
     g: CurvedMorphism,
@@ -422,14 +444,17 @@ def is_fibration_mcdg(
         and xt isomorphic to x exists.
 
     Every pair is queried in the order of the exhaustive pairwise search,
-    but each verdict comes from a `GaugeClasses` memo kept for this call:
-    gauge equivalence is an equivalence relation, so a pair whose classes
-    are already joined or known distinct is answered at once, without a
-    chain-map kernel, as is a pair with dim H^0(x, x) != dim H^0(y, y).
-    Any other pair takes one affine solve per class of H^0
+    but each verdict comes from a `GaugeClasses` memo kept for this call
+    and queried by index (`GaugeClasses.indexed`), so each MC element is
+    keyed once: gauge equivalence is an equivalence relation, so a pair
+    whose classes are already joined or known distinct is answered at
+    once, without a chain-map kernel, as is a pair whose dimensions of H^0
+    differ.  Any other pair takes one affine solve per class of H^0
     (`GaugeClasses.equivalent`) and refuses when those p^dim H^0 classes
-    exceed the budget.  Hom(C, A) and Hom(C, A') are each built once, and
-    their MC sets enumerated from those builds.
+    exceed the budget.  g(x) is found by key among the entries of
+    MC Hom(C, A'), and the preimages of each entry come from that index.
+    Hom(C, A) and Hom(C, A') are each built once, and their MC sets
+    enumerated from those builds.
     """
     A, Ap = g.source, g.target
     F = A.field
@@ -447,18 +472,15 @@ def is_fibration_mcdg(
     X = mc_convolution_enumerate(convA, budget)
     Y = mc_convolution_enumerate(convAp, budget)
     EA, EAp = convA.algebra, convAp.algebra
-    images = [gstar.push_mc(x) for x in X]
-    classes_A = GaugeClasses(EA, budget=budget)
-    classes_Ap = GaugeClasses(EAp, budget=budget)
-    lifts: Dict[int, List[dict]] = {}  # index in Y -> its preimages in X
+    targets, image, lifts = _images_among(F, X, Y, gstar.push_mc)
+    same_A = GaugeClasses(EA, budget=budget).indexed(X)
+    same_Ap = GaugeClasses(EAp, budget=budget).indexed(targets)
     checked = 0
-    for x, gx in zip(X, images):
+    for i, x in enumerate(X):
         for b, yp in enumerate(Y):
-            if not classes_Ap.equivalent(gx, yp):
+            if not same_Ap(image[i], b):
                 continue
-            if b not in lifts:
-                lifts[b] = [xt for xt, gxt in zip(X, images) if vec_eq(F, gxt, yp)]
-            found = any(classes_A.equivalent(x, xt) for xt in lifts[b])
+            found = any(same_A(i, t) for t in lifts.get(b, ()))
             checked += 1
             if not found:
                 report["verdict"] = False
@@ -503,8 +525,10 @@ def rectify_cofibration(
     whose restriction is gauge-equivalent to g0 in Hom(C, A), find Xt with
     restriction exactly g0 and Xt gauge-equivalent to X: the first such
     candidate of `mc_convolution_enumerate`.  Both gauge tests are
-    verdicts of `GaugeClasses.equivalent`, memo first, each refusing only
-    above p^dim H^0 of its pair; no witness quadruple is built."""
+    verdicts of one `GaugeClasses` per convolution algebra, memo first, each
+    refusing only above p^dim H^0 of its pair; the candidates are queried
+    against X by index (`GaugeClasses.indexed`), so X is keyed once.  No
+    witness quadruple is built."""
     F = A.field
     convb = convolution_algebra(Cp, A)
     convs = convolution_algebra(C, A)
@@ -522,11 +546,11 @@ def rectify_cofibration(
             "witness": "triangle is not homotopy commutative (no gauge r(X) ~ g0)",
         }
     cands = mc_convolution_enumerate(convb, budget)
-    gauge = GaugeClasses(convb.algebra, budget)  # X's data is built once
-    for xt in cands:
+    same = GaugeClasses(convb.algebra, budget).indexed([X] + cands)  # X keyed once
+    for i, xt in enumerate(cands, 1):
         if not vec_eq(F, restrict.apply(xt), g0):
             continue
-        if gauge.equivalent(X, xt):
+        if same(0, i):
             return {"verdict": True, "lift": xt, "search_complete": True}
     return {"verdict": False, "search_complete": True, "witness": "exhausted"}
 

@@ -6,7 +6,12 @@ and g: y -> x (inner) in base-p order and returns the first (f, g, h1, h2)
 with d^x h1 = gf - 1 and d^y h2 = fg - 1.  It refuses when the
 p^(dim Z0(x,y) + dim Z0(y,x)) pairs exceed the budget.  The program
 decides x ~ y by one affine solve per class of H^0(x, y) instead
-(`mc.GaugeClasses`).
+(`mc.GaugeClasses`); `reference_gauge_quadruple` is that solve written out
+on the hom complexes, so the program's witnesses and refusals can be
+compared entry for entry.  Both read the chain maps and the d^x systems
+off `twisted_map` (`reference_chain_maps`, `reference_homotopies`), never
+off the halves that `GaugeClasses` caches per element;
+`counting_gauge_data` counts what it caches.
 
 `exhaustive_lift_search` searches all l in L^1 for an MC lift x + l of x
 along a square-zero extension, where the program solves one linear system
@@ -21,21 +26,28 @@ all three off the total algebra of the extension instead."""
 
 from typing import List, Optional
 
-from curvlab.algebra import square_zero_algebra
+from curvlab.algebra import square_zero_algebra, twisted_map
+from curvlab.budget import default_budget
 from curvlab.fields import PrimeFieldRequired
 from curvlab.gradedlin import (
     BudgetExceeded,
+    Complex,
+    EchelonBasis,
     GradedMap,
     GradedSpace,
     LinearSystem,
+    cohomology,
     enumerate_affine,
+    kernel_basis,
+    solve,
     solve_linear,
+    transpose,
     vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
-from curvlab.mc import GaugeClasses, GaugeQuadruple
+from curvlab.mc import GaugeQuadruple
 from curvlab.obstruction import Bimodule, SquareZeroExtension
 
 
@@ -47,13 +59,17 @@ def exhaustive_gauge_quadruple(A, x: dict, y: dict, budget: Optional[int] = None
     base-p digit is one less, plus the residue of that kernel basis vector
     times f.  So each g costs one vector addition, and f g - 1 is reduced
     only where g f - 1 is a coboundary.  The chain maps and the d^x systems
-    are those of `GaugeClasses`.
+    are read off `twisted_map`, with `kernel_basis`; none of the gauge
+    solve's cached data is used.
     """
-    gauge = GaugeClasses(A, budget)
     F = A.field
-    budget = gauge._budget()
-    ex, ey = gauge._element(x), gauge._element(y)
-    kerf, kerg = gauge._chain_map_basis(ex, ey), gauge._chain_map_basis(ey, ex)
+    if not F.is_prime_field:
+        raise PrimeFieldRequired("gauge search requires a prime field")
+    budget = default_budget() if budget is None else budget
+    if not A.is_mc(x) or not A.is_mc(y):
+        raise ValueError("hom_complex requires Maurer-Cartan endpoints")
+    kerf, kerg = reference_chain_maps(A, x, y), reference_chain_maps(A, y, x)
+    homotopies_x, homotopies_y = reference_homotopies(A, x), reference_homotopies(A, y)
     p = F.characteristic
     total = p ** (len(kerf) + len(kerg))
     if total > budget:
@@ -70,27 +86,148 @@ def exhaustive_gauge_quadruple(A, x: dict, y: dict, budget: Optional[int] = None
     for fc in enumerate_affine(F, {}, kerf, budget):
         f = {idx0[a]: c for a, c in fc.items()}
         steps: List[dict] = []
-        res = [ex.homotopies.residue(minus_one)]
+        res = [homotopies_x.residue(minus_one)]
         for n, gc in enumerate(gs):
             if n:
                 i, m = 0, n
                 while m % p == 0:
                     i, m = i + 1, m // p
                 if i == len(steps):
-                    steps.append(ex.homotopies.residue(A.product(gbasis[i], f)))
+                    steps.append(homotopies_x.residue(A.product(gbasis[i], f)))
                 res.append(vec_add(F, res[n - p**i], steps[i]))
-            h1 = homotopy(ex.homotopies, res[n])
+            h1 = homotopy(homotopies_x, res[n])
             if h1 is None:
                 continue
             g = {idx0[a]: c for a, c in gc.items()}
             fg1 = vec_add(F, A.product(f, g), minus_one)
-            h2 = homotopy(ey.homotopies, ey.homotopies.residue(fg1))
+            h2 = homotopy(homotopies_y, homotopies_y.residue(fg1))
             if h2 is None:
                 continue
             quad = GaugeQuadruple(A, x, y, f, g, h1, h2)
             assert quad.validate() == []
             return quad
     return None
+
+
+def reference_chain_maps(A, x: dict, y: dict) -> List[dict]:
+    """The chain maps x -> y: `kernel_basis` of the rows of
+    twisted_map(A, x, y) on the degree-0 columns, in degree-0 coordinates."""
+    D = twisted_map(A, x, y)
+    rows = transpose({a: D.entries.get(j, {}) for a, j in enumerate(A.degree_indices(0))})
+    return kernel_basis(A.field, list(rows.values()), len(A.degree_indices(0)))
+
+
+def reference_homotopies(A, x: dict) -> LinearSystem:
+    """d^x h = t for h of degree -1, from the columns of twisted_map(A, x, x)."""
+    D = twisted_map(A, x, x)
+    return LinearSystem(A.field, [D.entries.get(k, {}) for k in A.degree_indices(-1)], A.dim)
+
+
+def reference_gauge_quadruple(A, x: dict, y: dict, budget: Optional[int] = None) -> Optional[GaugeQuadruple]:
+    """The witness of the gauge solve, written out on the hom complexes.
+
+    Ends with one key answer with f = g = 1.  Otherwise ends with unequal
+    dim H^0(x, x) and dim H^0(y, y) (from `cohomology`) answer None; the
+    kernel_basis vectors of Z^0(x, y) that are independent modulo the
+    columns of twisted_map(A, x, y) on degree -1 span the classes f runs
+    over, in base-p order, refused when their p^count exceed the budget,
+    and a count unequal to dim H^0(x, x) answers None.  For each f, g is
+    the particular solution (free variables zero) for the coefficients of
+    the kernel_basis vectors g_i of Z^0(y, x) in one `solve` of
+    gf - 1 = d^x h1, fg - 1 = d^y h2, with h1 and h2 before the g_i; and
+    h1, h2 are the particular solutions of those equations.
+    """
+    F = A.field
+    if not F.is_prime_field:
+        raise PrimeFieldRequired("gauge search requires a prime field")
+    budget = default_budget() if budget is None else budget
+    if not A.is_mc(x) or not A.is_mc(y):
+        raise ValueError("hom_complex requires Maurer-Cartan endpoints")
+    idx0, idxm1, n = A.degree_indices(0), A.degree_indices(-1), A.dim
+
+    def full(k: dict) -> dict:
+        return {idx0[a]: c for a, c in k.items()}
+
+    def h0(u: dict, v: dict) -> int:
+        return cohomology(Complex(A.space, twisted_map(A, u, v)), 0, 0)[0]["dim"]
+
+    def combine(coeffs: dict, vectors: List[dict]) -> dict:
+        out: dict = {}
+        for j, c in coeffs.items():
+            F.add_scaled(out, c, vectors[j])
+        return out
+
+    if F.nonzero(x) == F.nonzero(y):
+        fs, points = [A.unit], [{0: F.one()}]
+    else:
+        if h0(x, x) != h0(y, y):
+            return None
+        D = twisted_map(A, x, y)
+        boundaries = EchelonBasis(F, n, [D.entries.get(k, {}) for k in idxm1])
+        fs = [f for f in map(full, reference_chain_maps(A, x, y)) if boundaries.add(f)]
+        classes = F.characteristic ** len(fs)
+        if classes > budget:
+            raise BudgetExceeded(classes, budget)
+        if len(fs) != h0(x, x):
+            return None
+        points = enumerate_affine(F, {}, [{j: F.one()} for j in range(len(fs))], budget)
+    gs = [full(k) for k in reference_chain_maps(A, y, x)]
+    Dx, Dy = twisted_map(A, x, x), twisted_map(A, y, y)
+    homotopy_columns = [Dx.entries.get(k, {}) for k in idxm1] + [
+        {i + n: c for i, c in Dy.entries.get(k, {}).items()} for k in idxm1
+    ]
+    rhs_vector = dict(A.unit)
+    rhs_vector.update({i + n: c for i, c in A.unit.items()})
+    for a in points:
+        f = combine(a, fs)
+        columns = homotopy_columns + [
+            vec_add(F, A.product(g, f), {i + n: c for i, c in A.product(f, g).items()}) for g in gs
+        ]
+        rows = transpose(columns)
+        sol = solve(F, [rows.get(i, {}) for i in range(2 * n)], [rhs_vector.get(i, F.zero()) for i in range(2 * n)], len(columns))
+        if sol is None:
+            continue
+        skip = 2 * len(idxm1)
+        g = combine({j - skip: c for j, c in sol[0].items() if j >= skip}, gs)
+        h1 = reference_particular_homotopy(A, x, vec_sub(F, A.product(g, f), A.unit))
+        h2 = reference_particular_homotopy(A, y, vec_sub(F, A.product(f, g), A.unit))
+        return GaugeQuadruple(A, x, y, f, g, h1, h2)
+    return None
+
+
+def reference_particular_homotopy(A, x: dict, target: dict) -> Optional[dict]:
+    """gradedlin.solve's particular solution (free variables zero) of
+    d^x h = target with h in degree -1, from the rows of
+    twisted_map(A, x, x), or None."""
+    F = A.field
+    idxm1 = A.degree_indices(-1)
+    D = twisted_map(A, x, x)
+    rows = transpose({a: D.entries.get(j, {}) for a, j in enumerate(idxm1)})
+    keys = sorted(set(rows) | set(target))
+    sol = solve(F, [rows.get(k, {}) for k in keys], [target.get(k, F.zero()) for k in keys], len(idxm1))
+    return None if sol is None else {idxm1[a]: c for a, c in sol[0].items()}
+
+
+def counting_gauge_data(monkeypatch) -> dict:
+    """Count the element data that `GaugeClasses` builds and the keys it
+    computes, by wrapping `_ElementData` and `nonzero_key` in curvlab.mc for
+    the rest of the test; the counts are read off the dict returned."""
+    from curvlab import mc
+
+    counts = {"data": 0, "keys": 0}
+    data, key = mc._ElementData, mc.nonzero_key
+
+    def counting_data(*args):
+        counts["data"] += 1
+        return data(*args)
+
+    def counting_key(F, v):
+        counts["keys"] += 1
+        return key(F, v)
+
+    monkeypatch.setattr(mc, "_ElementData", counting_data)
+    monkeypatch.setattr(mc, "nonzero_key", counting_key)
+    return counts
 
 
 def exhaustive_lift_search(ext: SquareZeroExtension, x: dict) -> Optional[dict]:

@@ -367,6 +367,12 @@ def test_labels_map_small_labels_to_big_labels(tmp_path, capsys, labels):
         (["adjunction-check", "{doc}", "{doc}", "--truncate", "-1"], "--truncate"),
         (["--max-enum", "-1", "mc-enum", "{doc}"], "--max-enum"),
         (["--max-enum", "junk", "mc-enum", "{doc}"], "--max-enum"),
+        (["interval", "2", "--truncate", "-1"], "--truncate"),
+        (["interval", "inf", "--truncate", "0"], "--truncate"),
+        (["omega-cat", "{doc}", "--words", "-1"], "--words"),
+        (["omega-cat", "{doc}", "--window", "1,0"], "--window"),
+        (["twisted", "hom", "{doc}", "--module", '[["m", 0]]', "--xi", "{{}}", "--lo", "3", "--hi", "1"], "--lo/--hi"),
+        (["twisted", "make", "{doc}", "--module", '[["m", 0]]', "--xi", "{{}}", "--lo", "3", "--hi", "1"], "--lo/--hi"),
     ],
 )
 def test_integer_and_window_arguments_are_input_errors(tmp_path, capsys, argv, name):
@@ -374,6 +380,18 @@ def test_integer_and_window_arguments_are_input_errors(tmp_path, capsys, argv, n
     run_cli(capsys, ["interval", "2", "--field", "2", "--export", str(f)])
     code, rep = run_cli(capsys, [a.format(doc=f) for a in argv])
     assert code == 2 and rep["error"].startswith(f"{name} must be")
+
+
+def test_windows_of_one_degree_and_positive_bounds_answer(tmp_path, capsys):
+    # the edges of the checks above: lo = hi, --words 1 and --truncate 1
+    f = tmp_path / "I2p2.json"
+    run_cli(capsys, ["interval", "2", "--field", "2", "--export", str(f)])
+    code, rep = run_cli(capsys, ["omega-cat", str(f), "--window", "0,0", "--words", "1"])
+    assert code == 0 and all(set(H) == {"0"} for H in rep["hom_cohomology"].values())
+    code, rep = run_cli(capsys, ["twisted", "hom", str(f), "--module", '[["m", 0]]', "--xi", "{}", "--lo", "1", "--hi", "1"])
+    assert code == 0 and set(rep["cohomology"]) == {"1"}
+    code, rep = run_cli(capsys, ["interval", "2", "--truncate", "1"])
+    assert code == 0 and rep["dimension"] == 5
 
 
 def test_window_may_start_below_zero(tmp_path, capsys):

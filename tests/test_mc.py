@@ -8,7 +8,6 @@ from curvlab.algebra import (
     mc_enumerate,
     square_zero_algebra,
     twist_algebra,
-    twisted_map,
 )
 from curvlab.coalgebra import dualize_algebra
 from curvlab.convolution import convolution_algebra
@@ -19,8 +18,6 @@ from curvlab.gradedlin import (
     GradedMap,
     GradedSpace,
     enumerate_affine,
-    kernel_basis,
-    solve,
     vec_eq,
     vec_is_zero,
     vec_sub,
@@ -45,7 +42,13 @@ from curvlab.mc import (
     verify_n_homotopy,
 )
 from reference_algebra import reference_chain_map_dim
-from reference_mc import exhaustive_gauge_quadruple
+from reference_mc import (
+    counting_gauge_data,
+    exhaustive_gauge_quadruple,
+    reference_chain_maps,
+    reference_gauge_quadruple,
+    reference_particular_homotopy,
+)
 
 
 def random_complex(rng, F, maxdim=4, degs=(0, 1, 2)):
@@ -317,26 +320,6 @@ def _interval_convolution(p):
     return convolution_algebra(C, A).algebra
 
 
-def _particular_homotopy(E, x, target):
-    """gradedlin.solve's particular solution of d^x h = target with h in
-    degree -1, or None."""
-    F = E.field
-    dx = twisted_map(E, x, x)
-    idxm1 = E.degree_indices(-1)
-    rows = {}
-    for a, j in enumerate(idxm1):
-        for i, c in dx.entries.get(j, {}).items():
-            rows.setdefault(i, {})[a] = c
-    keys = sorted(set(rows) | set(target))
-    sol = solve(
-        F,
-        [rows.get(k, {}) for k in keys],
-        [target.get(k, F.zero()) for k in keys],
-        len(idxm1),
-    )
-    return None if sol is None else {idxm1[a]: c for a, c in sol[0].items()}
-
-
 def _end_algebra(p, degrees):
     """End(V) over F_p for V with one basis vector per degree given."""
     F = GF(p)
@@ -366,8 +349,8 @@ def test_gauge_homotopies_are_particular_solutions(p, degrees):
                 continue
             gf1 = vec_sub(F, E.product(q.g, q.f), E.unit)
             fg1 = vec_sub(F, E.product(q.f, q.g), E.unit)
-            assert q.h1 == _particular_homotopy(E, x, gf1)
-            assert q.h2 == _particular_homotopy(E, y, fg1)
+            assert q.h1 == reference_particular_homotopy(E, x, gf1)
+            assert q.h2 == reference_particular_homotopy(E, y, fg1)
             found += 1
             nonzero += bool(q.h1 or q.h2)
     assert found >= 10 and nonzero >= 9
@@ -377,24 +360,15 @@ def _reference_gauge_quadruple(E, x, y):
     """The search written out plainly: chain maps from kernel_basis on the
     hom complexes, every (f, g) in base-p order, each homotopy by solve."""
     F = E.field
-
-    def chain_maps(u, v):
-        D = hom_complex(E, u, v).d
-        rows = {}
-        for a, j in enumerate(E.degree_indices(0)):
-            for i, c in D.entries.get(j, {}).items():
-                rows.setdefault(i, {})[a] = c
-        return kernel_basis(F, list(rows.values()), len(E.degree_indices(0)))
-
     idx0 = E.degree_indices(0)
-    for fc in enumerate_affine(F, {}, chain_maps(x, y), 2**16):
+    for fc in enumerate_affine(F, {}, reference_chain_maps(E, x, y), 2**16):
         f = {idx0[a]: c for a, c in fc.items()}
-        for gc in enumerate_affine(F, {}, chain_maps(y, x), 2**16):
+        for gc in enumerate_affine(F, {}, reference_chain_maps(E, y, x), 2**16):
             g = {idx0[a]: c for a, c in gc.items()}
-            h1 = _particular_homotopy(E, x, vec_sub(F, E.product(g, f), E.unit))
+            h1 = reference_particular_homotopy(E, x, vec_sub(F, E.product(g, f), E.unit))
             if h1 is None:
                 continue
-            h2 = _particular_homotopy(E, y, vec_sub(F, E.product(f, g), E.unit))
+            h2 = reference_particular_homotopy(E, y, vec_sub(F, E.product(f, g), E.unit))
             if h2 is not None:
                 return f, g, h1, h2
     return None
@@ -483,39 +457,98 @@ def test_gauge_classes_refuse_with_the_h0_count():
     assert GaugeClasses(E, budget=2).equivalent(x1, x2) is (exhaustive_gauge_quadruple(E, x1, x2) is not None)
 
 
-@pytest.mark.parametrize("E", [_interval_convolution(2), _end_algebra(3, (0, 1, 1))], ids=["conv", "end"])
-def test_gauge_query_builds_at_most_two_pair_kernels(monkeypatch, E):
+@pytest.mark.parametrize(
+    "E, counts", [(_interval_convolution(2), (0, 7)), (_end_algebra(3, (0, 1, 1)), (14, 0))], ids=["conv", "end"]
+)
+def test_gauge_query_builds_at_most_two_pair_kernels(monkeypatch, E, counts):
     """Each verdict builds Z0(x, y) and Z0(y, x) at most once, and none when
-    the memo or unequal dim H^0(x, x), dim H^0(y, y) decide it; Z0(x, x) is
-    built once per element."""
+    the memo, unequal dim H^0(x, x) and dim H^0(y, y), or dim H^0(x, y) !=
+    dim H^0(x, x) decide it: those dimensions come from ranks, so no
+    Z0(x, x) is built at all.  A chain-map kernel is the one LinearSystem
+    of the gauge solve with a column per degree-0 basis vector and a row
+    per basis vector (d^x on degree -1 has fewer columns, the g-systems
+    twice the rows).  On Hom(I_1, k + k<1>) the ranks decide all 7 pairs
+    that the memo does not; on End(k + k<-1>^2) over F_3 they decide none,
+    and 7 pairs build two kernels each."""
+    import curvlab.mc as mc_module
+
+    n0 = len(E.degree_indices(0))
+    assert len(E.degree_indices(-1)) != n0
     built = []
-    build = GaugeClasses._chain_map_basis
 
-    def counting(self, ex, ey):
-        built.append((ex.key, ey.key))
-        return build(self, ex, ey)
+    class Counting(mc_module.LinearSystem):
+        def __init__(self, F, columns, nrows):
+            columns = list(columns)
+            if nrows == E.dim and len(columns) == n0:
+                built.append(1)
+            super().__init__(F, columns, nrows)
 
-    monkeypatch.setattr(GaugeClasses, "_chain_map_basis", counting)
+    monkeypatch.setattr(mc_module, "LinearSystem", Counting)
     elems = mc_enumerate(E)
     gauge = GaugeClasses(E)
 
     def key(v):
         return tuple(sorted(v.items()))
 
-    h0 = {key(x): h0_hom(E, x, x)["dim"] for x in elems}
-    pair_builds = 0
+    h0 = {(key(x), key(y)): h0_hom(E, x, y)["dim"] for x in elems for y in elems}
+    pair_builds = by_rank = 0
     for x in elems:
         for y in elems:
-            rx, ry = gauge._root(key(x)), gauge._root(key(y))
-            decided = rx == ry or ry in gauge._apart.get(rx, ()) or h0[key(x)] != h0[key(y)]
+            kx, ky = key(x), key(y)
+            rx, ry = gauge._root(kx), gauge._root(ky)
+            decided = rx == ry or ry in gauge._apart.get(rx, ()) or h0[kx, kx] != h0[ky, ky]
             before = len(built)
             gauge.equivalent(x, y)
-            pairs = [b for b in built[before:] if b[0] != b[1]]
-            assert len(pairs) <= (0 if decided else 2)
-            pair_builds += len(pairs)
-    selves = [b for b in built if b[0] == b[1]]
-    assert len(selves) == len(set(selves)) == len(elems)
-    assert 0 < pair_builds < len(elems) * (len(elems) - 1)
+            built_now = len(built) - before
+            if decided or h0[kx, ky] != h0[kx, kx]:
+                by_rank += not decided
+                assert built_now == 0
+            else:
+                assert built_now == 2
+            pair_builds += built_now
+    assert (pair_builds, by_rank) == counts
+
+
+@pytest.mark.parametrize(
+    "E",
+    [_interval_convolution(2), _interval_convolution(5), _end_algebra(2, (0, 1, 1, 2)), _end_algebra(3, (0, 1, 1, 2))],
+    ids=["conv2", "conv5", "end2", "end3"],
+)
+def test_rank_first_refusal_and_answer(E):
+    """On the pairs with dim H^0(x, x) = dim H^0(y, y) != dim H^0(x, y) = d
+    > 0, which the ranks decide: at budget p^d - 1 the verdict and the witness
+    refuse with BudgetExceeded(p^d, p^d - 1), as the reference solve does,
+    whatever the memo holds; at budget p^d they answer False and None."""
+    p = E.field.characteristic
+    elems = mc_enumerate(E)
+    dims = {(i, j): h0_hom(E, x, y)["dim"] for i, x in enumerate(elems) for j, y in enumerate(elems)}
+    pairs = [(i, j) for (i, j), d in dims.items() if dims[i, i] == dims[j, j] != d > 0]
+    assert pairs
+    memo = GaugeClasses(E, budget=2**12)
+    for i, j in pairs:
+        x, y, d = elems[i], elems[j], dims[i, j]
+        for ask in (GaugeClasses(E, p**d - 1).equivalent, GaugeClasses(E, p**d - 1).quadruple,
+                    lambda u, v: reference_gauge_quadruple(E, u, v, p**d - 1)):
+            with pytest.raises(BudgetExceeded) as refused:
+                ask(x, y)
+            assert (refused.value.required, refused.value.budget) == (p**d, p**d - 1)
+        assert GaugeClasses(E, p**d).equivalent(x, y) is False
+        assert GaugeClasses(E, p**d).quadruple(x, y) is None
+        assert reference_gauge_quadruple(E, x, y, p**d) is None
+        assert memo.equivalent(x, y) is False
+
+
+@pytest.mark.parametrize(
+    "E", [_interval_convolution(3), _end_algebra(3, (0, 1, 1)), _end_algebra(2, (0, 1, 1, 2))], ids=["conv", "end3", "end2"]
+)
+def test_moduli_set_keys_each_element_once(monkeypatch, E):
+    """moduli_set builds the data of each MC element, and computes its key,
+    exactly once, however many gauge queries it makes."""
+    elems = mc_enumerate(E)
+    counts = counting_gauge_data(monkeypatch)
+    classes = moduli_set(E, mc=elems)
+    assert len(classes) < len(elems)
+    assert counts == {"data": len(elems), "keys": len(elems)}
 
 
 # over F_3 and F_5 the signs of the seven components show; most of the

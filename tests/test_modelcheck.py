@@ -26,7 +26,7 @@ from curvlab.modelcheck import (
     rectify_cofibration,
     standard_coalgebra_battery,
 )
-from reference_mc import exhaustive_gauge_quadruple
+from reference_mc import counting_gauge_data, exhaustive_gauge_quadruple
 
 
 def I3_category(F=QQ):
@@ -390,6 +390,36 @@ def test_memoized_fibration_answers_where_the_search_refuses():
         _pairwise_fibration_report(C, g, 2**4)
     rep = is_fibration_mcdg(C, g, budget=2**4)
     assert rep == _pairwise_fibration_report(C, g, required) and rep["verdict"] is True
+
+
+@pytest.mark.parametrize("degrees, cname", [((1,), "I_1"), ((1, 1), "dual(k+V)"), ((1,), "I_3")])
+def test_fibration_keys_each_mc_element_once(monkeypatch, degrees, cname):
+    """is_fibration_mcdg builds the gauge data of each element of
+    MC Hom(C, A) and MC Hom(C, A'), and computes its key, exactly once:
+    |X| + |Y| of each, however many pairs it checks."""
+    F = GF(2)
+    g = endpoint_projection(_small_square_zero(F, degrees), 3)
+    C = dict(standard_coalgebra_battery(F))[cname]
+    counts = counting_gauge_data(monkeypatch)
+    rep = is_fibration_mcdg(C, g, budget=2**17)
+    nx, ny = rep["mc_counts"]
+    assert rep["verdict"] is True and nx * ny > nx + ny  # one query per pair (x, y')
+    assert counts == {"data": nx + ny, "keys": nx + ny}
+
+
+def test_fibration_meets_an_image_outside_the_mc_set():
+    """(id, b) with b = E[v2,v1] is no morphism of End(k + k<-1> + k<-2>):
+    it sends the MC element E[v1,v0] outside MC Hom(k, A').  Such an image
+    is looked up among the targets like any other, and its first gauge
+    query rejects it as an endpoint that is not MC."""
+    from curvlab.algebra import endomorphism_algebra
+
+    F = GF(2)
+    E = endomorphism_algebra(GradedSpace.make([("v0", 0), ("v1", 1), ("v2", 2)], F))
+    g = CurvedMorphism(E, E, GradedMap.identity(E.space), {E.space.index("E[v2,v1]"): F.one()})
+    C = dict(standard_coalgebra_battery(F))["k"]
+    with pytest.raises(ValueError, match="Maurer-Cartan endpoints"):
+        is_fibration_mcdg(C, g)
 
 
 def test_rectify_cofibration_builds_one_gauge_memo(monkeypatch):

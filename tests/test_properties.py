@@ -77,6 +77,7 @@ from reference_mc import (
     exhaustive_gauge_quadruple,
     exhaustive_lift_search,
     obstructed_witness,
+    reference_gauge_quadruple,
     reference_lift_along_gauge,
     reference_obstruction_class,
     reference_try_lift,
@@ -355,18 +356,27 @@ def small_mc_elements(A):
 @settings(max_examples=100, **SETTINGS)
 @given(st.data())
 def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
-    """The gauge search's chain maps x -> y are the kernel of the
-    degree-0 columns of twisted_map(A, x, y), as LinearSystem gives it."""
+    """The gauge solve's columns of D_{x->y}, each the sum of x's cached
+    source half and y's cached target half, are the degree-0 and degree -1
+    columns of twisted_map(A, x, y); so its chain maps x -> y are the
+    kernel of the degree-0 columns, as LinearSystem gives it."""
     A = data.draw(twist_algebras())
     mc = small_mc_elements(A)
     if not mc:
         return
     x, y = data.draw(st.sampled_from(mc)), data.draw(st.sampled_from(mc))
     gauge = GaugeClasses(A)
-    got = gauge._chain_map_basis(gauge._element(x), gauge._element(y))
+    ex, ey = gauge._element(x), gauge._element(y)
     D = twisted_map(A, x, y)
-    want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim)
-    assert [typed(k) for k in got] == [typed(k) for k in want.kernel]
+    for got, degree in (
+        (gauge._columns(ex.source0, ey.target0), 0),
+        (gauge._columns(ex.sourcem1, ey.targetm1), -1),
+    ):
+        want = [D.entries.get(j, {}) for j in A.degree_indices(degree)]
+        assert [sorted(typed(c)) for c in got] == [sorted(typed(c)) for c in want]
+    kernel = LinearSystem(A.field, gauge._columns(ex.source0, ey.target0), A.dim).kernel
+    want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim).kernel
+    assert [typed(k) for k in kernel] == [typed(k) for k in want]
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +474,56 @@ def test_gauge_verdict_is_the_quadruple_search(data):
         if h0_hom(A, x, x)["dim"] != h0_hom(A, y, y)["dim"]:
             assert GaugeClasses(A, 1).equivalent(x, y) is False
             assert GaugeClasses(A, 1).quadruple(x, y) is None
+
+
+@st.composite
+def homotopy_algebras(draw):
+    """End(V) for a V of adjacent degrees, or a random curved algebra with a
+    degree -1 part (the first of the seeded draws that has one), over F_2,
+    F_3 or F_5: algebras where B^0(x, y) and the homotopies can be nonzero."""
+    F = GAUGE_FIELDS[draw(st.sampled_from(sorted(GAUGE_FIELDS)))]
+    if draw(st.booleans()):
+        degrees = draw(st.sampled_from(END_DEGREES))
+        return endomorphism_algebra(GradedSpace.make([(f"v{i}", d) for i, d in enumerate(degrees)], F))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    A = random_curved_algebra(rng, F, maxdim=6)
+    while not A.degree_indices(-1):
+        A = random_curved_algebra(rng, F, maxdim=6)
+    return A
+
+
+def witness_items(fn):
+    """fn()'s quadruple as the items of (f, g, h1, h2) in key order, None,
+    or the refusal."""
+    q = verdict_or_refusal(fn)
+    return q if q is None or isinstance(q, tuple) else [list(v.items()) for v in (q.f, q.g, q.h1, q.h2)]
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.data())
+def test_gauge_witness_is_the_reference_solve(data):
+    """On algebras with a degree -1 part, the witness of the gauge solve is
+    the reference solve's (f, g, h1, h2), values and key order, and both
+    refuse alike, at budgets 1, p, p^2 and 2^12; the verdict, fresh or
+    through one memo, is True exactly where there is a witness and refuses
+    exactly where the witness does.  Every witness validates."""
+    A = data.draw(homotopy_algebras())
+    assert A.degree_indices(-1)
+    mc = mc_enumerate(A)
+    if not mc:
+        return
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(mc), st.sampled_from(mc)), min_size=1, max_size=6))
+    p = A.field.characteristic
+    memo = GaugeClasses(A, budget=2**12)
+    for x, y in pairs:
+        for budget in (1, p, p * p, 2**12):
+            want = witness_items(lambda: reference_gauge_quadruple(A, x, y, budget))
+            assert witness_items(lambda: GaugeClasses(A, budget).quadruple(x, y)) == want
+            verdict = want if want is None or isinstance(want, tuple) else True
+            assert verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(x, y)) == (verdict or False)
+        assert verdict_or_refusal(lambda: memo.equivalent(x, y)) == (verdict or False)
+        q = verdict_or_refusal(lambda: find_gauge_quadruple(A, x, y, 2**12))
+        assert q is None or isinstance(q, tuple) or q.validate() == []
 
 
 @settings(max_examples=100, **SETTINGS)
