@@ -677,6 +677,80 @@ def direct_product(A: CurvedAlgebra, B: CurvedAlgebra, tagA="L", tagB="R") -> Cu
     return CurvedAlgebra(space, unit, mult, d, h)
 
 
+def algebra_blocks(A: CurvedAlgebra) -> List[Tuple[List[int], CurvedAlgebra]]:
+    """The finest product decomposition of A along its basis, as A's
+    structure constants store it.
+
+    The blocks are the connected components of the basis, e_i joined to
+    e_j and to every term stored for e_i e_j where one is, and e_j to every
+    term stored for d e_j.  No product or differential leaves a block, and
+    the unit and h are the sums of their parts in the blocks, so A is the
+    product of the blocks.
+
+    Each block is (its indices in A, ascending; the algebra they span),
+    the structure constants of A restricted to it and renumbered in that
+    order, with no product computed.  The blocks come in the order of
+    their least index.  An algebra that does not decompose (also one of
+    dimension 0) is its own one block, as the same object.
+    """
+    n = A.dim
+    parent = list(range(n))
+    count = n  # of components
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (i, j), col in A.mult.items():
+        if col:
+            ri = root(i)
+            for k in (j, *col):
+                rk = root(k)
+                if rk != ri:
+                    parent[rk] = ri
+                    count -= 1
+            if count == 1:
+                return [(list(range(n)), A)]
+    for j, col in A.d.entries.items():
+        rj = root(j)
+        for k in col:
+            rk = root(k)
+            if rk != rj:
+                parent[rk] = rj
+                count -= 1
+    if count <= 1:
+        return [(list(range(n)), A)]
+    groups: Dict[int, List[int]] = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    block, local = [0] * n, [0] * n  # the block of each index of A, and its index there
+    for b, indices in enumerate(groups.values()):
+        for a, i in enumerate(indices):
+            block[i], local[i] = b, a
+
+    def restrict(v: dict) -> dict:
+        return {local[k]: c for k, c in v.items()}
+
+    mults: List[dict] = [{} for _ in groups]
+    for (i, j), col in A.mult.items():
+        if col:
+            mults[block[i]][local[i], local[j]] = restrict(col)
+    entries: List[dict] = [{} for _ in groups]
+    for j, col in A.d.entries.items():
+        if col:
+            entries[block[j]][local[j]] = restrict(col)
+    blocks = []
+    for b, indices in enumerate(groups.values()):
+        space = GradedSpace.make([A.space.basis[i] for i in indices], A.field)
+        unit = restrict({k: c for k, c in A.unit.items() if block[k] == b})
+        h = restrict({k: c for k, c in A.h.items() if block[k] == b})
+        d = GradedMap(space, space, 1, entries[b])
+        blocks.append((indices, CurvedAlgebra(space, unit, mults[b], d, h)))
+    return blocks
+
+
 def morita_element(A: CurvedAlgebra, E: CurvedAlgebra) -> dict:
     """1 @ E[0,1] - h @ E[1,0] in A @ E, for E = End(V) of V = k + k[1]:
     the square-matrix MC element (0 1; -h 0) that uncurves A."""

@@ -19,6 +19,12 @@ Word-length truncation is a dg quotient when h_C vanishes on ker(eps)
 
 The dual bar construction of A with a chosen splitting is the cobar of A*
 at the splitting functional.
+
+MC Hom(C, A) is enumerated block by block (`mc_convolution_enumerate`):
+the convolution algebra is the product of its blocks (`algebra_blocks`),
+each block is solved stage by stage along the coradical filtration of C,
+and the MC set is the product of the blocks' sets.  Every refusal names
+the number of points its stage would enumerate.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, ideal_powers, mc_enumerate, tensor_index, twisted_apply
+from .algebra import CurvedAlgebra, algebra_blocks, ideal_powers, mc_enumerate, tensor_index, twisted_apply
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
 from .convolution import ConvolutionAlgebra, convolution_algebra
@@ -108,19 +114,28 @@ def mc_hom_enumerate(
 def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = None) -> List[dict]:
     """All MC elements of the convolution algebra conv = Hom(C, A) over F_p.
 
-    Solves stage by stage along the coradical filtration of C.  Stage 0 is
-    Hom(C_0, A), and C_0 splits into the blocks that Delta and d_C join:
-    the residual rows of a block read only its own coordinates, so each
-    block's p^(its degree-1 coordinates) points are enumerated once and
-    stage 0 is the product of the points kept.  Higher stages are affine
-    linear algebra over each partial solution.  Falls back to plain
-    enumeration when the filtration is not basis-aligned or d_C does not
-    respect it.  Deterministic output order (sorted by `vec_key`).
+    Hom(C, A) is the product of its blocks (`algebra_blocks`), and its MC
+    set the product of theirs, so each block is solved alone.  A block is
+    solved stage by stage along the coradical filtration of C (the stage
+    of a coordinate c @ a is that of c).  Its stage 0 splits further into
+    the groups of coordinates over the blocks of C_0 that Delta and d_C
+    join: the residual rows of a group read only its own coordinates, so
+    each group's p^(its degree-1 coordinates) points are enumerated once
+    and stage 0 is the product of the points kept.  Each higher stage is
+    affine over each partial solution: one `LinearSystem` per partial.
+    Falls back to plain enumeration of Hom(C, A) when the filtration is
+    not basis-aligned or d_C does not respect it.  Deterministic output
+    order (sorted by `vec_key`); an element of a single block lists its
+    keys stage by stage, one of several blocks in ascending order.
 
-    Stage 0 refuses, before any point, when the points of the blocks number
-    more than the budget (required = sum over blocks of p^n_b), and again,
-    before the product, when the product of the kept sets does (required =
-    prod over blocks of |MC_b|).
+    Each refusal names the number of points it would take, before any of
+    them: first the points of the stage-0 groups of all blocks, summed
+    (required = sum of p^n_g over the groups with n_g > 0 degree-1
+    coordinates; a group with none has only the point 0 to check); then
+    in each block the product of the kept stage-0 sets, and at each higher
+    stage the points of all its partial solutions (required = sum over
+    them of p^(dim of the kernel)); last the product of the blocks' MC
+    sets.  So every set returned has at most `budget` elements.
     """
     C, A, E = conv.C, conv.A, conv.algebra
     F = A.field
@@ -128,7 +143,6 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
         raise PrimeFieldRequired("MC enumeration requires a prime field")
     budget = default_budget() if budget is None else budget
     stages = coradical_filtration_stages(C)
-    deg1 = E.degree_indices(1)
     if stages is None:
         return mc_enumerate(E, budget=budget)
     # check d_C respects stages (else brute force)
@@ -136,20 +150,7 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
         for i, c in C.d.entries.get(j, {}).items():
             if not F.is_zero(c) and stages[i] > stages[j]:
                 return mc_enumerate(E, budget=budget)
-    # the stage of each coordinate c @ a is the stage of c
-    coord_stage = {
-        tensor_index(ci, ai, A.dim): stages[ci] for ci in range(C.dim) for ai in range(A.dim)
-    }
-    maxstage = max([0] + stages)
-    stage_vars = {s: [k for k in deg1 if coord_stage[k] == s] for s in range(maxstage + 1)}
-
-    def stage_rows(v, upto_stage):
-        return {k: c for k, c in v.items() if coord_stage[k] <= upto_stage}
-
-    def residual_rows(X, upto_stage):
-        return stage_rows(E.mc_residual(X), upto_stage)
-
-    # stage 0 by blocks: join c to the support of Delta(c) and of d_C(c),
+    # the blocks of C_0: join c to the support of Delta(c) and of d_C(c),
     # which the stage checks above keep inside stage 0
     s0 = [ci for ci in range(C.dim) if stages[ci] == 0]
     linked: Dict[int, set] = {ci: set() for ci in s0}
@@ -169,65 +170,99 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
                 block[j] = nblocks
                 todo.extend(linked[j])
         nblocks += 1
-    coord_block = {
-        tensor_index(ci, ai, A.dim): b for ci, b in block.items() for ai in range(A.dim)
-    }
-    block_vars = [[k for k in stage_vars[0] if coord_block[k] == b] for b in range(nblocks)]
+    # the stage of each coordinate c @ a, and at stage 0 the block of C_0
+    # that c lies in
+    stage: List[int] = [0] * E.dim
+    corad: List[Optional[int]] = [None] * E.dim
+    for ci in range(C.dim):
+        for ai in range(A.dim):
+            k = tensor_index(ci, ai, A.dim)
+            stage[k], corad[k] = stages[ci], block.get(ci)
+    blocks = []
+    for indices, B in algebra_blocks(E):
+        bstage, bcorad = [stage[k] for k in indices], [corad[k] for k in indices]
+        deg1 = B.degree_indices(1)
+        ids = sorted({b for b in bcorad if b is not None})
+        groups = {b: [k for k in deg1 if bcorad[k] == b] for b in ids}
+        blocks.append((indices, B, bstage, bcorad, groups))
     p = F.characteristic
-    required = sum(p ** len(vs) for vs in block_vars)
+    required = sum(p ** len(vs) for *_, groups in blocks for vs in groups.values() if vs)
     if required > budget:
         raise BudgetExceeded(required, budget)
+    sets = [_staged_mc(B, bstage, bcorad, groups, budget) for _, B, bstage, bcorad, groups in blocks]
+    required = prod(len(mc) for mc in sets)
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+    if len(blocks) == 1:
+        return sets[0]
+    sols = [
+        dict(sorted((indices[a], c) for (indices, *_), x in zip(blocks, xs) for a, c in x.items()))
+        for xs in product(*sets)
+    ]
+    return sorted(sols, key=lambda x: vec_key(x, E.dim))
+
+
+def _staged_mc(
+    B: CurvedAlgebra, stage: List[int], corad: List[Optional[int]], groups: Dict[int, List[int]], budget: int
+) -> List[dict]:
+    """MC(B) of one block of Hom(C, A), stage by stage: stage[k] is the
+    coradical stage of coordinate k, corad[k] its block of C_0 at stage 0,
+    and groups the degree-1 coordinates of stage 0 by that block.  Refuses
+    as `mc_convolution_enumerate` says, after its sum over the groups."""
+    F = B.field
+    p = F.characteristic
+    deg1 = B.degree_indices(1)
+    maxstage = max(stage, default=0)
+    stage_vars = {s: [k for k in deg1 if stage[k] == s] for s in range(1, maxstage + 1)}
+
+    def stage_rows(v: dict, upto_stage: int) -> dict:
+        return {k: c for k, c in v.items() if stage[k] <= upto_stage}
+
     kept = [
         [
             X
-            for X in enumerate_affine(F, {}, [E.space.basis_vector(k) for k in vs], budget)
-            if not any(coord_block.get(k) == b for k in E.mc_residual(X))
+            for X in enumerate_affine(F, {}, [B.space.basis_vector(k) for k in vs], budget)
+            if not any(corad[k] == b for k in B.mc_residual(X))
         ]
-        for b, vs in enumerate(block_vars)
+        for b, vs in groups.items()
     ]
     required = prod(len(points) for points in kept)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    sols: List[dict] = []
-    for points in product(*kept):
-        # the coordinates in ascending order, as one enumeration of stage 0 gives them
-        X = dict(sorted(kv for pt in points for kv in pt.items()))
-        # solve higher stages
-        partials = [X]
-        for s in range(1, maxstage + 1):
-            vs = stage_vars.get(s, [])
-            new_partials = []
-            for P in partials:
-                base = residual_rows(P, s)
-                # the residual is quadratic: R(P + e_k) - R(P) = d^P e_k + e_k e_k
-                cols = []
-                for k in vs:
-                    col = twisted_apply(E, P, P, E.space.basis_vector(k))
-                    F.add_scaled(col, 1, E.basis_product(k, k))
-                    cols.append(stage_rows(col, s))
-                system = LinearSystem(F, cols, E.dim)
-                part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
-                if part is None:
-                    continue
-                ker = system.kernel
-                required = p ** len(ker) * max(1, len(new_partials) + len(partials))
-                if required > budget:
-                    raise BudgetExceeded(required, budget)
-                for pt in enumerate_affine(F, part, ker, budget):
-                    Q = dict(P)
-                    for a, c in F.nonzero(pt).items():
-                        Q[vs[a]] = c
-                    new_partials.append(Q)
-            partials = new_partials
-            if not partials:
-                break
-        for X2 in partials:
-            if vec_is_zero(F, E.mc_residual(X2)):
-                sols.append(F.nonzero(X2))
+    # the coordinates in ascending order, as one enumeration of stage 0 gives them
+    partials = [dict(sorted(kv for pt in points for kv in pt.items())) for points in product(*kept)]
+    for s in range(1, maxstage + 1):
+        vs = stage_vars[s]
+        solved = []  # (P, particular solution, kernel) of each partial P with one
+        for P in partials:
+            base = stage_rows(B.mc_residual(P), s)
+            # the residual is quadratic: R(P + e_k) - R(P) = d^P e_k + e_k e_k
+            cols = []
+            for k in vs:
+                col = twisted_apply(B, P, P, B.space.basis_vector(k))
+                F.add_scaled(col, 1, B.basis_product(k, k))
+                cols.append(stage_rows(col, s))
+            system = LinearSystem(F, cols, B.dim)
+            part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
+            if part is not None:
+                solved.append((P, part, system.kernel))
+        required = sum(p ** len(ker) for _, _, ker in solved)
+        if required > budget:
+            raise BudgetExceeded(required, budget)
+        partials = []
+        for P, part, ker in solved:
+            for pt in enumerate_affine(F, part, ker, budget):
+                Q = dict(P)
+                for a, c in F.nonzero(pt).items():
+                    Q[vs[a]] = c
+                partials.append(Q)
+        if not partials:
+            break
     # dedupe + deterministic order
     uniq = {}
-    for x in sols:
-        uniq[vec_key(x, E.dim)] = x
+    for x in partials:
+        if vec_is_zero(F, B.mc_residual(x)):
+            uniq[vec_key(x, B.dim)] = F.nonzero(x)
     return [uniq[k] for k in sorted(uniq)]
 
 

@@ -5,18 +5,23 @@ of (co)algebra maps, and the three-homotopy functor data.
 Hom-complex convention: the morphism complex from x to y is A with
 differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
-(f, g, h1, h2) witnesses mutual inversion in H^0.  One gauge solve decides
-it (`GaugeClasses`), one affine solve per class of H^0(x, y) under one
-budget rule, refusing above p^dim H^0(x, y).  Each element keeps its
-halves of D on degrees 0 and -1, the one of x as a source and the one of x
-as a target, so a pair's columns are sums of two cached halves.  The
-verdict (`equivalent`, or `indexed` over a fixed list) reads a memo closed
-under ~ first, and answers as distinct where dim H^0(x, x) !=
-dim H^0(y, y) or, from two ranks, dim H^0(x, y) != dim H^0(x, x); only the
-other pairs build a chain-map kernel.  The witness (`quadruple`) completes
-the pair (f, g) the solve finds with its homotopies, and
-`gauge_to_three_homotopy` builds from it the 3-homotopy that
-`n_homotopy_search` returns for n = 3.
+(f, g, h1, h2) witnesses mutual inversion in H^0.  The algebra is the
+product of its blocks (`algebra_blocks`), and so are its MC elements, its
+hom complexes and their H^0, so x ~ y exactly when each block component
+is: gauge equivalence is decided block by block (`GaugeClasses`), one
+affine solve per class of H^0(x_b, y_b) in a block, under one budget rule
+for the whole pair, refusing above p^dim H^0(x, y).  Each component keeps
+its halves of D on degrees 0 and -1, the one of x as a source and the one
+of x as a target, so a pair's columns are sums of two cached halves.  The
+verdict (`equivalent`, or `indexed` over a fixed list) reads a memo of
+whole elements closed under ~ first, and answers as distinct where
+dim H^0(x, x) != dim H^0(y, y) or, from two ranks per block,
+dim H^0(x, y) != dim H^0(x, x); each block then answers from its own
+memo, and only the pairs of components left build a chain-map kernel,
+from the columns the ranks were taken on.  The witness (`quadruple`)
+assembles the blocks' pairs (f, g) with their homotopies, as one solve of
+the whole algebra would list them, and `gauge_to_three_homotopy` builds
+from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     CurvedAlgebra,
+    algebra_blocks,
     CurvedMorphism,
     compose_morphisms,
     mc_enumerate,
@@ -122,16 +128,18 @@ def find_gauge_quadruple(
 
 
 class _ElementData(NamedTuple):
-    """What the gauge solve needs of one MC element x.
+    """What the gauge solve needs of one MC element x of a block.
 
     D_{x->y}(e) = de + ye - (-1)^{|e|} ex is the sum of a source half
     D_{x->0}(e), which depends on x only, and a target half ye, which
     depends on y only.  x keeps both of its halves on the basis of degree 0
     and on that of degree -1, so every column of a hom complex between two
-    elements is one `vec_add`.
+    elements is one `vec_add`.  dim H^0(x, x) = dim B^0 - rank D^0 -
+    rank d^x(B^-1) comes from ranks alone.
     """
 
     key: tuple
+    h0: int  # dim H^0(x, x)
     source0: List[dict]  # de - ex for e of degree 0
     target0: List[dict]  # xe for e of degree 0
     sourcem1: List[dict]  # de + ex for e of degree -1
@@ -139,35 +147,117 @@ class _ElementData(NamedTuple):
     homotopies: LinearSystem  # d^x h = t for h of degree -1
 
 
+class _Entry(NamedTuple):
+    """An element x of the whole algebra: its key, the data of its
+    component in each block, and dim H^0(x, x), their sum."""
+
+    key: tuple
+    parts: List[_ElementData]
+    h0: int
+
+
+class _Classes:
+    """The gauge classes known among some keys, kept closed under ~:
+    union-find over the keys recorded, plus the pairs of classes known
+    apart."""
+
+    def __init__(self) -> None:
+        self._parent: Dict[tuple, tuple] = {}
+        self._apart: Dict[tuple, set] = {}  # root -> roots of distinct classes
+
+    def known(self, kx: tuple, ky: tuple) -> Tuple[tuple, tuple, Optional[bool]]:
+        """The roots of the classes of x and y, and x ~ y where they are
+        one class, False where they are known apart, else None."""
+        parent = self._parent
+        while parent.get(kx, kx) != kx:
+            kx = parent[kx]
+        while parent.get(ky, ky) != ky:
+            ky = parent[ky]
+        if kx == ky:
+            return kx, ky, True
+        return kx, ky, False if ky in self._apart.get(kx, ()) else None
+
+    def record(self, rx: tuple, ry: tuple, same: bool) -> None:
+        """Keep the verdict on two classes, given by their roots (`known`)."""
+        if not same:
+            self._apart.setdefault(rx, set()).add(ry)
+            self._apart.setdefault(ry, set()).add(rx)
+            return
+        self._parent[ry] = rx
+        for r in self._apart.pop(ry, ()):
+            self._apart[r].discard(ry)
+            self._apart[r].add(rx)
+            self._apart.setdefault(rx, set()).add(r)
+
+
+@dataclass
+class _Block:
+    """One block B of the algebra (`algebra_blocks`), at `indices` of the
+    whole, with the data of the components met in it, keyed by their keys
+    in B, and its own memo of the pairs it solved.  `dims` keeps
+    dim H^0(x, y) by pair of keys where there are several blocks: there a
+    pair of components recurs in many pairs of elements, while with one
+    block its pairs are the pairs of elements, which the memo of whole keys
+    keeps."""
+
+    indices: List[int]
+    B: CurvedAlgebra
+    classes: _Classes
+    dims: Optional[Dict[Tuple[tuple, tuple], int]]
+    elements: Dict[tuple, _ElementData]
+
+    def to_whole(self, v: dict) -> dict:
+        return {self.indices[a]: c for a, c in v.items()}
+
+
+def _combine(F, terms: List[Tuple[object, dict]]) -> dict:
+    """sum c v over the terms (c, v), added in their order."""
+    out: dict = {}
+    for c, v in terms:
+        F.add_scaled(out, c, v)
+    return out
+
+
 class GaugeClasses:
     """Gauge equivalence on the MC elements of one algebra over F_p, with
     what the verdicts and witnesses need cached per element.
 
-    x ~ y is isomorphism in H^0 of the MC dg category.  Both answers come
-    from one solve, `_inverse_pair`, which refuses when the p^dim H^0(x, y)
-    classes it tries exceed the budget; these dimensions are invariant
-    under gauge equivalence of either end, so whether a query refuses does
-    not depend on what the memo holds.
+    x ~ y is isomorphism in H^0 of the MC dg category.  The algebra is the
+    product of its blocks (`algebra_blocks`), and so are its MC elements,
+    its hom complexes and their H^0: x ~ y exactly when every block
+    component x_b ~ y_b.  Each component is keyed and its halves of the hom
+    complexes built once per block (`_ElementData`); `indexed(xs)` queries a
+    fixed list by position, so a caller with many queries keys each element
+    once, and the keys of its components are read off its key.
 
-    Each element is keyed and its halves of the hom complexes built once
-    (`_ElementData`); `indexed(xs)` queries a fixed list by position, so a
-    caller with many queries keys each element once.  `equivalent(x, y)`
-    is the verdict, memo first: the verdicts are kept closed under ~
-    (union-find over the elements seen, plus the pairs of classes known
-    apart), and a pair that the memo, dim H^0(x, x) != dim H^0(y, y) or
-    dim H^0(x, y) != dim H^0(x, x) decides builds no chain-map kernel.
-    `quadruple(x, y)` is the witness (f, g, h1, h2) from the same solve:
-    None exactly where the verdict is False, refused exactly where a fresh
-    verdict refuses.
+    Both answers come from one solve per block, `_inverse_pair`, under one
+    budget rule for the whole pair (`_pair_dims`): it refuses when the
+    p^dim H^0(x, y) classes, dim H^0(x, y) the sum over the blocks, exceed
+    the budget.  These dimensions are invariant under gauge equivalence of
+    either end, so whether a query refuses does not depend on what the
+    memo holds.
+
+    `equivalent(x, y)` is the verdict, memo first: the verdicts are kept
+    closed under ~ by a memo of whole keys, and behind it by one memo per
+    block, so a pair of components is solved once however many pairs of
+    elements it meets in.  A pair that a memo, the dimensions of H^0 or
+    the ranks decide builds no chain-map kernel.  `quadruple(x, y)` is the
+    witness (f, g, h1, h2) from the same solves: None exactly where the
+    verdict is False, refused exactly where a fresh verdict refuses.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
         self.A = A
         self.budget = budget
-        self._elements: Dict[tuple, _ElementData] = {}
-        self._h0: Dict[tuple, int] = {}  # key of x -> dim H^0(x, x)
-        self._parent: Dict[tuple, tuple] = {}
-        self._apart: Dict[tuple, set] = {}  # root -> roots of distinct classes
+        blocks = algebra_blocks(A)
+        several = len(blocks) > 1
+        self._blocks = [
+            _Block(indices, B, _Classes(), {} if several else None, {}) for indices, B in blocks
+        ]
+        self._classes = _Classes()  # the memo of whole keys
+        # the block of each index of the whole, and its index there
+        self._place = {i: (b, a) for b, blk in enumerate(self._blocks) for a, i in enumerate(blk.indices)}
+        self._p = A.field.characteristic
 
     def _budget(self) -> int:
         """The budget of a query, after the prime-field check.  A budget of
@@ -178,27 +268,34 @@ class GaugeClasses:
             self.budget = default_budget()
         return self.budget
 
-    def _element(self, x: dict) -> _ElementData:
-        """The data of x, built once per element: its source and target
-        halves on degrees 0 and -1, and d^x on degree -1 as a linear
-        system."""
-        A, F = self.A, self.A.field
-        key = nonzero_key(F, x)
-        if key not in self._elements:
-            if not A.is_mc(x):
+    def _entry(self, x: dict) -> _Entry:
+        """x keyed, with the data of its component in each block."""
+        key = nonzero_key(self.A.field, x)
+        keys: List[list] = [[] for _ in self._blocks]
+        for i, c in key:
+            b, a = self._place[i]
+            keys[b].append((a, c))
+        parts = [self._element(blk, tuple(k), dict(k)) for blk, k in zip(self._blocks, keys)]
+        return _Entry(key, parts, sum(e.h0 for e in parts))
+
+    def _element(self, blk: _Block, key: tuple, x: dict) -> _ElementData:
+        """The data of the component x (with that key) in the block, built
+        once: dim H^0(x, x), its source and target halves on degrees 0 and
+        -1, and d^x on degree -1 as a linear system."""
+        B, F = blk.B, blk.B.field
+        if key not in blk.elements:
+            if not B.is_mc(x):
                 raise ValueError("hom_complex requires Maurer-Cartan endpoints")
-            e0, em1 = ([A.space.basis_vector(j) for j in A.degree_indices(deg)] for deg in (0, -1))
-            sourcem1 = [twisted_apply(A, x, {}, e) for e in em1]  # D_{x->0}(e)
-            targetm1 = [A.product(x, e) for e in em1]
-            self._elements[key] = _ElementData(
-                key,
-                [twisted_apply(A, x, {}, e) for e in e0],
-                [A.product(x, e) for e in e0],
-                sourcem1,
-                targetm1,
-                LinearSystem(F, self._columns(sourcem1, targetm1), A.dim),
-            )
-        return self._elements[key]
+            e0, em1 = ([B.space.basis_vector(j) for j in B.degree_indices(deg)] for deg in (0, -1))
+            source0 = [twisted_apply(B, x, {}, e) for e in e0]  # D_{x->0}(e)
+            target0 = [B.product(x, e) for e in e0]
+            sourcem1 = [twisted_apply(B, x, {}, e) for e in em1]
+            targetm1 = [B.product(x, e) for e in em1]
+            homotopies = LinearSystem(F, self._columns(sourcem1, targetm1), B.dim)
+            rank0 = len(EchelonBasis(F, B.dim, self._columns(source0, target0)))
+            h0 = len(e0) - rank0 - homotopies.rank
+            blk.elements[key] = _ElementData(key, h0, source0, target0, sourcem1, targetm1, homotopies)
+        return blk.elements[key]
 
     def _columns(self, sources: List[dict], targets: List[dict]) -> List[dict]:
         """The columns of D_{x->y} on the basis of one degree, from x's
@@ -206,74 +303,91 @@ class GaugeClasses:
         F = self.A.field
         return [vec_add(F, s, t) for s, t in zip(sources, targets)]
 
-    def _root(self, k: tuple) -> tuple:
-        while self._parent.get(k, k) != k:
-            k = self._parent[k]
-        return k
-
-    def _h0_dim(self, ex: _ElementData) -> int:
-        """dim H^0(x, x) = dim A^0 - rank D^0 - rank d^x(A^-1), by rank
-        alone, computed once per element."""
-        if ex.key not in self._h0:
-            rank = len(EchelonBasis(self.A.field, self.A.dim, self._columns(ex.source0, ex.target0)))
-            self._h0[ex.key] = len(ex.source0) - rank - ex.homotopies.rank
-        return self._h0[ex.key]
-
-    def _inverse_pair(self, ex: _ElementData, ey: _ElementData, budget: int) -> Optional[Tuple[dict, dict]]:
-        """Some f: x -> y with an inverse g: y -> x in H^0, as (f, g), or
-        None.
+    def _pair_dims(self, x: _Entry, y: _Entry, budget: int) -> Optional[List[tuple]]:
+        """(dim H^0(x_b, y_b), columns, boundaries) of each block for a pair
+        of distinct elements, or None where the dimensions answer that x and
+        y are apart.  Where the dimension was ranked here, columns are those
+        of D_{x->y} on degree 0 and boundaries the echelon basis of
+        B^0(x_b, y_b), for the solve to reuse; where equal components or
+        `dims` gave it, both are None.
 
         An inverse makes H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic, so
-        unequal dim H^0(x, x) and dim H^0(y, y) answer None first.  Then
-        dim H^0(x, y) = dim A^0 - rank D^0 - rank B^0, with B^0(x, y) =
-        D_{x->y}(A^-1), comes from two ranks over the cached columns, with
-        no kernel: over the budget the pair refuses with
-        BudgetExceeded(p^dim H^0(x, y), budget), and unequal to
-        dim H^0(x, x) it answers None.  Only then are Z^0(x, y) and
-        Z^0(y, x) built.  Whether f has an inverse depends only on [f] in
-        H^0(x, y), so f runs in base-p order over the span of the kernel
-        basis vectors of Z^0(x, y) that are independent modulo B^0(x, y):
-        p^dim H^0(x, y) points.  For x = y, f = 1 is the one point: it has
-        an inverse, so that answers at any budget.
+        unequal dim H^0(x, x) and dim H^0(y, y) answer first, with no
+        refusal.  In a block, dim H^0(x, y) = dim B^0 - rank D^0 - rank
+        B^0(x, y), with B^0(x, y) = D_{x->y}(B^-1), comes from two ranks
+        over the cached columns, with no kernel (it is dim H^0(x, x) for
+        equal components).  The classes of H^0(x, y), p^(sum over the
+        blocks), over the budget refuse with
+        BudgetExceeded(p^dim H^0(x, y), budget), and a dim H^0(x, y)
+        unequal to dim H^0(x, x) answers.
+        """
+        if x.h0 != y.h0:
+            return None
+        dim = 0
+        dims = []
+        for blk, ex, ey in zip(self._blocks, x.parts, y.parts):
+            if ex.key == ey.key:
+                ranked = ex.h0, None, None
+            elif blk.dims and (ex.key, ey.key) in blk.dims:
+                ranked = blk.dims[ex.key, ey.key], None, None
+            else:
+                F, n = blk.B.field, blk.B.dim
+                cols = self._columns(ex.source0, ey.target0)
+                boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
+                ranked = len(cols) - len(EchelonBasis(F, n, cols)) - len(boundaries), cols, boundaries
+                if blk.dims is not None:
+                    blk.dims[ex.key, ey.key] = ranked[0]
+            dims.append(ranked)
+            dim += ranked[0]
+        classes = self._p**dim
+        if classes > budget:
+            raise BudgetExceeded(classes, budget)
+        return dims if dim == x.h0 else None
+
+    def _inverse_pair(
+        self, blk: _Block, ex: _ElementData, ey: _ElementData, ranked: Optional[tuple], budget: int
+    ) -> Optional[Tuple[list, list]]:
+        """Some f: x -> y in the block with an inverse g: y -> x in H^0, as
+        the terms (c, v) of f and of g over their chain-map bases, or None.
+
+        ranked is the block's (dim H^0(x, y), columns, boundaries) from
+        `_pair_dims`, or None where x = y as elements of the whole algebra:
+        then f = 1 is the one point, and it has an inverse.  Otherwise, an
+        inverse making H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic,
+        unequal dimensions answer None.  Whether f has an inverse depends
+        only on [f] in H^0(x, y), so f runs in base-p order over the span of
+        the kernel basis vectors of Z^0(x, y), the kernel of the columns,
+        that are independent modulo B^0(x, y) = D_{x->y}(B^-1), the span of
+        the boundaries: p^dim points.  Equal components of distinct
+        elements are solved so too, on columns built here.
 
         For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
         the row parts of the residues of g f modulo d^x and of f g modulo
         d^y equal those of 1.  They are bilinear in (g_i, f_j), so the
         residues of g_i f_j and f_j g_i are reduced once, and each f is one
-        `LinearSystem` on their sums: |kerg| columns on 2 dim A rows.  The
+        `LinearSystem` on their sums: |kerg| columns on 2 dim B rows.  The
         first f whose system is solvable gives the pair, g from its
         particular solution.
         """
-        A, F, n = self.A, self.A.field, self.A.dim
-        if ex.key != ey.key:  # decide by dimensions first, by ranks alone
-            h0 = self._h0_dim(ex)
-            if h0 != self._h0_dim(ey):
-                return None
-            cols = self._columns(ex.source0, ey.target0)
-            boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
-            dim = len(cols) - len(EchelonBasis(F, n, cols)) - len(boundaries)  # of H^0(x, y)
-            classes = F.characteristic**dim
-            if classes > budget:
-                raise BudgetExceeded(classes, budget)
-            if dim != h0:
-                return None
-        idx0 = A.degree_indices(0)
+        B, F, n = blk.B, blk.B.field, blk.B.dim
+        idx0 = B.degree_indices(0)
 
         def rows(system: LinearSystem, v: dict, shift: int) -> dict:
             return {i + shift: c for i, c in system.residue(v).items() if i < n}
 
-        def combine(coeffs: dict, vectors: List[dict]) -> dict:
-            out: dict = {}
-            for j, c in coeffs.items():
-                F.add_scaled(out, c, vectors[j])
-            return out
-
         def chain_maps(cols: List[dict]) -> List[dict]:
             return [{idx0[a]: c for a, c in k.items()} for k in LinearSystem(F, cols, n).kernel]
 
-        if ex.key == ey.key:
-            fs, points = [A.unit], [{0: F.one()}]
+        if ranked is None:
+            fs, points = [B.unit], [{0: F.one()}]
         else:
+            dim, cols, boundaries = ranked
+            h0 = ex.h0
+            if not h0 == ey.h0 == dim:
+                return None
+            if cols is None:
+                cols = self._columns(ex.source0, ey.target0)
+                boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
             fs = [f for f in chain_maps(cols) if boundaries.add(f)]
             assert len(fs) == h0
             points = enumerate_affine(F, {}, [{j: F.one()} for j in range(h0)], budget)
@@ -282,12 +396,12 @@ class GaugeClasses:
         for g in gs:
             row = []
             for f in fs:
-                r = rows(ex.homotopies, A.product(g, f), 0)
-                r.update(rows(ey.homotopies, A.product(f, g), n))
+                r = rows(ex.homotopies, B.product(g, f), 0)
+                r.update(rows(ey.homotopies, B.product(f, g), n))
                 row.append(r)
             terms.append(row)
-        target = rows(ex.homotopies, A.unit, 0)
-        target.update(rows(ey.homotopies, A.unit, n))
+        target = rows(ex.homotopies, B.unit, 0)
+        target.update(rows(ey.homotopies, B.unit, n))
         for a in points:
             cols = []
             for row in terms:
@@ -298,49 +412,54 @@ class GaugeClasses:
             system = LinearSystem(F, cols, 2 * n)
             sol = system.solution(system.residue(target))
             if sol is not None:
-                return combine(a, fs), combine(sol, gs)
+                return [(c, fs[j]) for j, c in a.items()], [(c, gs[i]) for i, c in sol.items()]
         return None
 
-    def _verdict(self, ex: _ElementData, ey: _ElementData, budget: int) -> bool:
-        """x ~ y from the memo, else from `_inverse_pair`, whose answer the
-        memo then keeps: the one verdict behind `equivalent` and `indexed`."""
-        rx, ry = self._root(ex.key), self._root(ey.key)
-        if rx == ry:
-            return True
-        if ry in self._apart.get(rx, ()):
-            return False
-        if self._inverse_pair(ex, ey, budget) is None:
-            self._apart.setdefault(rx, set()).add(ry)
-            self._apart.setdefault(ry, set()).add(rx)
-            return False
-        self._parent[ry] = rx
-        for r in self._apart.pop(ry, ()):
-            self._apart[r].discard(ry)
-            self._apart[r].add(rx)
-            self._apart.setdefault(rx, set()).add(r)
-        return True
+    def _verdict(self, x: _Entry, y: _Entry, budget: int) -> bool:
+        """x ~ y: the one verdict behind `equivalent` and `indexed`.  The
+        memo of whole keys answers first.  Else the dimensions decide for
+        the whole pair, and then each block (`_block_verdict`); the memo of
+        whole keys keeps the verdict."""
+        rx, ry, same = self._classes.known(x.key, y.key)
+        if same is None:
+            dims = self._pair_dims(x, y, budget)
+            same = dims is not None and all(
+                self._block_verdict(blk, ex, ey, ranked, budget)
+                for blk, ex, ey, ranked in zip(self._blocks, x.parts, y.parts, dims)
+            )
+            self._classes.record(rx, ry, same)
+        return same
+
+    def _block_verdict(self, blk: _Block, ex: _ElementData, ey: _ElementData, ranked: tuple, budget: int) -> bool:
+        """x_b ~ y_b from the block's memo, else from its solve, whose
+        answer the memo then keeps."""
+        rx, ry, same = blk.classes.known(ex.key, ey.key)
+        if same is None:
+            same = self._inverse_pair(blk, ex, ey, ranked, budget) is not None
+            blk.classes.record(rx, ry, same)
+        return same
 
     def equivalent(self, x: dict, y: dict) -> bool:
         """Whether x ~ y, memo first.
 
         After the prime-field and MC checks, a pair whose classes the memo
         has joined or separated is answered from it and builds no chain-map
-        kernel.  Any other pair is answered by `_inverse_pair`, and refuses
+        kernel.  Any other pair is answered by its blocks, and refuses
         with BudgetExceeded(p^dim H^0(x, y), budget) over the budget.  So
         equivalent(x, x) is True at any budget.
         """
         budget = self._budget()
-        return self._verdict(self._element(x), self._element(y), budget)
+        return self._verdict(self._entry(x), self._entry(y), budget)
 
     def indexed(self, xs: Sequence[dict]) -> Callable[[int, int], bool]:
         """The verdict on (xs[i], xs[j]) by position: `equivalent` without
         re-keying its ends.  Each element's data is looked up once, on its
         first query, so every error surfaces where `equivalent` raises it."""
-        data: List[Optional[_ElementData]] = [None] * len(xs)
+        data: List[Optional[_Entry]] = [None] * len(xs)
 
-        def at(i: int) -> _ElementData:
+        def at(i: int) -> _Entry:
             if data[i] is None:
-                data[i] = self._element(xs[i])
+                data[i] = self._entry(xs[i])
             return data[i]
 
         def same(i: int, j: int) -> bool:
@@ -351,24 +470,42 @@ class GaugeClasses:
 
     def quadruple(self, x: dict, y: dict) -> Optional[GaugeQuadruple]:
         """The witness (f, g, h1, h2) of x ~ y, or None where x and y are
-        not equivalent: the pair `_inverse_pair` finds, with its refusal
-        (none for x = y), completed by the particular solutions of
-        d^x h1 = gf - 1 and d^y h2 = fg - 1.  The memo is neither read nor
-        written, so a witness is that of a fresh instance."""
+        not equivalent: the pairs `_inverse_pair` finds in the blocks, with
+        the refusal of `_pair_dims` (none for x = y, where f = 1), completed
+        by the particular solutions of d^x h1 = gf - 1 and d^y h2 = fg - 1.
+        f and g add the blocks' terms in the order of their chain maps'
+        first keys, as one solve over the whole algebra lists them.  The
+        memo is neither read nor written, so a witness is that of a fresh
+        instance."""
         A, F = self.A, self.A.field
         budget = self._budget()
-        ex, ey = self._element(x), self._element(y)
-        pair = self._inverse_pair(ex, ey, budget)
-        if pair is None:
+        xe, ye = self._entry(x), self._entry(y)
+        same = xe.key == ye.key
+        dims = [None] * len(self._blocks) if same else self._pair_dims(xe, ye, budget)
+        if dims is None:
             return None
-        f, g = pair
-        idxm1 = A.degree_indices(-1)
+        solved = []
+        for blk, ex, ey, ranked in zip(self._blocks, xe.parts, ye.parts, dims):
+            pair = self._inverse_pair(blk, ex, ey, ranked, budget)
+            if pair is None:
+                return None
+            solved.append(pair)
 
-        def homotopy(e: _ElementData, product: dict) -> dict:
-            h = e.homotopies.solution(e.homotopies.residue(vec_sub(F, product, A.unit)))
-            return {idxm1[a]: c for a, c in h.items()}
+        def whole(k: int) -> dict:  # the f (k = 0) or g (k = 1) of the whole algebra
+            terms = [(c, blk.to_whole(v)) for blk, pair in zip(self._blocks, solved) for c, v in pair[k]]
+            return _combine(F, sorted(terms, key=lambda t: next(iter(t[1]))))
 
-        quad = GaugeQuadruple(A, x, y, f, g, homotopy(ex, A.product(g, f)), homotopy(ey, A.product(f, g)))
+        f = _combine(F, [(F.one(), A.unit)]) if same else whole(0)
+        g = whole(1)
+        h1: dict = {}
+        h2: dict = {}
+        for blk, ex, ey, (fterms, gterms) in zip(self._blocks, xe.parts, ye.parts, solved):
+            fb, gb = _combine(F, fterms), _combine(F, gterms)
+            idxm1 = blk.B.degree_indices(-1)
+            for h, e, product in ((h1, ex, blk.B.product(gb, fb)), (h2, ey, blk.B.product(fb, gb))):
+                sol = e.homotopies.solution(e.homotopies.residue(vec_sub(F, product, blk.B.unit)))
+                h.update(blk.to_whole({idxm1[a]: c for a, c in sol.items()}))
+        quad = GaugeQuadruple(A, x, y, f, g, dict(sorted(h1.items())), dict(sorted(h2.items())))
         assert quad.validate() == []
         return quad
 

@@ -15,9 +15,14 @@ The two-sided twist D_{x->y} is summed one basis vector at a time, each
 term built as the hom-complex columns were: de_i, then y e_i, then the sign
 of e_i times e_i x.
 
-The tensor index of e_i @ f_j is looked up by its label."""
+The tensor index of e_i @ f_j is looked up by its label.
 
-from curvlab.gradedlin import vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub
+`permuted_algebra` lists a basis in another order, and `by_labels` writes
+an algebra's structure constants with labels in place of indices, so two
+numberings of one algebra compare equal."""
+
+from curvlab.algebra import CurvedAlgebra
+from curvlab.gradedlin import GradedMap, GradedSpace, vec_add, vec_eq, vec_is_zero, vec_scale, vec_sub
 
 
 def reference_vec_add(F, u, v):
@@ -193,3 +198,30 @@ def reference_tensor_index(T, A, B, i, j):
     """The index of e_i @ f_j in T = tensor_algebras(A, B), found by its
     label "a@b" in the basis of T."""
     return T.space.index(f"{A.label(i)}@{B.label(j)}")
+
+
+def permuted_algebra(A, order):
+    """A with its basis listed in the given order: index a of the copy is
+    index order[a] of A."""
+    pos = {old: new for new, old in enumerate(order)}
+
+    def vec(v):
+        return {pos[i]: c for i, c in v.items()}
+
+    space = GradedSpace.make([A.space.basis[o] for o in order], A.field)
+    mult = {(pos[i], pos[j]): vec(col) for (i, j), col in A.mult.items()}
+    d = {pos[j]: vec(col) for j, col in A.d.entries.items()}
+    return CurvedAlgebra(space, vec(A.unit), mult, GradedMap(space, space, 1, d), vec(A.h))
+
+
+def by_labels(A):
+    """The basis (label -> degree), nonzero products, differential, unit and
+    h of A, every index written as its label."""
+    F = A.field
+
+    def vec(v):
+        return {A.label(i): c for i, c in F.nonzero(v).items()}
+
+    mult = {(A.label(i), A.label(j)): vec(col) for (i, j), col in A.mult.items() if vec(col)}
+    d = {A.label(j): vec(col) for j, col in A.d.entries.items() if vec(col)}
+    return dict(A.space.basis), mult, d, vec(A.unit), vec(A.h)

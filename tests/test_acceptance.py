@@ -9,8 +9,6 @@ import random
 import time
 from itertools import islice
 
-import pytest
-
 from curvlab.algebra import (
     CurvedMorphism,
     direct_product,
@@ -63,7 +61,6 @@ from curvlab.obstruction import (
     try_lift,
 )
 from curvlab.randgen import (
-    acyclic_k_algebra,
     hochschild_pair_space,
     random_complex,
     random_curved_algebra,

@@ -6,6 +6,7 @@ from curvlab.fields import GF, QQ
 from curvlab.gradedlin import GradedMap, GradedSpace, vec_eq, vec_is_zero
 from curvlab.algebra import (
     CurvedAlgebra,
+    algebra_blocks,
     compose_morphisms,
     direct_product,
     endomorphism_algebra,
@@ -18,8 +19,10 @@ from curvlab.algebra import (
     twist_algebra,
     uncurve_morita,
 )
+from curvlab.coalgebra import dualize_algebra
+from curvlab.convolution import convolution_algebra
 from curvlab.interval import make_interval
-from reference_algebra import reference_validate
+from reference_algebra import by_labels, permuted_algebra, reference_validate
 
 
 def curved_ku() -> CurvedAlgebra:
@@ -239,3 +242,74 @@ def test_validate_sees_products_changed_after_an_earlier_validate():
         for a, b in (("e_e", "t"), ("e_f", "t"), ("s", "e_e"), ("s", "e_f"), ("s", "t"))
     ]
     assert bad == reference_validate(A)
+
+
+def _square_zero(F, degrees, d=None):
+    V = GradedSpace.make([(f"v{i}", deg) for i, deg in enumerate(degrees)], F)
+    return square_zero_algebra(V, GradedMap(V, V, 1, d or {}))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_algebra_blocks_of_a_connected_algebra(p):
+    """End(V), k + V, I^n and k do not decompose: one block, the algebra
+    itself at all its indices."""
+    F = GF(p)
+    for A in (
+        endomorphism_algebra(GradedSpace.make([("a", 0), ("b", 1), ("c", 1)], F)),
+        _square_zero(F, [0, 1, 1, 2], {1: {3: F.one()}}),
+        make_interval(F, 1).algebra,
+        make_interval(F, 3).algebra,
+        ground_algebra(F),
+    ):
+        [(indices, B)] = algebra_blocks(A)
+        assert B is A and indices == list(range(A.dim))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_algebra_blocks_of_a_product_are_its_factors(seed):
+    """direct_product(A, B) has the blocks A and B, their structure
+    constants restricted and renumbered, also with the two bases
+    interleaved by a permutation; each block is a valid curved algebra."""
+    F = GF(3)
+    factors = [make_interval(F, 2).algebra, _square_zero(F, [-1, 0, 1], {0: {1: F.one()}})]
+    P = direct_product(*factors)
+    order = list(range(P.dim))
+    random.Random(seed).shuffle(order)
+    Q = P if seed == 0 else permuted_algebra(P, order)
+    blocks = algebra_blocks(Q)
+    assert len(blocks) == 2 and blocks[0][0][0] == 0  # in the order of their least index
+    assert sorted(i for indices, _ in blocks for i in indices) == list(range(Q.dim))
+    for indices, B in blocks:
+        assert indices == sorted(indices)
+        assert [Q.label(i) for i in indices] == [B.label(a) for a in range(B.dim)]
+        tag = B.label(0).split(".")[0]
+        factor = dict(zip(("L", "R"), factors))[tag]
+        renamed = permuted_algebra(factor, list(range(factor.dim)))
+        renamed.space = GradedSpace.make([(f"{tag}.{l}", d) for l, d in factor.space.basis], F)
+        assert by_labels(B) == by_labels(renamed)
+        assert B.validate() == []
+
+
+def test_algebra_blocks_join_along_the_differential():
+    """The support of d joins too: k x (k + k<1>) with a term of d added
+    from the first factor's unit to the second's v is one block (no valid
+    algebra needs this, d keeping the blocks of its product)."""
+    F = GF(2)
+    P = direct_product(ground_algebra(F), _square_zero(F, [1]))
+    assert len(algebra_blocks(P)) == 2
+    P.d.entries[P.space.index("L.1")] = {P.space.index("R.v0"): F.one()}
+    [(indices, B)] = algebra_blocks(P)
+    assert B is P
+
+
+def test_algebra_blocks_of_a_convolution_over_a_sum():
+    """Hom((k^5)*, A) = A^5: five blocks, one per grouplike of (k^5)*."""
+    F = GF(2)
+    k5 = ground_algebra(F)
+    for i in range(4):
+        k5 = direct_product(k5, ground_algebra(F), f"a{i}", f"b{i}")
+    A = _square_zero(F, [1, 1, 2], {1: {2: F.one()}})
+    E = convolution_algebra(dualize_algebra(k5), A).algebra
+    blocks = algebra_blocks(E)
+    assert [indices for indices, _ in blocks] == [list(range(b * A.dim, (b + 1) * A.dim)) for b in range(5)]
+    assert all(B.validate() == [] for _, B in blocks)

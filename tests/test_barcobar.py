@@ -141,14 +141,46 @@ def test_staged_enumeration_matches_brute_on_samples():
 
 
 def test_staged_refusal_reports_the_count_it_compared():
-    # End(k^2) against the dual of I^2: at budget 256 a later stage refuses
-    # because its affine points times the partial solutions exceed the budget
+    # End(k^2) against the dual of I^2: stage 0 (e', f') has no degree-1
+    # coordinate, stage 1 (s', t') one partial solution with an 8-dimensional
+    # kernel, 2^8 = 256 points, and stage 2 keeps 6 of them.  Each refusal
+    # names the points of all partial solutions of its stage, so a budget
+    # equal to a refusal's count passes that stage: it answers, or a later
+    # stage refuses with a larger count
     F = GF(2)
-    A = endomorphism_algebra(GradedSpace.make([("u", 0), ("w", 0)], F))
+    A = end_k2(F)
     C = dualize_algebra(make_interval(F, 2).algebra)
-    with pytest.raises(BudgetExceeded) as e:
-        mc_hom_enumerate(C, A, budget=256)
-    assert e.value.required > e.value.budget
+    answers = {}
+    for start in range(250, 262):
+        budget, counts = start, []
+        while True:
+            try:
+                mc = mc_hom_enumerate(C, A, budget=budget)
+                break
+            except BudgetExceeded as e:
+                assert e.required > budget == e.budget
+                counts.append(e.required)
+                budget = e.required
+        answers[start] = (counts, budget)
+        assert mc == mc_enumerate(convolution_algebra(C, A).algebra) and len(mc) == 6
+    assert answers == {b: (([256], 256) if b < 256 else ([], b)) for b in range(250, 262)}
+
+
+def test_a_higher_stage_refuses_with_the_points_of_all_its_partials():
+    # I_2 against k + k<1> over F_2: stage 0 (e', f') has 2 + 2 points and
+    # keeps 2 x 2 partial solutions; stage 1 (s', t') extends them to 10
+    # points in all, more than any one of them has, and stage 2 keeps 2
+    F = GF(2)
+    conv = convolution_algebra(COALGEBRAS["I_2"](F), sqz(F, [1]))
+    counts = {}
+    for budget in range(1, 13):
+        try:
+            mc = mc_convolution_enumerate(conv, budget)
+            counts[budget] = len(mc)
+            assert mc == mc_enumerate(conv.algebra)
+        except BudgetExceeded as e:
+            counts[budget] = e.required
+    assert counts == {**dict.fromkeys(range(1, 4), 4), **dict.fromkeys(range(4, 10), 10), 10: 2, 11: 2, 12: 2}
 
 
 def end_k2(F):

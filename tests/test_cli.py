@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 

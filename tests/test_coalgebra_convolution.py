@@ -1,5 +1,3 @@
-import random
-
 from curvlab.algebra import (
     ground_algebra,
     mc_enumerate,
@@ -20,7 +18,7 @@ from curvlab.convolution import (
     hom_tensor_iso,
 )
 from curvlab.fields import GF, QQ
-from curvlab.gradedlin import GradedMap, GradedSpace, span_rank, vec_eq
+from curvlab.gradedlin import GradedMap, GradedSpace, span_rank
 from curvlab.interval import make_interval
 
 

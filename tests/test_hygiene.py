@@ -1,10 +1,10 @@
-"""Ten `ast` scans of src/curvlab (no linter ships with the project), and
-one check of pyproject.toml.
+"""Ten `ast` scans of src/curvlab (one also of tests/; no linter ships with
+the project), and one check of pyproject.toml.
 
-Every module-level import is used by its module: a name bound by a
-top-level `import` or `from ... import` must occur as a name (or as the
-base of an attribute access) somewhere else in the module.  `__init__.py`
-re-exports by importing and is skipped.
+Every module-level import is used by its module, in src/curvlab and in
+tests/: a name bound by a top-level `import` or `from ... import` must
+occur as a name (or as the base of an attribute access) somewhere else in
+the module.  `__init__.py` re-exports by importing and is skipped.
 
 No `vec_add` or `vec_sub` call takes a `vec_scale(...)` call as an
 argument: that builds a scaled copy and then a new sum for every term, where
@@ -80,7 +80,9 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(src) == ["Dict", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}"
+)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -290,11 +292,12 @@ def test_no_unreferenced_public_function():
     assert unreferenced_public(sources, exported, others) == []
 
 
-# the p^n enumerations left in the program: the MC sets (a quadratic system),
-# one gauge solve per class of H^0, and n-homotopies for n != 3
+# the p^n enumerations left in the program: the MC sets (a quadratic system,
+# in a convolution algebra block by block), one gauge solve per class of
+# H^0, and n-homotopies for n != 3
 AFFINE_ENUMERATORS = {
     "algebra.mc_enumerate",
-    "barcobar.mc_convolution_enumerate",
+    "barcobar._staged_mc",
     "mc.GaugeClasses._inverse_pair",
     "mc.n_homotopy_search",
 }

@@ -1,8 +1,6 @@
-import pytest
-
 from curvlab.algebra import mc_enumerate, tensor_algebras
 from curvlab.fields import GF, QQ
-from curvlab.gradedlin import vec_eq, vec_is_zero
+from curvlab.gradedlin import vec_is_zero
 from curvlab.interval import (
     e_de_power,
     interval_diagonal,

@@ -28,9 +28,7 @@ from curvlab.gradedlin import (
     GradedSpace,
     cohomology,
     in_span,
-    span_rank,
     vec_eq,
-    vec_is_zero,
 )
 from curvlab.interval import make_interval
 from curvlab.mc import (
@@ -40,7 +38,7 @@ from curvlab.mc import (
     map_homotopy_check_coalgebra,
 )
 from curvlab.semisimple import internal_curved_radical
-from curvlab.twisted import free_module, induce, make_twisted, module_hom_complex
+from curvlab.twisted import free_module, induce, module_hom_complex
 from curvlab.randgen import random_complex
 
 

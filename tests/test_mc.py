@@ -495,8 +495,7 @@ def test_gauge_query_builds_at_most_two_pair_kernels(monkeypatch, E, counts):
     for x in elems:
         for y in elems:
             kx, ky = key(x), key(y)
-            rx, ry = gauge._root(kx), gauge._root(ky)
-            decided = rx == ry or ry in gauge._apart.get(rx, ()) or h0[kx, kx] != h0[ky, ky]
+            decided = gauge._classes.known(kx, ky)[2] is not None or h0[kx, kx] != h0[ky, ky]
             before = len(built)
             gauge.equivalent(x, y)
             built_now = len(built) - before

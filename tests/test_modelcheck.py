@@ -2,16 +2,16 @@ import pytest
 
 from curvlab.algebra import (
     CurvedMorphism,
+    algebra_blocks,
     direct_product,
     ground_algebra,
-    mc_enumerate,
     square_zero_algebra,
 )
 from curvlab.barcobar import cobar, mc_hom_enumerate
 from curvlab.coalgebra import dualize_algebra
 from curvlab.convolution import convolution_algebra, induced_convolution_morphism
 from curvlab.fields import GF, QQ
-from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_eq, vec_is_zero
+from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_eq
 from curvlab.interval import make_interval
 from curvlab.mc import find_gauge_quadruple, h0_hom
 from curvlab.modelcheck import (
@@ -394,17 +394,62 @@ def test_memoized_fibration_answers_where_the_search_refuses():
 
 @pytest.mark.parametrize("degrees, cname", [((1,), "I_1"), ((1, 1), "dual(k+V)"), ((1,), "I_3")])
 def test_fibration_keys_each_mc_element_once(monkeypatch, degrees, cname):
-    """is_fibration_mcdg builds the gauge data of each element of
-    MC Hom(C, A) and MC Hom(C, A'), and computes its key, exactly once:
-    |X| + |Y| of each, however many pairs it checks."""
+    """is_fibration_mcdg computes the key of each element of MC Hom(C, A)
+    and MC Hom(C, A') once, |X| + |Y| keys however many pairs it checks,
+    and reads the keys of the elements' block components off them; it
+    builds the gauge data of each distinct block component once.
+    Hom(C, A @ I^3) is one block, and Hom(C, A x A) two, each component
+    one of the m elements of MC Hom(C, A): |Y| = m^2 elements, 2m
+    components."""
     F = GF(2)
-    g = endpoint_projection(_small_square_zero(F, degrees), 3)
+    A = _small_square_zero(F, degrees)
+    g = endpoint_projection(A, 3)
     C = dict(standard_coalgebra_battery(F))[cname]
+    m = len(mc_hom_enumerate(C, A))
+    assert [len(algebra_blocks(convolution_algebra(C, B).algebra)) for B in (g.source, g.target)] == [1, 2]
     counts = counting_gauge_data(monkeypatch)
     rep = is_fibration_mcdg(C, g, budget=2**17)
     nx, ny = rep["mc_counts"]
-    assert rep["verdict"] is True and nx * ny > nx + ny  # one query per pair (x, y')
-    assert counts == {"data": nx + ny, "keys": nx + ny}
+    assert rep["verdict"] is True and nx * ny > nx + ny and ny == m * m  # one query per pair (x, y')
+    assert counts == {"data": nx + 2 * m, "keys": nx + ny}
+
+
+def test_fibration_solves_the_product_side_block_by_block(monkeypatch):
+    """The cell k + k<1>^2 against I_1 of criterion 8: MC Hom(I_1, A x A)
+    has 400 elements, 20 per block, and 7,790 of its queries get past the
+    memo of whole keys (each was one gauge solve of the whole algebra,
+    which answered "apart" every time).  Solved per block, they take the
+    ranks of 252 pairs of components in each block and no chain-map
+    kernel; the A @ I^3 side has no query past the memo."""
+    from curvlab import mc, modelcheck
+
+    made = []
+
+    class Counting(mc.GaugeClasses):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.counts = {"past the memo": 0, "kernels": 0}
+            made.append(self)
+
+        def _pair_dims(self, *args):
+            self.counts["past the memo"] += 1
+            return super()._pair_dims(*args)
+
+        def _inverse_pair(self, *args):
+            self.counts["kernels"] += 1
+            return super()._inverse_pair(*args)
+
+    monkeypatch.setattr(modelcheck, "GaugeClasses", Counting)
+    F = GF(2)
+    A = _small_square_zero(F, (1, 1))
+    C = dict(standard_coalgebra_battery(F))["I_1"]
+    rep = is_fibration_mcdg(C, endpoint_projection(A, 3), budget=2**17)
+    assert rep["verdict"] is True and rep["mc_counts"] == [20, 400]
+    source, target = made
+    assert (len(source._blocks), source.counts) == (1, {"past the memo": 0, "kernels": 0})
+    assert (len(target._blocks), target.counts) == (2, {"past the memo": 7790, "kernels": 0})
+    assert [len(blk.elements) for blk in target._blocks] == [20, 20]
+    assert [len(blk.dims) for blk in target._blocks] == [252, 252]
 
 
 def test_fibration_meets_an_image_outside_the_mc_set():

@@ -26,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.algebra import (
+    algebra_blocks,
     algebra_in_basis,
+    direct_product,
     endomorphism_algebra,
     mc_enumerate,
     tensor_algebras,
@@ -38,7 +40,9 @@ from curvlab.algebra import (
     twisted_apply,
     twisted_map,
 )
+from curvlab.barcobar import mc_convolution_enumerate
 from curvlab.cli import main
+from curvlab.convolution import convolution_algebra
 from curvlab.documents import dump_algebra
 from curvlab.fields import GF, QQ, PrimeFieldRequired
 from curvlab.gradedlin import (
@@ -55,6 +59,7 @@ from curvlab.gradedlin import (
 )
 from curvlab.interval import make_interval
 from curvlab.mc import GaugeClasses, find_gauge_quadruple, h0_hom, n_homotopy_search, verify_n_homotopy
+from curvlab.modelcheck import standard_coalgebra_battery
 from curvlab.obstruction import extension_from_total, lift_along_gauge, obstruction_class, try_lift
 from curvlab.randgen import random_curved_algebra, random_square_zero_extension, rebased_algebra
 from curvlab.polynomials import factor_over_q
@@ -62,6 +67,7 @@ from curvlab.semisimple import _primitive_central_idempotents, css_quotient, gra
 from reference_algebra import (
     reference_add_scaled,
     reference_apply,
+    permuted_algebra,
     reference_chain_map_dim,
     reference_echelon,
     reference_product,
@@ -356,27 +362,36 @@ def small_mc_elements(A):
 @settings(max_examples=100, **SETTINGS)
 @given(st.data())
 def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
-    """The gauge solve's columns of D_{x->y}, each the sum of x's cached
-    source half and y's cached target half, are the degree-0 and degree -1
-    columns of twisted_map(A, x, y); so its chain maps x -> y are the
-    kernel of the degree-0 columns, as LinearSystem gives it."""
+    """In each block of A, the gauge solve's columns of D_{x->y}, each the
+    sum of the cached source half of x's component and target half of y's,
+    are the degree-0 and degree -1 columns of twisted_map(A, x, y) there,
+    renumbered; so its chain maps x -> y are the kernel of the degree-0
+    columns, as LinearSystem gives it."""
     A = data.draw(twist_algebras())
     mc = small_mc_elements(A)
     if not mc:
         return
     x, y = data.draw(st.sampled_from(mc)), data.draw(st.sampled_from(mc))
     gauge = GaugeClasses(A)
-    ex, ey = gauge._element(x), gauge._element(y)
+    xs, ys = gauge._entry(x).parts, gauge._entry(y).parts
     D = twisted_map(A, x, y)
-    for got, degree in (
-        (gauge._columns(ex.source0, ey.target0), 0),
-        (gauge._columns(ex.sourcem1, ey.targetm1), -1),
-    ):
-        want = [D.entries.get(j, {}) for j in A.degree_indices(degree)]
-        assert [sorted(typed(c)) for c in got] == [sorted(typed(c)) for c in want]
-    kernel = LinearSystem(A.field, gauge._columns(ex.source0, ey.target0), A.dim).kernel
-    want = LinearSystem(A.field, [D.entries.get(j, {}) for j in A.degree_indices(0)], A.dim).kernel
-    assert [typed(k) for k in kernel] == [typed(k) for k in want]
+    for blk, ex, ey in zip(gauge._blocks, xs, ys):
+        local = {i: a for a, i in enumerate(blk.indices)}
+
+        def columns(degree):
+            return [
+                {local[k]: c for k, c in D.entries.get(blk.indices[j], {}).items()}
+                for j in blk.B.degree_indices(degree)
+            ]
+
+        for got, degree in (
+            (gauge._columns(ex.source0, ey.target0), 0),
+            (gauge._columns(ex.sourcem1, ey.targetm1), -1),
+        ):
+            assert [sorted(typed(c)) for c in got] == [sorted(typed(c)) for c in columns(degree)]
+        kernel = LinearSystem(A.field, gauge._columns(ex.source0, ey.target0), blk.B.dim).kernel
+        want = LinearSystem(A.field, columns(0), blk.B.dim).kernel
+        assert [typed(k) for k in kernel] == [typed(k) for k in want]
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +405,12 @@ END_DEGREES = [(0, 1), (1, 0), (0, 1, 1), (1, 0, 0), (0, 1, 2), (-1, 0, 1)]
 
 
 @st.composite
-def gauge_algebras(draw):
-    """A random curved algebra over F_2, F_3 or F_5, in a random basis half
-    of the time, or End(V) for a V of adjacent degrees."""
-    F = GAUGE_FIELDS[draw(st.sampled_from(sorted(GAUGE_FIELDS)))]
+def gauge_algebras(draw, F=None):
+    """A random curved algebra over F_2, F_3 or F_5 (or over F, if given),
+    in a random basis half of the time, or End(V) for a V of adjacent
+    degrees."""
+    if F is None:
+        F = GAUGE_FIELDS[draw(st.sampled_from(sorted(GAUGE_FIELDS)))]
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         degrees = draw(st.sampled_from(END_DEGREES))
@@ -524,6 +541,79 @@ def test_gauge_witness_is_the_reference_solve(data):
         assert verdict_or_refusal(lambda: memo.equivalent(x, y)) == (verdict or False)
         q = verdict_or_refusal(lambda: find_gauge_quadruple(A, x, y, 2**12))
         assert q is None or isinstance(q, tuple) or q.validate() == []
+
+
+@st.composite
+def gauge_products(draw):
+    """direct_product(A1, A2) of two `gauge_algebras` draws over one field,
+    its bases interleaved by a random permutation half of the time: the
+    product, its factors, and the index in it of each index of A1 x A2."""
+    A1 = draw(gauge_algebras())
+    A2 = draw(gauge_algebras(A1.field))
+    order = list(range(A1.dim + A2.dim))
+    if draw(st.booleans()):
+        random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    return permuted_algebra(direct_product(A1, A2), order), (A1, A2), position
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(st.data())
+def test_gauge_on_a_product_is_decided_block_by_block(data):
+    """On a product A1 x A2, plain or interleaved, the verdict, fresh and
+    through one memo, refuses as `h0_refusal` says for the whole algebra,
+    and otherwise is the oracle's (`reference_verdict`) and the conjunction
+    of the factors' verdicts; the witness is the reference solve's, values
+    and key order, and refuses alike, at budgets 1, p and 2^12."""
+    P, (A1, A2), pos = data.draw(gauge_products())
+    assert len(algebra_blocks(P)) >= 2
+    mc1, mc2 = mc_enumerate(A1), mc_enumerate(A2)
+    if not mc1 or not mc2:
+        return
+
+    def element(x1, x2):
+        x = {pos[i]: c for i, c in x1.items()}
+        x.update({pos[A1.dim + i]: c for i, c in x2.items()})
+        return x
+
+    ends = st.tuples(*(st.sampled_from(m) for m in (mc1, mc2, mc1, mc2)))
+    p, budget = P.field.characteristic, 2**12
+    memo = GaugeClasses(P, budget)
+    for x1, x2, y1, y2 in data.draw(st.lists(ends, min_size=1, max_size=5)):
+        x, y = element(x1, x2), element(y1, y2)
+        want = h0_refusal(P, x, y, budget) or reference_verdict(P, x, y)
+        assert verdict_or_refusal(lambda: memo.equivalent(x, y)) == want
+        assert verdict_or_refusal(lambda: GaugeClasses(P, budget).equivalent(x, y)) == want
+        factors = [
+            verdict_or_refusal(lambda: GaugeClasses(A, budget).equivalent(u, v))
+            for A, u, v in ((A1, x1, y1), (A2, x2, y2))
+        ]
+        if not isinstance(want, tuple):
+            assert want == (factors == [True, True]) and (want or False in factors)
+        for b in (1, p, budget):
+            got = witness_items(lambda: GaugeClasses(P, b).quadruple(x, y))
+            assert got == witness_items(lambda: reference_gauge_quadruple(P, x, y, b))
+            verdict = h0_refusal(P, x, y, b) or want
+            assert verdict_or_refusal(lambda: GaugeClasses(P, b).equivalent(x, y)) == verdict
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(gauge_products())
+def test_mc_of_hom_into_a_product_is_the_product_of_the_blocks(product):
+    """mc_convolution_enumerate of Hom(C, A1 x A2), plain or interleaved, for
+    the coalgebras of the criterion-8 battery, is mc_enumerate's list,
+    values and order, wherever plain enumeration fits in 3^8 points; on
+    two or more blocks each element lists its keys in ascending order."""
+    P, _, _ = product
+    for _, C in standard_coalgebra_battery(P.field):
+        conv = convolution_algebra(C, P)
+        try:
+            brute = mc_enumerate(conv.algebra, budget=3**8)
+        except BudgetExceeded:
+            continue
+        got = mc_convolution_enumerate(conv)
+        assert got == brute
+        assert len(algebra_blocks(conv.algebra)) >= 2 and all(list(x) == sorted(x) for x in got)
 
 
 @settings(max_examples=100, **SETTINGS)

@@ -44,7 +44,6 @@ from curvlab.gradedlin import (
 from curvlab.interval import make_interval
 from curvlab.randgen import (
     acyclic_k_algebra,
-    curved_ku_algebra,
     random_curved_algebra,
     rebased_algebra,
 )

@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
 from curvlab.algebra import (
-    CurvedMorphism,
     ground_algebra,
     identity_morphism,
     mc_enumerate,
