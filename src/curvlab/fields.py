@@ -15,8 +15,8 @@ the arithmetic of a coefficient.
 
 Besides the scalar operations (`add`, `sub`, `neg`, `mul`, `inv`,
 `is_zero`), each field carries the sparse kernels on vectors
-{index: coefficient}.  They are the one accumulate and the one scale of
-the package:
+{index: coefficient}.  They are the one accumulate, the one scale and the
+one rank of the package:
 
   - `add_scaled(out, c, v)` does out += c*v in place.  A term c*x that is
     zero is skipped; an entry of `out` that becomes zero is deleted, a new
@@ -27,6 +27,10 @@ the package:
   - `scale(c, v)` is the new vector c*v without its zero terms, in the
     order of v.
   - `nonzero(v)` is v without its zero coefficients, values as they are.
+  - `rank(rows, ncols)` is the rank of the rows restricted to the columns
+    below ncols, by forward elimination: each row is cleared at the pivots
+    in the order found and, if an entry below ncols is left, becomes a
+    pivot row in place, so a caller hands it fresh, distinct dicts.
 
 Over F_p a scalar c may be any int (it is reduced first); results are
 reduced.  Over Q the results are Fractions wherever a Fraction takes part,
@@ -192,6 +196,22 @@ class PrimeField(FieldSpec):
                 del out[i]
         return out
 
+    def rank(self, rows, ncols: int) -> int:
+        """The rank of rows of any ints below ncols; it consumes them."""
+        p = self.characteristic
+        pivots = []  # (column, row, -1/entry) in the order found
+        for r in rows:
+            for c, prow, m in pivots:
+                t = r.get(c, 0) * m % p
+                if t:
+                    for i, y in prow.items():
+                        r[i] = (r.get(i, 0) + t * y) % p
+            for c, x in r.items():
+                if x % p and c < ncols:
+                    pivots.append((c, r, -pow(x, p - 2, p)))
+                    break
+        return len(pivots)
+
     # -- document I/O ---------------------------------------------------------
 
     def parse_coeff(self, s):
@@ -284,6 +304,22 @@ class Rationals(FieldSpec):
             if not x:
                 del out[i]
         return out
+
+    def rank(self, rows, ncols: int) -> int:
+        """The rank of the rows below ncols; it consumes them."""
+        pivots = []  # (column, row, -1/entry) in the order found
+        for r in rows:
+            for c, prow, m in pivots:
+                t = r.get(c)
+                if t:
+                    t *= m
+                    for i, y in prow.items():
+                        r[i] = r.get(i, _ZERO) + t * y
+            for c, x in r.items():
+                if x and c < ncols:
+                    pivots.append((c, r, -1 / Fraction(x)))
+                    break
+        return len(pivots)
 
     # -- document I/O ---------------------------------------------------------
 

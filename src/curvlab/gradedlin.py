@@ -130,13 +130,14 @@ def vec_key(v: dict, dim: int) -> tuple:
 class EchelonBasis:
     """Reduced row echelon basis of a growing span, updated one vector at a time.
 
-    This is the one elimination of curvlab: `rref`, `solve`, `kernel_basis`,
-    `LinearSystem` and `cohomology` all run on it.  Only the columns below
-    `ncols` take pivots, the lowest nonzero one of each new row; entries in
-    later columns ride along with the row operations (the augmented-column
-    idiom of `solve`).  The rows are the reduced row echelon form of the
-    span, which is unique, so they do not depend on the order of the added
-    vectors; `contains(v)` answers `in_span` with one reduction of v.
+    `rref`, `solve`, `kernel_basis`, `LinearSystem` and `cohomology` run on
+    it; a rank needs no reduced basis and runs on the field's `rank`.  Only
+    the columns below `ncols` take pivots, the lowest nonzero one of each
+    new row; entries in later columns ride along with the row operations
+    (the augmented-column idiom of `solve`).  The rows are the reduced row
+    echelon form of the span, which is unique, so they do not depend on the
+    order of the added vectors; `contains(v)` answers `in_span` with one
+    reduction of v.
     """
 
     def __init__(self, F: FieldSpec, ncols: int, rows=()):
@@ -220,10 +221,6 @@ class LinearSystem:
                     k[i - nrows] = res[i]
             self.kernel.append(k)
 
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
-
     def residue(self, b: dict) -> dict:
         return self._basis.reduce(b)
 
@@ -235,7 +232,8 @@ class LinearSystem:
 
 
 def span_rank(F: FieldSpec, rows: List[dict], ncols: int) -> int:
-    return len(EchelonBasis(F, ncols, rows))
+    """The rank of the rows below ncols, on copies (`F.rank` consumes its rows)."""
+    return F.rank([dict(r) for r in rows], ncols)
 
 
 def in_span(F: FieldSpec, rows: List[dict], v: dict, ncols: int) -> bool:

@@ -5,23 +5,15 @@ of (co)algebra maps, and the three-homotopy functor data.
 Hom-complex convention: the morphism complex from x to y is A with
 differential D_{x->y}(a) = da + ya - (-1)^{|a|} a x; degree-0 cocycles are
 the chain maps, and x ~ y (one class in the moduli set) iff some quadruple
-(f, g, h1, h2) witnesses mutual inversion in H^0.  The algebra is the
-product of its blocks (`algebra_blocks`), and so are its MC elements, its
-hom complexes and their H^0, so x ~ y exactly when each block component
-is: gauge equivalence is decided block by block (`GaugeClasses`), one
-affine solve per class of H^0(x_b, y_b) in a block, under one budget rule
-for the whole pair, refusing above p^dim H^0(x, y).  Each component keeps
-its halves of D on degrees 0 and -1, the one of x as a source and the one
-of x as a target, so a pair's columns are sums of two cached halves.  The
-verdict (`equivalent`, or `indexed` over a fixed list) reads a memo of
-whole elements closed under ~ first, and answers as distinct where
-dim H^0(x, x) != dim H^0(y, y) or, from two ranks per block,
-dim H^0(x, y) != dim H^0(x, x); each block then answers from its own
-memo, and only the pairs of components left build a chain-map kernel,
-from the columns the ranks were taken on.  The witness (`quadruple`)
-assembles the blocks' pairs (f, g) with their homotopies, as one solve of
-the whole algebra would list them, and `gauge_to_three_homotopy` builds
-from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
+(f, g, h1, h2) witnesses mutual inversion in H^0.  The algebra, its MC
+elements, hom complexes and H^0 are products over its blocks
+(`algebra_blocks`), so `GaugeClasses` decides x ~ y block by block, behind
+a memo of whole elements.  dim H^0 of the pair, from two ranks per block
+(the field's `rank`), answers most pairs and sets the one budget rule,
+refusing above p^dim H^0(x, y); the pairs left build a chain-map kernel
+and solve once per class of H^0.  The witness (`quadruple`) assembles the
+blocks' pairs (f, g) with their homotopies, and `gauge_to_three_homotopy`
+builds from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
 """
 
 from __future__ import annotations
@@ -76,8 +68,7 @@ def hom_complex(A: CurvedAlgebra, x: dict, y: dict) -> Complex:
 
 
 def h0_hom(A: CurvedAlgebra, x: dict, y: dict):
-    c = hom_complex(A, x, y)
-    return cohomology(c, 0, 0)[0]
+    return cohomology(hom_complex(A, x, y), 0, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +118,15 @@ def find_gauge_quadruple(
     return GaugeClasses(A, budget).quadruple(x, y)
 
 
-class _ElementData(NamedTuple):
+@dataclass
+class _ElementData:
     """What the gauge solve needs of one MC element x of a block.
 
     D_{x->y}(e) = de + ye - (-1)^{|e|} ex is the sum of a source half
     D_{x->0}(e), which depends on x only, and a target half ye, which
-    depends on y only.  x keeps both of its halves on the basis of degree 0
-    and on that of degree -1, so every column of a hom complex between two
-    elements is one `vec_add`.  dim H^0(x, x) = dim B^0 - rank D^0 -
-    rank d^x(B^-1) comes from ranks alone.
+    depends on y only.  x keeps both of its halves on the bases of degree 0
+    and -1, so every column of a hom complex between two elements is one
+    sum.  The system of d^x is built by the first solve that needs it.
     """
 
     key: tuple
@@ -144,7 +135,7 @@ class _ElementData(NamedTuple):
     target0: List[dict]  # xe for e of degree 0
     sourcem1: List[dict]  # de + ex for e of degree -1
     targetm1: List[dict]  # xe for e of degree -1
-    homotopies: LinearSystem  # d^x h = t for h of degree -1
+    homotopies: Optional[LinearSystem] = None  # d^x h = t for h of degree -1
 
 
 class _Entry(NamedTuple):
@@ -194,11 +185,9 @@ class _Classes:
 class _Block:
     """One block B of the algebra (`algebra_blocks`), at `indices` of the
     whole, with the data of the components met in it, keyed by their keys
-    in B, and its own memo of the pairs it solved.  `dims` keeps
-    dim H^0(x, y) by pair of keys where there are several blocks: there a
-    pair of components recurs in many pairs of elements, while with one
-    block its pairs are the pairs of elements, which the memo of whole keys
-    keeps."""
+    in B, and its own memo of the pairs it solved.  Where there are several
+    blocks, a pair of components recurs in many pairs of elements, and
+    `dims` keeps its dim H^0(x, y)."""
 
     indices: List[int]
     B: CurvedAlgebra
@@ -222,28 +211,25 @@ class GaugeClasses:
     """Gauge equivalence on the MC elements of one algebra over F_p, with
     what the verdicts and witnesses need cached per element.
 
-    x ~ y is isomorphism in H^0 of the MC dg category.  The algebra is the
-    product of its blocks (`algebra_blocks`), and so are its MC elements,
-    its hom complexes and their H^0: x ~ y exactly when every block
-    component x_b ~ y_b.  Each component is keyed and its halves of the hom
-    complexes built once per block (`_ElementData`); `indexed(xs)` queries a
-    fixed list by position, so a caller with many queries keys each element
-    once, and the keys of its components are read off its key.
+    x ~ y is isomorphism in H^0 of the MC dg category, and holds exactly
+    when every block component x_b ~ y_b.  Each component is keyed and its
+    halves of the hom complexes built once per block (`_ElementData`);
+    `indexed(xs)` queries a fixed list by position, so a caller with many
+    queries keys each element once.
 
     Both answers come from one solve per block, `_inverse_pair`, under one
     budget rule for the whole pair (`_pair_dims`): it refuses when the
-    p^dim H^0(x, y) classes, dim H^0(x, y) the sum over the blocks, exceed
-    the budget.  These dimensions are invariant under gauge equivalence of
-    either end, so whether a query refuses does not depend on what the
-    memo holds.
+    p^dim H^0(x, y) classes exceed the budget.  dim H^0(x, y) is invariant
+    under gauge equivalence of either end, so whether a query refuses does
+    not depend on what the memo holds.
 
-    `equivalent(x, y)` is the verdict, memo first: the verdicts are kept
-    closed under ~ by a memo of whole keys, and behind it by one memo per
-    block, so a pair of components is solved once however many pairs of
-    elements it meets in.  A pair that a memo, the dimensions of H^0 or
-    the ranks decide builds no chain-map kernel.  `quadruple(x, y)` is the
-    witness (f, g, h1, h2) from the same solves: None exactly where the
-    verdict is False, refused exactly where a fresh verdict refuses.
+    `equivalent(x, y)` is the verdict, memo first: a memo of whole keys
+    closed under ~, and behind it one memo per block, so a pair of
+    components is solved once however many pairs of elements it meets in.
+    A pair that a memo or the dimensions of H^0 decide builds no chain-map
+    kernel.  `quadruple(x, y)` is the witness (f, g, h1, h2) from the same
+    solves: None exactly where the verdict is False, refused exactly where
+    a fresh verdict refuses.
     """
 
     def __init__(self, A: CurvedAlgebra, budget: Optional[int] = None):
@@ -280,9 +266,9 @@ class GaugeClasses:
 
     def _element(self, blk: _Block, key: tuple, x: dict) -> _ElementData:
         """The data of the component x (with that key) in the block, built
-        once: dim H^0(x, x), its source and target halves on degrees 0 and
-        -1, and d^x on degree -1 as a linear system."""
-        B, F = blk.B, blk.B.field
+        once: its source and target halves on degrees 0 and -1, and
+        dim H^0(x, x) from them."""
+        B = blk.B
         if key not in blk.elements:
             if not B.is_mc(x):
                 raise ValueError("hom_complex requires Maurer-Cartan endpoints")
@@ -291,10 +277,8 @@ class GaugeClasses:
             target0 = [B.product(x, e) for e in e0]
             sourcem1 = [twisted_apply(B, x, {}, e) for e in em1]
             targetm1 = [B.product(x, e) for e in em1]
-            homotopies = LinearSystem(F, self._columns(sourcem1, targetm1), B.dim)
-            rank0 = len(EchelonBasis(F, B.dim, self._columns(source0, target0)))
-            h0 = len(e0) - rank0 - homotopies.rank
-            blk.elements[key] = _ElementData(key, h0, source0, target0, sourcem1, targetm1, homotopies)
+            h0 = self._h0_dim(B, source0, target0, sourcem1, targetm1)
+            blk.elements[key] = _ElementData(key, h0, source0, target0, sourcem1, targetm1)
         return blk.elements[key]
 
     def _columns(self, sources: List[dict], targets: List[dict]) -> List[dict]:
@@ -303,71 +287,75 @@ class GaugeClasses:
         F = self.A.field
         return [vec_add(F, s, t) for s, t in zip(sources, targets)]
 
-    def _pair_dims(self, x: _Entry, y: _Entry, budget: int) -> Optional[List[tuple]]:
-        """(dim H^0(x_b, y_b), columns, boundaries) of each block for a pair
-        of distinct elements, or None where the dimensions answer that x and
-        y are apart.  Where the dimension was ranked here, columns are those
-        of D_{x->y} on degree 0 and boundaries the echelon basis of
-        B^0(x_b, y_b), for the solve to reuse; where equal components or
-        `dims` gave it, both are None.
+    def _h0_dim(self, B: CurvedAlgebra, source0, target0, sourcem1, targetm1) -> int:
+        """dim H^0(x, y) = dim B^0 - rank D^0 - rank D(B^-1) in the block B,
+        from x's source halves and y's target halves: two ranks (`rank`) of
+        their sums, left unreduced, and no kernel."""
+        F, n = B.field, B.dim
+        rank = 0
+        for sources, targets in ((source0, target0), (sourcem1, targetm1)):
+            rows = [dict(s) for s in sources]
+            for r, t in zip(rows, targets):
+                for i, c in t.items():
+                    r[i] = r.get(i, 0) + c
+            rank += F.rank(rows, n)
+        return len(source0) - rank
+
+    def _homotopies(self, blk: _Block, e: _ElementData) -> LinearSystem:
+        """d^x h = t for h of degree -1, for the component with data e."""
+        if e.homotopies is None:
+            e.homotopies = LinearSystem(self.A.field, self._columns(e.sourcem1, e.targetm1), blk.B.dim)
+        return e.homotopies
+
+    def _pair_dims(self, x: _Entry, y: _Entry, budget: int) -> Optional[List[int]]:
+        """dim H^0(x_b, y_b) of each block for a pair of distinct elements,
+        or None where the dimensions answer that x and y are apart.
 
         An inverse makes H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic, so
         unequal dim H^0(x, x) and dim H^0(y, y) answer first, with no
-        refusal.  In a block, dim H^0(x, y) = dim B^0 - rank D^0 - rank
-        B^0(x, y), with B^0(x, y) = D_{x->y}(B^-1), comes from two ranks
-        over the cached columns, with no kernel (it is dim H^0(x, x) for
-        equal components).  The classes of H^0(x, y), p^(sum over the
-        blocks), over the budget refuse with
-        BudgetExceeded(p^dim H^0(x, y), budget), and a dim H^0(x, y)
-        unequal to dim H^0(x, x) answers.
+        refusal.  In a block dim H^0(x, y) comes from two ranks (`_h0_dim`).
+        The classes of H^0(x, y), p^(sum over the blocks), over the budget
+        refuse with BudgetExceeded, and a dim H^0(x, y) unequal to
+        dim H^0(x, x) answers.
         """
         if x.h0 != y.h0:
             return None
-        dim = 0
         dims = []
         for blk, ex, ey in zip(self._blocks, x.parts, y.parts):
             if ex.key == ey.key:
-                ranked = ex.h0, None, None
+                dim = ex.h0
             elif blk.dims and (ex.key, ey.key) in blk.dims:
-                ranked = blk.dims[ex.key, ey.key], None, None
+                dim = blk.dims[ex.key, ey.key]
             else:
-                F, n = blk.B.field, blk.B.dim
-                cols = self._columns(ex.source0, ey.target0)
-                boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
-                ranked = len(cols) - len(EchelonBasis(F, n, cols)) - len(boundaries), cols, boundaries
+                dim = self._h0_dim(blk.B, ex.source0, ey.target0, ex.sourcem1, ey.targetm1)
                 if blk.dims is not None:
-                    blk.dims[ex.key, ey.key] = ranked[0]
-            dims.append(ranked)
-            dim += ranked[0]
-        classes = self._p**dim
+                    blk.dims[ex.key, ey.key] = dim
+            dims.append(dim)
+        classes = self._p ** sum(dims)
         if classes > budget:
             raise BudgetExceeded(classes, budget)
-        return dims if dim == x.h0 else None
+        return dims if sum(dims) == x.h0 else None
 
     def _inverse_pair(
-        self, blk: _Block, ex: _ElementData, ey: _ElementData, ranked: Optional[tuple], budget: int
+        self, blk: _Block, ex: _ElementData, ey: _ElementData, dim: Optional[int], budget: int
     ) -> Optional[Tuple[list, list]]:
         """Some f: x -> y in the block with an inverse g: y -> x in H^0, as
         the terms (c, v) of f and of g over their chain-map bases, or None.
 
-        ranked is the block's (dim H^0(x, y), columns, boundaries) from
-        `_pair_dims`, or None where x = y as elements of the whole algebra:
-        then f = 1 is the one point, and it has an inverse.  Otherwise, an
-        inverse making H^0(x, x), H^0(x, y) and H^0(y, y) isomorphic,
-        unequal dimensions answer None.  Whether f has an inverse depends
-        only on [f] in H^0(x, y), so f runs in base-p order over the span of
-        the kernel basis vectors of Z^0(x, y), the kernel of the columns,
-        that are independent modulo B^0(x, y) = D_{x->y}(B^-1), the span of
-        the boundaries: p^dim points.  Equal components of distinct
-        elements are solved so too, on columns built here.
+        dim is the block's dim H^0(x, y) from `_pair_dims`, or None where
+        x = y as elements of the whole algebra: then f = 1 is the one point,
+        and it has an inverse.  Otherwise unequal dimensions answer None.
+        Whether f has an inverse depends only on [f] in H^0(x, y), so f runs
+        in base-p order over the span of the kernel basis vectors of
+        Z^0(x, y) that are independent modulo B^0(x, y) = D_{x->y}(B^-1):
+        p^dim points.  Their columns and the echelon basis of B^0(x, y) are
+        built here; the ranks of `_pair_dims` keep no basis.
 
         For a fixed f the conditions on g = sum_i c_i g_i are linear in c:
         the row parts of the residues of g f modulo d^x and of f g modulo
         d^y equal those of 1.  They are bilinear in (g_i, f_j), so the
         residues of g_i f_j and f_j g_i are reduced once, and each f is one
-        `LinearSystem` on their sums: |kerg| columns on 2 dim B rows.  The
-        first f whose system is solvable gives the pair, g from its
-        particular solution.
+        `LinearSystem` on their sums; the first solvable one gives the pair.
         """
         B, F, n = blk.B, blk.B.field, blk.B.dim
         idx0 = B.degree_indices(0)
@@ -378,30 +366,27 @@ class GaugeClasses:
         def chain_maps(cols: List[dict]) -> List[dict]:
             return [{idx0[a]: c for a, c in k.items()} for k in LinearSystem(F, cols, n).kernel]
 
-        if ranked is None:
+        if dim is None:
             fs, points = [B.unit], [{0: F.one()}]
         else:
-            dim, cols, boundaries = ranked
-            h0 = ex.h0
-            if not h0 == ey.h0 == dim:
+            if not ex.h0 == ey.h0 == dim:
                 return None
-            if cols is None:
-                cols = self._columns(ex.source0, ey.target0)
-                boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
-            fs = [f for f in chain_maps(cols) if boundaries.add(f)]
-            assert len(fs) == h0
-            points = enumerate_affine(F, {}, [{j: F.one()} for j in range(h0)], budget)
+            boundaries = EchelonBasis(F, n, self._columns(ex.sourcem1, ey.targetm1))
+            fs = [f for f in chain_maps(self._columns(ex.source0, ey.target0)) if boundaries.add(f)]
+            assert len(fs) == dim
+            points = enumerate_affine(F, {}, [{j: F.one()} for j in range(dim)], budget)
         gs = chain_maps(self._columns(ey.source0, ex.target0))
+        hx, hy = self._homotopies(blk, ex), self._homotopies(blk, ey)
         terms = []  # terms[i][j]: the residues of g_i f_j and f_j g_i
         for g in gs:
             row = []
             for f in fs:
-                r = rows(ex.homotopies, B.product(g, f), 0)
-                r.update(rows(ey.homotopies, B.product(f, g), n))
+                r = rows(hx, B.product(g, f), 0)
+                r.update(rows(hy, B.product(f, g), n))
                 row.append(r)
             terms.append(row)
-        target = rows(ex.homotopies, B.unit, 0)
-        target.update(rows(ey.homotopies, B.unit, n))
+        target = rows(hx, B.unit, 0)
+        target.update(rows(hy, B.unit, n))
         for a in points:
             cols = []
             for row in terms:
@@ -416,26 +401,24 @@ class GaugeClasses:
         return None
 
     def _verdict(self, x: _Entry, y: _Entry, budget: int) -> bool:
-        """x ~ y: the one verdict behind `equivalent` and `indexed`.  The
-        memo of whole keys answers first.  Else the dimensions decide for
-        the whole pair, and then each block (`_block_verdict`); the memo of
-        whole keys keeps the verdict."""
+        """x ~ y behind `equivalent` and `indexed`: the memo of whole keys,
+        else the dimensions and then each block, the memo keeping the verdict."""
         rx, ry, same = self._classes.known(x.key, y.key)
         if same is None:
             dims = self._pair_dims(x, y, budget)
             same = dims is not None and all(
-                self._block_verdict(blk, ex, ey, ranked, budget)
-                for blk, ex, ey, ranked in zip(self._blocks, x.parts, y.parts, dims)
+                self._block_verdict(blk, ex, ey, dim, budget)
+                for blk, ex, ey, dim in zip(self._blocks, x.parts, y.parts, dims)
             )
             self._classes.record(rx, ry, same)
         return same
 
-    def _block_verdict(self, blk: _Block, ex: _ElementData, ey: _ElementData, ranked: tuple, budget: int) -> bool:
+    def _block_verdict(self, blk: _Block, ex: _ElementData, ey: _ElementData, dim: int, budget: int) -> bool:
         """x_b ~ y_b from the block's memo, else from its solve, whose
         answer the memo then keeps."""
         rx, ry, same = blk.classes.known(ex.key, ey.key)
         if same is None:
-            same = self._inverse_pair(blk, ex, ey, ranked, budget) is not None
+            same = self._inverse_pair(blk, ex, ey, dim, budget) is not None
             blk.classes.record(rx, ry, same)
         return same
 
@@ -485,8 +468,8 @@ class GaugeClasses:
         if dims is None:
             return None
         solved = []
-        for blk, ex, ey, ranked in zip(self._blocks, xe.parts, ye.parts, dims):
-            pair = self._inverse_pair(blk, ex, ey, ranked, budget)
+        for blk, ex, ey, dim in zip(self._blocks, xe.parts, ye.parts, dims):
+            pair = self._inverse_pair(blk, ex, ey, dim, budget)
             if pair is None:
                 return None
             solved.append(pair)
@@ -497,13 +480,13 @@ class GaugeClasses:
 
         f = _combine(F, [(F.one(), A.unit)]) if same else whole(0)
         g = whole(1)
-        h1: dict = {}
-        h2: dict = {}
+        h1, h2 = {}, {}
         for blk, ex, ey, (fterms, gterms) in zip(self._blocks, xe.parts, ye.parts, solved):
             fb, gb = _combine(F, fterms), _combine(F, gterms)
             idxm1 = blk.B.degree_indices(-1)
             for h, e, product in ((h1, ex, blk.B.product(gb, fb)), (h2, ey, blk.B.product(fb, gb))):
-                sol = e.homotopies.solution(e.homotopies.residue(vec_sub(F, product, blk.B.unit)))
+                system = self._homotopies(blk, e)
+                sol = system.solution(system.residue(vec_sub(F, product, blk.B.unit)))
                 h.update(blk.to_whole({idxm1[a]: c for a, c in sol.items()}))
         quad = GaugeQuadruple(A, x, y, f, g, dict(sorted(h1.items())), dict(sorted(h2.items())))
         assert quad.validate() == []
@@ -587,8 +570,7 @@ def square_zero_three_homotopy(A: CurvedAlgebra, x: dict, xp: dict) -> Optional[
     Works over any field; returns None when x - x' is not a coboundary.
     """
     F = A.field
-    target = vec_sub(F, x, xp)
-    sol = solve_linear(A.d, target)
+    sol = solve_linear(A.d, vec_sub(F, x, xp))
     if sol is None:
         return None
     h = sol[0]
@@ -717,14 +699,10 @@ class ThreeHomotopyData:
         A, F = self.B, self.B.field
         c = self.components
         x, y = c["e_e"], c["e_f"]
-        out = {}
-        out["endpoint_e_mc"] = A.is_mc(x)
-        out["endpoint_f_mc"] = A.is_mc(y)
-        phi_s = vec_add(F, A.unit, c["s"])
-        phi_t = vec_add(F, A.unit, c["t"])
+        out = {"endpoint_e_mc": A.is_mc(x), "endpoint_f_mc": A.is_mc(y)}
+        phi_s, phi_t = (vec_add(F, A.unit, c[w]) for w in ("s", "t"))
         if not (out["endpoint_e_mc"] and out["endpoint_f_mc"]):
-            out["s_chain_map"] = out["t_chain_map"] = False
-            out["st_homotopy"] = out["ts_homotopy"] = False
+            out["s_chain_map"] = out["t_chain_map"] = out["st_homotopy"] = out["ts_homotopy"] = False
             return out
         out["s_chain_map"] = vec_is_zero(F, twisted_apply(A, y, x, phi_s))
         out["t_chain_map"] = vec_is_zero(F, twisted_apply(A, x, y, phi_t))
@@ -768,32 +746,31 @@ def tensor_with_interval_morphism(
     return _evaluations(B, n)[which]
 
 
+def _first_miss(F, A: CurvedAlgebra, end: CurvedMorphism, k: CurvedMorphism) -> Optional[int]:
+    """The first basis index of A, their source, where the maps of end and
+    k differ, or None."""
+    for i in range(A.dim):
+        v = A.space.basis_vector(i)
+        if not vec_eq(F, end.f.apply(v), k.f.apply(v)):
+            return i
+    return None
+
+
 def map_homotopy_check(
     f: CurvedMorphism, g: CurvedMorphism, n: int, h: CurvedMorphism
 ) -> dict:
-    """Verdict for an elementary n-homotopy h: A -> B @ I^n between f and g."""
-    A, B = f.source, f.target
-    F = B.field
-    ev0, ev1 = _evaluations(B, n)
-    h0 = compose_morphisms(ev0, h)
-    h1 = compose_morphisms(ev1, h)
+    """Verdict for an elementary n-homotopy h: A -> B @ I^n between f and g;
+    the witness is where an end misses its map, the end at 1 where both do."""
+    A, F = f.source, f.target.field
     witness = None
-    ok0 = ok1 = True
-    for i in range(A.dim):
-        v = A.space.basis_vector(i)
-        if not vec_eq(F, h0.f.apply(v), f.f.apply(v)):
-            ok0, witness = False, A.label(i)
-            break
-    if ok0 and not vec_eq(F, h0.b, f.b):
-        ok0, witness = False, "(b-component)"
-    for i in range(A.dim):
-        v = A.space.basis_vector(i)
-        if not vec_eq(F, h1.f.apply(v), g.f.apply(v)):
-            ok1, witness = False, A.label(i)
-            break
-    if ok1 and not vec_eq(F, h1.b, g.b):
-        ok1, witness = False, "(b-component)"
-    return {"verdict": ok0 and ok1, "witness": witness}
+    for ev, k in zip(_evaluations(f.target, n), (f, g)):
+        end = compose_morphisms(ev, h)
+        i = _first_miss(F, A, end, k)
+        if i is not None:
+            witness = A.label(i)
+        elif not vec_eq(F, end.b, k.b):
+            witness = "(b-component)"
+    return {"verdict": witness is None, "witness": witness}
 
 
 def constant_map_homotopy(f: CurvedMorphism, n: int) -> CurvedMorphism:
@@ -819,22 +796,11 @@ def map_homotopy_check_coalgebra(
     an algebra morphism C'* -> C* @ I^n, which is checked against the
     endpoint evaluations exactly as in the algebra case.
     """
-    B = fdual.target  # C*
-    F = B.field
-    ev0, ev1 = _evaluations(B, n)
-    h0 = compose_morphisms(ev0, hdual)
-    h1 = compose_morphisms(ev1, hdual)
-    witness = None
-    ok = True
-    for i in range(fdual.source.dim):
-        v = fdual.source.space.basis_vector(i)
-        if not vec_eq(F, h0.f.apply(v), fdual.f.apply(v)):
-            ok, witness = False, fdual.source.label(i)
-            break
-        if not vec_eq(F, h1.f.apply(v), gdual.f.apply(v)):
-            ok, witness = False, fdual.source.label(i)
-            break
-    return {"verdict": ok, "witness": witness}
+    A, F = fdual.source, fdual.target.field
+    ends = [compose_morphisms(ev, hdual) for ev in _evaluations(fdual.target, n)]
+    misses = [_first_miss(F, A, end, k) for end, k in zip(ends, (fdual, gdual))]
+    first = min((i for i in misses if i is not None), default=None)
+    return {"verdict": first is None, "witness": None if first is None else A.label(first)}
 
 
 def one_homotopy_middle_component(h: CurvedMorphism) -> Dict[int, dict]:

@@ -118,6 +118,34 @@ def test_no_scaled_accumulation(path):
     assert scaled_accumulations(path.read_text(encoding="utf-8")) == []
 
 
+def basis_ranks(source: str):
+    """Line numbers of len(EchelonBasis(...)) calls: a rank read off a reduced
+    basis, where the field's `rank` kernel (forward elimination) serves."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _call_name(node) == "len"
+        and any(isinstance(a, ast.Call) and _call_name(a) == "EchelonBasis" for a in node.args)
+    )
+
+
+def test_scan_finds_a_rank_read_off_a_basis():
+    src = (
+        "r = len(EchelonBasis(F, n, rows))\n"
+        "s = len(\n    gl.EchelonBasis(F, n, rows))\n"
+        "basis = EchelonBasis(F, n, rows)\n"
+        "t = len(basis.rows())\n"
+        "u = F.rank([dict(v) for v in rows], n)\n"
+    )
+    assert basis_ranks(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_rank_read_off_a_basis(path):
+    assert basis_ranks(path.read_text(encoding="utf-8")) == []
+
+
 def private_definitions(tree):
     """Module-level `_name` functions and classes (not dunders) by name."""
     return {

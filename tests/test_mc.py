@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -548,6 +549,34 @@ def test_moduli_set_keys_each_element_once(monkeypatch, E):
     classes = moduli_set(E, mc=elems)
     assert len(classes) < len(elems)
     assert counts == {"data": len(elems), "keys": len(elems)}
+
+
+@pytest.mark.parametrize(
+    "E", [_interval_convolution(3), _end_algebra(3, (0, 1, 1)), _end_algebra(2, (0, 1, 1, 2))], ids=["conv", "end3", "end2"]
+)
+def test_moduli_set_ranks_build_no_echelon_basis(monkeypatch, E):
+    """The ranks of the gauge verdicts, dim H^0(x, x) in `_element` and the
+    two ranks of a pair in `_pair_dims`, run on the field's `rank`: a
+    moduli_set run builds no EchelonBasis inside either, directly or through
+    a LinearSystem, while the solves of the pairs left build some."""
+    from curvlab import gradedlin, mc
+
+    ranking = {mc.GaugeClasses._element.__code__, mc.GaugeClasses._pair_dims.__code__}
+    made = {"in ranks": 0, "elsewhere": 0}
+
+    class Counting(gradedlin.EchelonBasis):
+        def __init__(self, *args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in ranking:
+                frame = frame.f_back
+            made["elsewhere" if frame is None else "in ranks"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(gradedlin, "EchelonBasis", Counting)
+    monkeypatch.setattr(mc, "EchelonBasis", Counting)
+    elems = mc_enumerate(E)
+    assert len(moduli_set(E, mc=elems)) < len(elems)
+    assert made["in ranks"] == 0 and made["elsewhere"] > 0
 
 
 # over F_3 and F_5 the signs of the seven components show; most of the

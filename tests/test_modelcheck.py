@@ -4,7 +4,9 @@ from curvlab.algebra import (
     CurvedMorphism,
     algebra_blocks,
     direct_product,
+    endomorphism_algebra,
     ground_algebra,
+    mc_enumerate,
     square_zero_algebra,
 )
 from curvlab.barcobar import cobar, mc_hom_enumerate
@@ -13,7 +15,7 @@ from curvlab.convolution import convolution_algebra, induced_convolution_morphis
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace, vec_eq
 from curvlab.interval import make_interval
-from curvlab.mc import find_gauge_quadruple, h0_hom
+from curvlab.mc import GaugeClasses, find_gauge_quadruple, h0_hom
 from curvlab.modelcheck import (
     alg_mc,
     alg_mc_basepoint_substitution,
@@ -341,6 +343,26 @@ def test_memoized_fibration_matches_pairwise_search(degrees, cname):
     rep = is_fibration_mcdg(C, g, budget=2**17)
     assert rep == _pairwise_fibration_report(C, g, 2**17)
     assert rep["pairs_checked"] > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fibration_with_nonzero_homotopies(p):
+    """End(V) for V = k + k<1> has a degree -1 part, so the gauge witnesses
+    in Hom(k, End(V) @ I^3) can have nonzero homotopies, which no cell of
+    criterion 8 has.  The verdict, the MC counts and the pairs checked are
+    those of the exhaustive pairwise search, and some witness between
+    elements of MC Hom(k, End(V) @ I^3) has h1 or h2 != 0."""
+    F = GF(p)
+    g = endpoint_projection(endomorphism_algebra(GradedSpace.make([("a", 0), ("b", 1)], F)), 3)
+    C = dualize_algebra(ground_algebra(F))
+    rep = is_fibration_mcdg(C, g, budget=2**17)
+    EA, EAp = (convolution_algebra(C, B).algebra for B in (g.source, g.target))
+    X = mc_enumerate(EA, budget=2**17)
+    assert rep["mc_counts"] == [len(X), len(mc_enumerate(EAp, budget=2**17))]
+    assert rep == _pairwise_fibration_report(C, g, 2**17) and rep["verdict"] is True
+    gauge = GaugeClasses(EA, budget=2**17)
+    witnesses = (gauge.quadruple(x, y) for x in X for y in X)
+    assert any(q is not None and (q.h1 or q.h2) for q in witnesses)
 
 
 def test_memoized_fibration_refuses_with_the_h0_count():

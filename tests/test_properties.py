@@ -52,6 +52,7 @@ from curvlab.gradedlin import (
     GradedSpace,
     LinearSystem,
     enumerate_affine,
+    span_rank,
     vec_add,
     vec_eq,
     vec_scale,
@@ -197,6 +198,32 @@ def test_echelon_basis_matches_reference(data):
     assert [typed(r) for r in E._pivot_rows.values()] == [typed(r) for r in ref.values()]
     v = data.draw(vectors(F, ncols + 2))
     assert typed(E.reduce(v)) == typed(reference_reduce(F, ref, v))
+
+
+def zero_rows(F, dim):
+    """Rows whose coefficients are all zero (over F_p, multiples of p)."""
+    zero = st.sampled_from([0, F.characteristic, -F.characteristic]) if F.is_prime_field else st.just(Fraction(0))
+    return st.dictionaries(st.integers(0, dim - 1), zero, max_size=dim)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(st.data())
+def test_rank_and_span_rank_match_reference(data):
+    """F.rank, forward elimination only, and span_rank count the pivots of
+    the reference echelon form, on rows with entries at and past ncols, zero
+    and unreduced coefficients, zero rows and repeated rows.  span_rank
+    leaves the caller's rows as they were."""
+    F = KERNEL_FIELDS[data.draw(field_names)]
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.one_of(vectors(F, ncols + 2), zero_rows(F, ncols + 2)), max_size=7))
+    if rows:
+        rows += [dict(rows[i]) for i in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+        rows = data.draw(st.permutations(rows))
+    want = len(reference_echelon(F, ncols, rows))
+    before = [typed(r) for r in rows]
+    assert span_rank(F, rows, ncols) == want
+    assert [typed(r) for r in rows] == before
+    assert F.rank([dict(r) for r in rows], ncols) == want
 
 
 # ---------------------------------------------------------------------------
