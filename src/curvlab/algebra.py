@@ -17,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .budget import default_budget
 from .fields import FieldSpec, PrimeFieldRequired
 from .gradedlin import (
+    BudgetExceeded,
     GradedMap,
     GradedSpace,
+    LinearSystem,
     enumerate_affine,
     rref,
     vec_add,
@@ -278,6 +281,56 @@ def mc_enumerate(A: CurvedAlgebra, budget: Optional[int] = None) -> List[dict]:
     sols = [x for x in enumerate_affine(F, {}, units, budget) if A.is_mc(x)]
     sols.sort(key=lambda v: vec_key(v, A.dim))
     return sols
+
+
+def mc_stage_solve(
+    T: CurvedAlgebra, P: dict, stage: List[int], s: int, coords: List[int]
+) -> Tuple[Optional[dict], List[dict]]:
+    """The MC equation of T over the partial point P at stage s >= 1, on
+    the coordinates coords of that stage: the particular solution (None if
+    there is none) and the kernel of one `LinearSystem`, over the positions
+    of coords.  stage[k] is the stage of coordinate k along a filtration by
+    a nilpotent, d-stable ideal J with J^a J^b in J^(a+b), and R(P) vanishes
+    below stage s.  For v of stage s, R(P + v) = R(P) + d^P v + v v with v v
+    past stage s, so on the rows of stage s the equation is d^P v = -R(P).
+    """
+    F = T.field
+
+    def at_stage(v: dict) -> dict:
+        return {k: c for k, c in v.items() if stage[k] == s}
+
+    system = LinearSystem(F, [at_stage(twisted_apply(T, P, P, {k: F.one()})) for k in coords], T.dim)
+    return system.solution(system.residue(F.scale(-1, at_stage(T.mc_residual(P))))), system.kernel
+
+
+def mc_staged_enumerate(
+    T: CurvedAlgebra, stage: List[int], points: List[dict], budget: Optional[int] = None
+) -> List[dict]:
+    """The MC elements of T over the stage-0 points (MC elements of T/J),
+    over F_p and sorted by `vec_key`, along the filtration of
+    `mc_stage_solve`: at each stage every partial point is extended by the
+    points of its solve on the degree-1 coordinates of the stage.  The
+    stage solves all its partials first and refuses before any point with
+    the number of points it would enumerate, the sum of p^dim kernel.
+    """
+    F = T.field
+    if not F.is_prime_field:
+        raise PrimeFieldRequired("staged MC enumeration requires a prime field")
+    budget = default_budget() if budget is None else budget
+    p, deg1 = F.characteristic, T.degree_indices(1)
+    partials = points
+    for s in range(1, max(stage, default=0) + 1):
+        coords = [k for k in deg1 if stage[k] == s]
+        solved = [(P, *mc_stage_solve(T, P, stage, s, coords)) for P in partials]
+        solved = [(P, part, kernel) for P, part, kernel in solved if part is not None]
+        required = sum(p ** len(kernel) for *_, kernel in solved)
+        if required > budget:
+            raise BudgetExceeded(required, budget)
+        partials = []
+        for P, part, kernel in solved:
+            for pt in enumerate_affine(F, part, kernel, budget):
+                partials.append({**P, **{coords[a]: c for a, c in F.nonzero(pt).items()}})
+    return sorted((x for x in partials if T.is_mc(x)), key=lambda x: vec_key(x, T.dim))
 
 
 def mc_polynomial_system(A: CurvedAlgebra) -> List[str]:

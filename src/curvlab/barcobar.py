@@ -22,9 +22,10 @@ at the splitting functional.
 
 MC Hom(C, A) is enumerated block by block (`mc_convolution_enumerate`):
 the convolution algebra is the product of its blocks (`algebra_blocks`),
-each block is solved stage by stage along the coradical filtration of C,
-and the MC set is the product of the blocks' sets.  Every refusal names
-the number of points its stage would enumerate.
+each block is solved stage by stage along the coradical filtration of C
+(stage 0 here, the higher stages by `algebra.mc_staged_enumerate`), and
+the MC set is the product of the blocks' sets.  Every refusal names the
+number of points its stage would enumerate.
 """
 
 from __future__ import annotations
@@ -34,22 +35,12 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import CurvedAlgebra, algebra_blocks, ideal_powers, mc_enumerate, tensor_index, twisted_apply
+from .algebra import CurvedAlgebra, algebra_blocks, ideal_powers, mc_enumerate, mc_staged_enumerate, tensor_index
 from .budget import default_budget
 from .coalgebra import CurvedCoalgebra, coradical, dualize_algebra, dualize_coalgebra
 from .convolution import ConvolutionAlgebra, convolution_algebra
 from .fields import PrimeFieldRequired
-from .gradedlin import (
-    BudgetExceeded,
-    LinearSystem,
-    enumerate_affine,
-    in_span,
-    rref,
-    span_rank,
-    vec_is_zero,
-    vec_key,
-    vec_scale,
-)
+from .gradedlin import BudgetExceeded, enumerate_affine, in_span, rref, span_rank, vec_key
 from .presented import Arrow, PresentedCurvedAlgebra
 from .semisimple import graded_radical
 
@@ -115,18 +106,17 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
     """All MC elements of the convolution algebra conv = Hom(C, A) over F_p.
 
     Hom(C, A) is the product of its blocks (`algebra_blocks`), and its MC
-    set the product of theirs, so each block is solved alone.  A block is
-    solved stage by stage along the coradical filtration of C (the stage
-    of a coordinate c @ a is that of c).  Its stage 0 splits further into
-    the groups of coordinates over the blocks of C_0 that Delta and d_C
-    join: the residual rows of a group read only its own coordinates, so
-    each group's p^(its degree-1 coordinates) points are enumerated once
-    and stage 0 is the product of the points kept.  Each higher stage is
-    affine over each partial solution: one `LinearSystem` per partial.
-    Falls back to plain enumeration of Hom(C, A) when the filtration is
-    not basis-aligned or d_C does not respect it.  Deterministic output
-    order (sorted by `vec_key`); an element of a single block lists its
-    keys stage by stage, one of several blocks in ascending order.
+    set the product of theirs, so each block is solved alone, stage by
+    stage along the coradical filtration of C (the stage of a coordinate
+    c @ a is that of c).  Its stage 0 splits further into the groups of
+    coordinates over the blocks of C_0 that Delta and d_C join: the
+    residual rows of a group read only its own coordinates, so each group's
+    p^(its degree-1 coordinates) points are enumerated once and stage 0 is
+    the product of the points kept.  The higher stages are
+    `mc_staged_enumerate`'s.  Falls back to plain enumeration of Hom(C, A)
+    when the filtration is not basis-aligned or d_C does not respect it.
+    Sorted by `vec_key`; an element of a single block lists its keys stage
+    by stage, one of several blocks in ascending order.
 
     Each refusal names the number of points it would take, before any of
     them: first the points of the stage-0 groups of all blocks, summed
@@ -189,7 +179,23 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
     required = sum(p ** len(vs) for *_, groups in blocks for vs in groups.values() if vs)
     if required > budget:
         raise BudgetExceeded(required, budget)
-    sets = [_staged_mc(B, bstage, bcorad, groups, budget) for _, B, bstage, bcorad, groups in blocks]
+    sets = []
+    for _, B, bstage, bcorad, groups in blocks:
+        # stage 0: the points of each group whose residual vanishes on its rows
+        kept = [
+            [
+                X
+                for X in enumerate_affine(F, {}, [B.space.basis_vector(k) for k in vs], budget)
+                if not any(bcorad[k] == b for k in B.mc_residual(X))
+            ]
+            for b, vs in groups.items()
+        ]
+        required = prod(len(points) for points in kept)
+        if required > budget:
+            raise BudgetExceeded(required, budget)
+        # the coordinates in ascending order, as one enumeration of stage 0 gives them
+        points = [dict(sorted(kv for pt in pts for kv in pt.items())) for pts in product(*kept)]
+        sets.append(mc_staged_enumerate(B, bstage, points, budget))
     required = prod(len(mc) for mc in sets)
     if required > budget:
         raise BudgetExceeded(required, budget)
@@ -200,70 +206,6 @@ def mc_convolution_enumerate(conv: ConvolutionAlgebra, budget: Optional[int] = N
         for xs in product(*sets)
     ]
     return sorted(sols, key=lambda x: vec_key(x, E.dim))
-
-
-def _staged_mc(
-    B: CurvedAlgebra, stage: List[int], corad: List[Optional[int]], groups: Dict[int, List[int]], budget: int
-) -> List[dict]:
-    """MC(B) of one block of Hom(C, A), stage by stage: stage[k] is the
-    coradical stage of coordinate k, corad[k] its block of C_0 at stage 0,
-    and groups the degree-1 coordinates of stage 0 by that block.  Refuses
-    as `mc_convolution_enumerate` says, after its sum over the groups."""
-    F = B.field
-    p = F.characteristic
-    deg1 = B.degree_indices(1)
-    maxstage = max(stage, default=0)
-    stage_vars = {s: [k for k in deg1 if stage[k] == s] for s in range(1, maxstage + 1)}
-
-    def stage_rows(v: dict, upto_stage: int) -> dict:
-        return {k: c for k, c in v.items() if stage[k] <= upto_stage}
-
-    kept = [
-        [
-            X
-            for X in enumerate_affine(F, {}, [B.space.basis_vector(k) for k in vs], budget)
-            if not any(corad[k] == b for k in B.mc_residual(X))
-        ]
-        for b, vs in groups.items()
-    ]
-    required = prod(len(points) for points in kept)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    # the coordinates in ascending order, as one enumeration of stage 0 gives them
-    partials = [dict(sorted(kv for pt in points for kv in pt.items())) for points in product(*kept)]
-    for s in range(1, maxstage + 1):
-        vs = stage_vars[s]
-        solved = []  # (P, particular solution, kernel) of each partial P with one
-        for P in partials:
-            base = stage_rows(B.mc_residual(P), s)
-            # the residual is quadratic: R(P + e_k) - R(P) = d^P e_k + e_k e_k
-            cols = []
-            for k in vs:
-                col = twisted_apply(B, P, P, B.space.basis_vector(k))
-                F.add_scaled(col, 1, B.basis_product(k, k))
-                cols.append(stage_rows(col, s))
-            system = LinearSystem(F, cols, B.dim)
-            part = system.solution(system.residue(vec_scale(F, F.neg(F.one()), base)))
-            if part is not None:
-                solved.append((P, part, system.kernel))
-        required = sum(p ** len(ker) for _, _, ker in solved)
-        if required > budget:
-            raise BudgetExceeded(required, budget)
-        partials = []
-        for P, part, ker in solved:
-            for pt in enumerate_affine(F, part, ker, budget):
-                Q = dict(P)
-                for a, c in F.nonzero(pt).items():
-                    Q[vs[a]] = c
-                partials.append(Q)
-        if not partials:
-            break
-    # dedupe + deterministic order
-    uniq = {}
-    for x in partials:
-        if vec_is_zero(F, B.mc_residual(x)):
-            uniq[vec_key(x, B.dim)] = F.nonzero(x)
-    return [uniq[k] for k in sorted(uniq)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Searches refuse (never silently truncate) when the state count would exceed
 the budget.  Default is 2^16 states, overridable via CURVLAB_MAX_ENUM.
 Budgets are applied in `gradedlin.enumerate_affine`, the one base-p
 enumerator, which resolves a budget of None to `default_budget()`; only the
-gauge count and the counts of `mc_convolution_enumerate` (stage 0: the sum
-over coradical blocks of p^n_b, then the product of their MC set sizes;
-higher stages: the staged count) are checked where they are made.  A
-refusal propagates to `cli.main`, which reports it with exit 3.  The gauge
+gauge count, the stage-0 counts of `mc_convolution_enumerate` (the sum over
+coradical blocks of p^n_b, then the product of their MC set sizes) and the
+staged count (the higher stages of MC Hom(C, A) and the n-homotopies for
+n != 3, in `algebra.mc_staged_enumerate`) are checked where they are made.
+A refusal propagates to `cli.main`, which reports it with exit 3.  The gauge
 solve (`mc.GaugeClasses`), behind the verdict, the witness quadruple and
 the 3-homotopies of n_homotopy_search, counts the p^dim H^0(x, y) classes
 it solves over: it refuses for distinct x, y with dim H^0(x, x) =

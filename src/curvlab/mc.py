@@ -14,6 +14,8 @@ refusing above p^dim H^0(x, y); the pairs left build a chain-map kernel
 and solve once per class of H^0.  The witness (`quadruple`) assembles the
 blocks' pairs (f, g) with their homotopies, and `gauge_to_three_homotopy`
 builds from it the 3-homotopy that `n_homotopy_search` returns for n = 3.
+Other n solve A @ I^n stage by stage along the length of the words of I^n
+(`algebra.mc_staged_enumerate`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .algebra import (
     CurvedMorphism,
     compose_morphisms,
     mc_enumerate,
+    mc_staged_enumerate,
     tensor_algebras,
     tensor_element,
     tensor_index,
@@ -281,25 +284,23 @@ class GaugeClasses:
             blk.elements[key] = _ElementData(key, h0, source0, target0, sourcem1, targetm1)
         return blk.elements[key]
 
-    def _columns(self, sources: List[dict], targets: List[dict]) -> List[dict]:
+    @staticmethod
+    def _columns(sources: List[dict], targets: List[dict]) -> List[dict]:
         """The columns of D_{x->y} on the basis of one degree, from x's
-        source half and y's target half on it."""
-        F = self.A.field
-        return [vec_add(F, s, t) for s, t in zip(sources, targets)]
+        source half and y's target half on it: fresh sums, left unreduced,
+        since every consumer eliminates and reads its entries mod p."""
+        cols = [dict(s) for s in sources]
+        for col, t in zip(cols, targets):
+            for i, c in t.items():
+                col[i] = col.get(i, 0) + c
+        return cols
 
     def _h0_dim(self, B: CurvedAlgebra, source0, target0, sourcem1, targetm1) -> int:
         """dim H^0(x, y) = dim B^0 - rank D^0 - rank D(B^-1) in the block B,
         from x's source halves and y's target halves: two ranks (`rank`) of
-        their sums, left unreduced, and no kernel."""
+        their columns, and no kernel."""
         F, n = B.field, B.dim
-        rank = 0
-        for sources, targets in ((source0, target0), (sourcem1, targetm1)):
-            rows = [dict(s) for s in sources]
-            for r, t in zip(rows, targets):
-                for i, c in t.items():
-                    r[i] = r.get(i, 0) + c
-            rank += F.rank(rows, n)
-        return len(source0) - rank
+        return len(source0) - F.rank(self._columns(source0, target0), n) - F.rank(self._columns(sourcem1, targetm1), n)
 
     def _homotopies(self, blk: _Block, e: _ElementData) -> LinearSystem:
         """d^x h = t for h of degree -1, for the component with data e."""
@@ -593,8 +594,10 @@ def n_homotopy_search(
     Equal ends give the constant homotopy.  For n = 3 it is built: the
     square-zero shortcut (any field), else `gauge_to_three_homotopy` on the
     gauge witness, which refuses as the verdict does and needs F_p.  Other
-    n enumerate the degree-1 coordinates of A @ I^n away from the ends over
-    F_p (that MC system is quadratic), refused above the budget.
+    n give the first MC element of A @ I^n over x @ e + x' @ f, in `vec_key`
+    order, by `mc_staged_enumerate` (over F_p, refused as it says): the
+    stage of a @ w is the length of w, since d keeps or lengthens words,
+    products add lengths, and the words of length 0 give A x A.
     """
     F = A.field
     if not A.is_mc(x) or not A.is_mc(xp):
@@ -608,19 +611,14 @@ def n_homotopy_search(
         quad = GaugeClasses(A, budget).quadruple(x, xp)
         return None if quad is None else gauge_to_three_homotopy(quad)
     I, T = path_object(A, n)
-    fixed = _at(F, x, I, "e_e")
-    fixed.update(_at(F, xp, I, "e_f"))
-    # free coordinates: degree-1 entries of T away from the e/f components
-    ends = {
-        tensor_index(i, I.algebra.space.index(w), I.algebra.dim)
-        for i in range(A.dim)
-        for w in ("e_e", "e_f")
-    }
-    units = [T.space.basis_vector(k) for k in T.degree_indices(1) if k not in ends]
-    for X in enumerate_affine(F, fixed, units, budget):
-        if T.is_mc(X):
-            return NHomotopy(A, n, X)
-    return None
+    X = _at(F, x, I, "e_e")
+    X.update(_at(F, xp, I, "e_f"))
+    stage = [0] * T.dim  # the length of w, its degree in I^n, at a @ w
+    for i in range(A.dim):
+        for w in range(I.algebra.dim):
+            stage[tensor_index(i, w, I.algebra.dim)] = I.algebra.degree(w)
+    points = mc_staged_enumerate(T, stage, [X], budget)
+    return NHomotopy(A, n, points[0]) if points else None
 
 
 def verify_n_homotopy(A: CurvedAlgebra, x: dict, xp: dict, n: int, X: dict) -> bool:

@@ -4,15 +4,17 @@ lifting Maurer-Cartan elements.
 An extension is given Hochschild-style: base B (a dg algebra), a B-bimodule
 L with differential, del: B -> L of degree +1 and xi: B @ B -> L of degree 0.
 Its total algebra T = B + L (d_T = d_B + del + d_L, products m_B + xi and
-the actions, L * L = 0) is built and validated once, when the extension is
-made; data that does not give a curved algebra is rejected there, with the
+the actions, L * L = 0, unit 1_B - xi(1_B, 1_B), which is 1_B on a
+normalised pair) is built and validated once, when the extension is made;
+data that does not give a curved algebra is rejected there, with the
 validator's violations.  Everything else is the MC calculus of T, with x in
 B at the same indices of T:
   - the obstruction nu(x) = del(x) + xi(x,x) is the L-part of the MC
     residual of x in T (its B-part is the residual of x in B, zero);
   - d^x_L is the twisted differential D_{x->x} of T on L, which it
     preserves since L is a dg ideal; x lifts to an MC element x + l of T
-    iff d^x_L l = -nu(x), one linear system;
+    iff d^x_L l = -nu(x), one linear system: the stage solve of the MC
+    equation (`algebra.mc_stage_solve`) along the filtration B, L of T;
   - on a semisplit extension (xi = 0) a lift x + l is carried along a
     homotopy gauge equivalence x ~ y to y + l' with
     l' = f l g - del(f) g + del(y) h2, the products taken in T.
@@ -21,10 +23,11 @@ B at the same indices of T:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Tuple
 
-from .algebra import CurvedAlgebra, twisted_apply
-from .gradedlin import GradedMap, GradedSpace, LinearSystem, vec_add, vec_is_zero
+from .algebra import CurvedAlgebra, mc_stage_solve, twisted_apply
+from .gradedlin import GradedMap, GradedSpace, vec_add, vec_is_zero
 
 
 @dataclass
@@ -88,7 +91,10 @@ class SquareZeroExtension:
             put(entries, i, B.d.entries.get(i, {}), _into_T(nB, self.partial.entries.get(i, {})))
         for m in range(L.space.dim):
             put(entries, nB + m, _into_T(nB, L.dL.entries.get(m, {})))
-        return CurvedAlgebra(space, dict(B.unit), mult, GradedMap(space, space, 1, entries), {})
+        unit = dict(B.unit)  # 1_B - xi(1_B, 1_B), which is 1_B on a normalised pair
+        for (i, a), (j, b) in product(B.unit.items(), repeat=2):
+            F.add_scaled(unit, -a * b, _into_T(nB, self.xi.get((i, j), {})))
+        return CurvedAlgebra(space, unit, mult, GradedMap(space, space, 1, entries), {})
 
     @property
     def field(self):
@@ -125,18 +131,17 @@ def try_lift(ext: SquareZeroExtension, x: dict):
     """Lift x to MC of the total space, or report the obstruction.
 
     Returns ("lift", x + l as an element of T, l) or ("obstructed", nu, None)
-    when nu(x) is not a -d^x_L-coboundary.  The columns of d^x_L are
-    D_{x->x} of T on the basis of L; l is the particular solution of
-    d^x_L l = -nu(x).
+    when nu(x) is not a -d^x_L-coboundary.  l is the particular solution of
+    d^x_L l = -nu(x): the stage solve over x (`mc_stage_solve`) on every
+    coordinate of L, with B at stage 0 and L at stage 1.
     """
     F = ext.field
     nu, cert = obstruction_class(ext, x)
     if not cert:
         raise AssertionError("nu(x) failed its cocycle certificate")
-    T, nB, nL = ext.total, ext.B.dim, ext.L.space.dim
-    columns = [_L_part(nB, twisted_apply(T, x, x, T.space.basis_vector(nB + m))) for m in range(nL)]
-    system = LinearSystem(F, columns, nL)
-    l = system.solution(system.residue(F.scale(-1, nu)))
+    T, nB = ext.total, ext.B.dim
+    coords = list(range(nB, T.dim))
+    l, _ = mc_stage_solve(T, x, [0] * nB + [1] * len(coords), 1, coords)
     if l is None:
         return ("obstructed", nu, None)
     xl = vec_add(F, x, _into_T(nB, l))
@@ -192,64 +197,34 @@ def extension_from_total(
     def splitL(v: dict) -> dict:
         return {posL[i]: c for i, c in v.items() if i in posL}
 
+    def put(table: dict, key, col: dict) -> None:
+        if col:
+            table[key] = col
+
     Bspace = GradedSpace.make([(A.label(i), A.degree(i)) for i in Bidx], F)
     Lspace = GradedSpace.make([(A.label(i), A.degree(i)) for i in Lidx], F)
-    # B structure
-    multB = {}
-    xi = {}
+    multB, xi, dB_entries, partial_entries, dL_entries, left, right = {}, {}, {}, {}, {}, {}, {}
     for a, i in enumerate(Bidx):
         for b, j in enumerate(Bidx):
             p = A.basis_product(i, j)
-            colB = splitB(p)
-            colL = splitL(p)
-            if colB:
-                multB[(a, b)] = colB
-            if colL:
-                xi[(a, b)] = colL
-    dB_entries = {}
-    partial_entries = {}
-    for a, i in enumerate(Bidx):
+            put(multB, (a, b), splitB(p))
+            put(xi, (a, b), splitL(p))
         dv = A.d.apply(A.space.basis_vector(i))
-        colB = splitB(dv)
-        colL = splitL(dv)
-        if colB:
-            dB_entries[a] = colB
-        if colL:
-            partial_entries[a] = colL
-    B = CurvedAlgebra(
-        Bspace,
-        splitB(A.unit),
-        multB,
-        GradedMap(Bspace, Bspace, 1, dB_entries),
-        splitB(A.h),
-    )
-    dL_entries = {}
-    left = {}
-    right = {}
+        put(dB_entries, a, splitB(dv))
+        put(partial_entries, a, splitL(dv))
+    B = CurvedAlgebra(Bspace, splitB(A.unit), multB, GradedMap(Bspace, Bspace, 1, dB_entries), splitB(A.h))
     for m, i in enumerate(Lidx):
         dv = A.d.apply(A.space.basis_vector(i))
-        col = splitL(dv)
-        if col:
-            dL_entries[m] = col
         if splitB(dv):
             raise ValueError("chosen ideal is not closed under d")
+        put(dL_entries, m, splitL(dv))
     for a, i in enumerate(Bidx):
         for m, j in enumerate(Lidx):
-            p = A.basis_product(i, j)
-            if splitB(p):
-                raise ValueError("chosen span is not an ideal")
-            col = splitL(p)
-            if col:
-                left[(a, m)] = col
-            p = A.basis_product(j, i)
-            if splitB(p):
-                raise ValueError("chosen span is not an ideal")
-            col = splitL(p)
-            if col:
-                right[(m, a)] = col
-    for m, i in enumerate(Lidx):
-        for mm, j in enumerate(Lidx):
-            if A.basis_product(i, j):
-                raise ValueError("chosen ideal does not square to zero")
+            for table, key, p in ((left, (a, m), A.basis_product(i, j)), (right, (m, a), A.basis_product(j, i))):
+                if splitB(p):
+                    raise ValueError("chosen span is not an ideal")
+                put(table, key, splitL(p))
+    if any(A.basis_product(i, j) for i in Lidx for j in Lidx):
+        raise ValueError("chosen ideal does not square to zero")
     L = Bimodule(Lspace, GradedMap(Lspace, Lspace, 1, dL_entries), left, right)
     return SquareZeroExtension(B, L, GradedMap(Bspace, Lspace, 1, partial_entries), xi)

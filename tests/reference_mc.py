@@ -15,7 +15,10 @@ off the halves that `GaugeClasses` caches per element;
 
 `exhaustive_lift_search` searches all l in L^1 for an MC lift x + l of x
 along a square-zero extension, where the program solves one linear system
-(`obstruction.try_lift`).
+(`obstruction.try_lift`).  `reference_n_homotopy_search` enumerates every
+degree-1 coordinate of A @ I^n away from the ends for an n-homotopy, where
+the program solves stage by stage along the length of the words of I^n
+(`mc.n_homotopy_search`).
 
 `reference_obstruction_class`, `reference_try_lift` and
 `reference_lift_along_gauge` are the Hochschild formulas of the obstruction
@@ -26,7 +29,7 @@ all three off the total algebra of the extension instead."""
 
 from typing import List, Optional
 
-from curvlab.algebra import square_zero_algebra, twisted_map
+from curvlab.algebra import square_zero_algebra, tensor_element, tensor_index, twisted_map
 from curvlab.budget import default_budget
 from curvlab.fields import PrimeFieldRequired
 from curvlab.gradedlin import (
@@ -47,7 +50,7 @@ from curvlab.gradedlin import (
     vec_scale,
     vec_sub,
 )
-from curvlab.mc import GaugeQuadruple
+from curvlab.mc import GaugeQuadruple, NHomotopy, path_object
 from curvlab.obstruction import Bimodule, SquareZeroExtension
 
 
@@ -243,6 +246,25 @@ def exhaustive_lift_search(ext: SquareZeroExtension, x: dict) -> Optional[dict]:
     for xl in enumerate_affine(F, x, units):
         if A.is_mc(xl):
             return xl
+    return None
+
+
+def reference_n_homotopy_search(A, x: dict, xp: dict, n: int, budget: Optional[int] = None) -> Optional[NHomotopy]:
+    """Brute-force oracle over F_p: the first MC element of A @ I^n in
+    enumeration order whose e- and f-components are x and x', every
+    degree-1 coordinate of A @ I^n away from the ends enumerated; refused
+    above the budget with p^(their number)."""
+    F = A.field
+    I, T = path_object(A, n)
+    nI = I.algebra.dim
+    ends = [I.algebra.space.index(w) for w in ("e_e", "e_f")]
+    fixed = tensor_element(F, x, {ends[0]: F.one()}, nI)
+    fixed.update(tensor_element(F, xp, {ends[1]: F.one()}, nI))
+    at_ends = {tensor_index(i, w, nI) for i in range(A.dim) for w in ends}
+    units = [T.space.basis_vector(k) for k in T.degree_indices(1) if k not in at_ends]
+    for X in enumerate_affine(F, fixed, units, budget):
+        if T.is_mc(X):
+            return NHomotopy(A, n, X)
     return None
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from curvlab.cli import main
 from curvlab.documents import parse_element
-from curvlab.gradedlin import GradedMap, GradedSpace
+from curvlab.gradedlin import BudgetExceeded, GradedMap, GradedSpace
 
 
 def run_cli(capsys, argv):
@@ -473,6 +473,45 @@ def test_homotopy_n3_over_Q_requires_a_prime_field(tmp_path, capsys):
     with pytest.raises(PrimeFieldRequired):
         n_homotopy_search(E, x, y, 3)
     code, rep = run_cli(capsys, ["homotopy", f, "--x", '{"E[v1,v0]": 1}', "--y", '{"E[v1,v0]": 2}'])
+    assert code == 2 and "prime field" in rep["error"]
+
+
+def test_homotopy_n2_is_solved_past_the_search_budget(tmp_path, capsys):
+    # End(k + k<-1>^2) over F_3: A @ I^2 has 12 free degree-1 coordinates,
+    # 3^12 states over the default budget of 2^16, so the exhaustive search
+    # refuses; the staged solve answers with a verified 2-homotopy
+    from curvlab.fields import GF
+    from curvlab.mc import interval_tensor, moduli_set, verify_n_homotopy
+    from reference_mc import reference_n_homotopy_search
+
+    E, f = _end_document(tmp_path, GF(3), (0, 1, 1))
+    x, y = next(cls for cls in moduli_set(E) if len(cls) > 1)[:2]
+    with pytest.raises(BudgetExceeded):
+        reference_n_homotopy_search(E, x, y, 2)
+    pretty = [json.dumps({E.label(i): c for i, c in v.items()}) for v in (x, y)]
+    code, rep = run_cli(capsys, ["homotopy", f, "--x", pretty[0], "--y", pretty[1], "--n", "2"])
+    assert code == 0 and rep["found"] is True
+    X = parse_element(interval_tensor(E, 2).space, rep["homotopy"], "homotopy")
+    assert verify_n_homotopy(E, x, y, 2, X)
+
+
+def test_homotopy_n2_without_a_homotopy_exits_1(tmp_path, capsys):
+    # End(k + k<-1>) over F_3: 0 and E[v1,v0] are in distinct gauge classes,
+    # and the exhaustive search of A @ I^2 finds no 2-homotopy between them
+    from curvlab.fields import GF
+    from reference_mc import reference_n_homotopy_search
+
+    E, f = _end_document(tmp_path, GF(3), (0, 1))
+    assert reference_n_homotopy_search(E, {}, {E.space.index("E[v1,v0]"): 1}, 2) is None
+    code, rep = run_cli(capsys, ["homotopy", f, "--x", "{}", "--y", '{"E[v1,v0]": 1}', "--n", "2"])
+    assert code == 1 and rep["found"] is False
+
+
+def test_homotopy_n1_over_Q_requires_a_prime_field(tmp_path, capsys):
+    from curvlab.fields import QQ
+
+    _, f = _end_document(tmp_path, QQ, (0, 1))
+    code, rep = run_cli(capsys, ["homotopy", f, "--x", "{}", "--y", '{"E[v1,v0]": 1}', "--n", "1"])
     assert code == 2 and "prime field" in rep["error"]
 
 

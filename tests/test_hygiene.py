@@ -320,14 +320,15 @@ def test_no_unreferenced_public_function():
     assert unreferenced_public(sources, exported, others) == []
 
 
-# the p^n enumerations left in the program: the MC sets (a quadratic system,
-# in a convolution algebra block by block), one gauge solve per class of
-# H^0, and n-homotopies for n != 3
+# the p^n enumerations left in the program: the MC sets (a quadratic system;
+# in a convolution algebra, the stage-0 groups of each block), the points of
+# each stage of the staged MC solver (MC Hom(C, A) past stage 0 and the
+# n-homotopies for n != 3), and one gauge solve per class of H^0
 AFFINE_ENUMERATORS = {
     "algebra.mc_enumerate",
-    "barcobar._staged_mc",
+    "algebra.mc_staged_enumerate",
+    "barcobar.mc_convolution_enumerate",
     "mc.GaugeClasses._inverse_pair",
-    "mc.n_homotopy_search",
 }
 
 

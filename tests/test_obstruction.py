@@ -19,6 +19,7 @@ from curvlab.randgen import (
     hochschild_pair_space,
     random_base_algebra,
     random_square_zero_extension,
+    rebased_algebra,
     regular_bimodule,
 )
 from reference_mc import exhaustive_lift_search, obstructed_witness
@@ -279,3 +280,30 @@ def test_roundtrip_extraction():
     xi1 = {k: v for k, v in ext.xi.items() if v}
     xi2 = {k: v for k, v in ext2.xi.items() if v}
     assert xi1 == xi2
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3)], ids=str)
+def test_rebased_totals_with_a_unit_in_the_ideal_build(F):
+    """A valid total in another basis, read back as an extension: its unit
+    1_B - xi(1_B, 1_B) may have a component in the ideal.  Each copy builds,
+    its total is the given algebra, and every lift verdict is the
+    exhaustive search's."""
+    rng = random.Random(3)
+    in_ideal = 0
+    for _ in range(100):
+        ext = random_square_zero_extension(rng, F)
+        A = rebased_algebra(rng, ext.total)
+        nB = ext.B.dim
+        ext2 = extension_from_total(A, list(range(nB, A.dim)))
+        T = ext2.total
+        in_ideal += any(i >= nB for i in F.nonzero(A.unit))
+        assert [T.degree(i) for i in range(T.dim)] == [A.degree(i) for i in range(A.dim)]
+        for u, v in ((T.unit, A.unit), (T.h, A.h)):
+            assert vec_eq(F, u, v)
+        for i in range(A.dim):
+            assert vec_eq(F, T.d.entries.get(i, {}), A.d.entries.get(i, {}))
+            for j in range(A.dim):
+                assert vec_eq(F, T.basis_product(i, j), A.basis_product(i, j))
+        for x in mc_enumerate(ext2.B):
+            assert (try_lift(ext2, x)[0] == "lift") == (exhaustive_lift_search(ext2, x) is not None)
+    assert in_ideal > 0

@@ -7,8 +7,9 @@ conventions, the label-based index, split and map), the radical and the
 primitive central idempotents against the enumerating references of
 reference_semisimple.py, the factorizer of the rational split against
 sympy.factor_list, the obstruction calculus read off the total algebra
-against the Hochschild formulas of reference_mc.py, and the CLI exit codes
-on mutated documents."""
+against the Hochschild formulas of reference_mc.py, the staged
+n-homotopies against the exhaustive search of A @ I^n, and the CLI exit
+codes on mutated documents."""
 
 import contextlib
 import copy
@@ -86,6 +87,7 @@ from reference_mc import (
     obstructed_witness,
     reference_gauge_quadruple,
     reference_lift_along_gauge,
+    reference_n_homotopy_search,
     reference_obstruction_class,
     reference_try_lift,
 )
@@ -386,14 +388,21 @@ def small_mc_elements(A):
     return [x for x in points if A.is_mc(x)]
 
 
+def field_elements(F, v: dict) -> list:
+    """The nonzero coordinates of v in ascending order, reduced mod p over
+    F_p: equal for two vectors iff they are equal as field elements."""
+    return sorted((i, c % F.characteristic if F.is_prime_field else c) for i, c in F.nonzero(v).items())
+
+
 @settings(max_examples=100, **SETTINGS)
 @given(st.data())
 def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
     """In each block of A, the gauge solve's columns of D_{x->y}, each the
     sum of the cached source half of x's component and target half of y's,
     are the degree-0 and degree -1 columns of twisted_map(A, x, y) there,
-    renumbered; so its chain maps x -> y are the kernel of the degree-0
-    columns, as LinearSystem gives it."""
+    renumbered, as field elements (the sums are left unreduced); so its
+    chain maps x -> y are the kernel of the degree-0 columns, as
+    LinearSystem gives it."""
     A = data.draw(twist_algebras())
     mc = small_mc_elements(A)
     if not mc:
@@ -415,7 +424,7 @@ def test_chain_map_basis_is_the_degree_0_kernel_of_the_twist(data):
             (gauge._columns(ex.source0, ey.target0), 0),
             (gauge._columns(ex.sourcem1, ey.targetm1), -1),
         ):
-            assert [sorted(typed(c)) for c in got] == [sorted(typed(c)) for c in columns(degree)]
+            assert [field_elements(A.field, c) for c in got] == [field_elements(A.field, c) for c in columns(degree)]
         kernel = LinearSystem(A.field, gauge._columns(ex.source0, ey.target0), blk.B.dim).kernel
         want = LinearSystem(A.field, columns(0), blk.B.dim).kernel
         assert [typed(k) for k in kernel] == [typed(k) for k in want]
@@ -661,6 +670,33 @@ def test_three_homotopy_is_built_on_the_equivalent_pairs(data):
         return
     assert (got is not None) == (want is True or isinstance(want, tuple))
     assert got is None or verify_n_homotopy(A, x, y, 3, got.X)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.data())
+def test_n_homotopy_is_the_search_of_the_path_object(data):
+    """For n in {1, 2, 4} and distinct ends, n_homotopy_search has the
+    verdict of the exhaustive search of A @ I^n wherever the search answers
+    at the budget, refuses only where it refuses, and every homotopy it
+    returns verifies; on `gauge_algebras` draws and on End(V) over F_3."""
+    ends = st.sampled_from(END_DEGREES).map(
+        lambda ds: endomorphism_algebra(GradedSpace.make([(f"v{i}", d) for i, d in enumerate(ds)], GF(3)))
+    )
+    A = data.draw(st.one_of(gauge_algebras(), ends))
+    mc = mc_enumerate(A)
+    if len(mc) < 2:
+        return
+    x, y = data.draw(st.lists(st.sampled_from(mc), min_size=2, max_size=2, unique_by=str))
+    budget = data.draw(st.sampled_from([3**5, 3**8]))
+    for n in (1, 2, 4):
+        got = verdict_or_refusal(lambda: n_homotopy_search(A, x, y, n, budget))
+        want = verdict_or_refusal(lambda: reference_n_homotopy_search(A, x, y, n, budget))
+        if isinstance(got, tuple):
+            assert isinstance(want, tuple)
+            continue
+        assert got is None or verify_n_homotopy(A, x, y, n, got.X)
+        if not isinstance(want, tuple):
+            assert (got is None) == (want is None)
 
 
 @settings(max_examples=20, **SETTINGS)
