@@ -535,9 +535,13 @@ def cmd_omega_cat(args) -> int:
         {"label": a.label, "source": a.source, "target": a.target, "degree": a.degree}
         for a in D.arrows
     ]
+    def word(key) -> str:
+        v = D.presentation.vertex_of(key)
+        return "*".join(key) if v is None else f"id[{v}]"
+
     rep["differentials"] = {
         a.label: {
-            ("*".join(k) if k[0] != "v" else f"id[{k[1]}]"): C.field.format_coeff(c)
+            word(k): C.field.format_coeff(c)
             for k, c in sorted(D.d_of(a.label).items(), key=str)
         }
         for a in D.arrows
@@ -564,7 +568,11 @@ def cmd_alg_mc(args) -> int:
         return emit(rep, 1)
     if args.basepoint not in D.objects:
         return fail_input(f"basepoint {args.basepoint!r} is not an object of the categorical cobar")
-    P = alg_mc(D, args.basepoint, truncation=_positive(args.truncate, "--truncate"))
+    truncation = _positive(args.truncate, "--truncate")
+    try:
+        P = alg_mc(D, args.basepoint, truncation=truncation)
+    except ValueError as e:  # a coalgebra label that is a generator or vertex name
+        return fail_input(f"reduced MC algebra: {e}")
     rep["generators"] = [[a.label, a.degree] for a in P.arrows]
     rep["dimensions_per_degree"] = {
         str(d): c for d, c in sorted(P.word_counts_by_degree().items())

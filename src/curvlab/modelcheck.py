@@ -181,23 +181,11 @@ def omega_cat(C: CurvedCoalgebra) -> FreeDgCategory:
 def _hom_words(pres: PresentedCurvedAlgebra, x: str, y: str, max_len: int):
     """Composable words x -> y of length <= max_len (plus the identity when
     x == y), with no degree restriction."""
-    words: List = []
-    if x == y:
-        words.append(("v", x))
-    frontier = [(a.label,) for a in pres.arrows if a.source == x]
-    length = 1
-    while frontier and length <= max_len:
-        for w in frontier:
-            if pres.word_target(w) == y:
-                words.append(w)
-        nxt = []
-        for w in frontier:
-            tgt = pres.word_target(w)
-            for a in pres.arrows:
-                if a.source == tgt:
-                    nxt.append(w + (a.label,))
-        frontier = nxt
-        length += 1
+    words: List = [("v", x)] if x == y else []
+    frontier = [((), x)]  # (word, its target)
+    for _ in range(max_len):
+        frontier = [(w + (a.label,), a.target) for w, t in frontier for a in pres.arrows_from(t)]
+        words.extend(w for w, t in frontier if t == y)
     return words
 
 
@@ -217,7 +205,7 @@ def hom_window_cohomology(D: FreeDgCategory, x, y, lo, hi, word_bound=8):
     pos = {w: i for i, w in enumerate(words)}
 
     def wlen(w):
-        return 0 if w[0] == "v" and len(w) == 2 and w[1] in pres.vertices else len(w)
+        return 0 if pres.vertex_of(w) is not None else len(w)
 
     def wdeg(w):
         return 0 if wlen(w) == 0 else pres.word_degree(w)
@@ -226,8 +214,7 @@ def hom_window_cohomology(D: FreeDgCategory, x, y, lo, hi, word_bound=8):
     for i, w in enumerate(words):
         if wlen(w) > K + 1:
             continue
-        key = ("v", x) if wlen(w) == 0 else w
-        dv = pres.d_of_key(key)
+        dv = pres.d_of_key(w)
         col = {}
         for kk, c in dv.items():
             if kk not in pos:
@@ -297,7 +284,7 @@ def alg_mc(D: FreeDgCategory, basepoint: str, truncation: int = 4) -> PresentedC
         # (d g)bar: words map letterwise; vertex terms map to the unit times
         # the coefficient (identities become 1)
         for key, c in pres.d_on_arrows.get(a.label, {}).items():
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "v" and key[1] in pres.vertices:
+            if pres.vertex_of(key) is not None:
                 combo[("v", "*")] = F.add(combo.get(("v", "*"), F.zero()), F.coerce(c))
             else:
                 combo[tuple(key)] = F.add(combo.get(tuple(key), F.zero()), F.coerce(c))
@@ -328,10 +315,9 @@ def alg_mc_basepoint_substitution(
     dg isomorphism Alg^y -> twist of Alg^x by ybar, at the truncation."""
     from .randgen import curved_twist_by_any
 
-    pres = D.presentation
-    F = pres.field
+    F = D.presentation.field
     Ax = alg_mc(D, bp_x, truncation).materialize().algebra
-    Ay = alg_mc(D, bp_y, truncation).materialize().algebra
+    My = alg_mc(D, bp_y, truncation).materialize()
     ybar_label = f"x[{bp_y}]"
     y_idx = Ax.space.index(ybar_label)
     Bxy = curved_twist_by_any(Ax, {y_idx: F.one()})
@@ -348,42 +334,23 @@ def alg_mc_basepoint_substitution(
         return {Ax.space.index(lbl): F.one()}
 
     # extend to words multiplicatively, check d-compatibility and bijectivity
-    labels = sorted((a.label for a in D.presentation.arrows), key=len, reverse=True)
-    labels = [f"x[{v}]" for v in pres.vertices] + labels
     entries: Dict[int, dict] = {}
-    for i, (lbl, deg) in enumerate(Ay.space.basis):
-        if lbl == "e_*":
+    for i, key in enumerate(My.keys):
+        if My.pres.vertex_of(key) is not None:
             entries[i] = dict(Bxy.unit)
             continue
         img = None
-        for letter in _split_word(lbl, labels):
+        for letter in key:
             g = gen_image(letter)
             img = g if img is None else Bxy.product(img, g)
         entries[i] = img
+    Ay = My.algebra
     f = GradedMap(Ay.space, Bxy.space, 0, entries)
     mor = CurvedMorphism(Ay, Bxy, f, {})
     if mor.validate() != []:
         return False
     rows = [dict(entries.get(i, {})) for i in range(Ay.dim)]
     return span_rank(F, rows, Bxy.dim) == Bxy.dim
-
-
-def _split_word(lbl: str, labels: List[str]) -> List[str]:
-    """Split a materialized word label into generator letters (longest match)."""
-    ordered = sorted(labels, key=len, reverse=True)
-    out = []
-    i = 0
-    while i < len(lbl):
-        match = None
-        for a in ordered:
-            if lbl.startswith(a, i):
-                match = a
-                break
-        if match is None:
-            raise ValueError(f"cannot split label {lbl!r} at {i}")
-        out.append(match)
-        i += len(match)
-    return out
 
 
 # ---------------------------------------------------------------------------

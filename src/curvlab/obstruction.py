@@ -183,6 +183,8 @@ def extension_from_total(
 ) -> SquareZeroExtension:
     """Re-extract (B, L, del, xi) from a dg algebra with a chosen square-zero
     ideal spanned by basis vectors (the splitting is the complementary span).
+    A curvature with a component in the ideal is a ValueError: the curvature
+    of a square-zero extension lies in B.
     """
     F = A.field
     Lset = set(L_indices)
@@ -226,5 +228,7 @@ def extension_from_total(
                 put(table, key, splitL(p))
     if any(A.basis_product(i, j) for i in Lidx for j in Lidx):
         raise ValueError("chosen ideal does not square to zero")
+    if F.nonzero(splitL(A.h)):
+        raise ValueError("curvature has a component in the chosen ideal")
     L = Bimodule(Lspace, GradedMap(Lspace, Lspace, 1, dL_entries), left, right)
     return SquareZeroExtension(B, L, GradedMap(Bspace, Lspace, 1, partial_entries), xi)

@@ -10,6 +10,16 @@ universal algebras kappa and W, and Alg_MC presentations.
 Word convention: a path word is a tuple of arrow labels read left to right,
 composable when target(w[k]) = source(w[k+1]) (cup-product order; for an
 arrow a: i -> j we have e_i * a = a = a * e_j).
+
+Basis keys: ("v", vertex) for the idempotent e_vertex, and a word for a
+path.  Arrow labels and vertex names are disjoint, so `vertex_of` tells the
+two apart; this module is the one place that reads the key format.
+
+Products: two basis words multiply to their concatenation or to zero, and
+every prefix and suffix of an alive word (composable, not killed, within
+the truncation) is alive.  So the nonzero products are read off the alive
+words: e_v e_v = e_v, e_source(w) w = w = w e_target(w), and u v = w for
+each split of w into nonempty words u and v; no pair of keys is tested.
 """
 
 from __future__ import annotations
@@ -52,37 +62,43 @@ class PresentedCurvedAlgebra:
     h: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        self._vertex_set = frozenset(self.vertices)
+        if len(self._vertex_set) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        labels = [a.label for a in self.arrows]
-        if len(set(labels)) != len(labels):
+        self._arrow = {a.label: a for a in self.arrows}
+        if len(self._arrow) != len(self.arrows):
             raise ValueError("duplicate arrow labels")
+        self._out: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.source not in self.vertices or a.target not in self.vertices:
+            if a.source not in self._vertex_set or a.target not in self._vertex_set:
                 raise ValueError(f"arrow {a.label} uses unknown vertex")
+            if a.label in self._vertex_set:
+                raise ValueError(f"arrow label {a.label!r} is also a vertex name")
+            self._out[a.source].append(a)
 
     # -- word machinery -------------------------------------------------------
 
-    def arrow(self, label: str) -> Arrow:
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise KeyError(label)
+    def vertex_of(self, key) -> Optional[str]:
+        """The vertex of an idempotent key ("v", vertex); None for a word."""
+        if len(key) == 2 and key[0] == "v" and key[1] in self._vertex_set:
+            return key[1]
+        return None
+
+    def arrows_from(self, vertex: str) -> List[Arrow]:
+        """The arrows out of a vertex, in the order of `arrows`."""
+        return self._out[vertex]
 
     def word_degree(self, w: Word) -> int:
-        return sum(self.arrow(l).degree for l in w)
+        return sum(self._arrow[l].degree for l in w)
 
     def word_source(self, w: Word) -> str:
-        return self.arrow(w[0]).source
+        return self._arrow[w[0]].source
 
     def word_target(self, w: Word) -> str:
-        return self.arrow(w[-1]).target
+        return self._arrow[w[-1]].target
 
     def composable(self, w: Word) -> bool:
-        for a, b in zip(w, w[1:]):
-            if self.arrow(a).target != self.arrow(b).source:
-                return False
-        return True
+        return all(self._arrow[a].target == self._arrow[b].source for a, b in zip(w, w[1:]))
 
     def dead(self, w: Word) -> bool:
         """True when w lies in the monomial ideal (contains a killed word)."""
@@ -95,25 +111,16 @@ class PresentedCurvedAlgebra:
 
     def alive_words(self) -> List[Word]:
         """All composable, non-killed words of length 1..truncation."""
-        out: List[Word] = []
-        frontier: List[Word] = []
-        for a in self.arrows:
-            w = (a.label,)
-            if not self.dead(w):
-                frontier.append(w)
-        out.extend(frontier)
+        frontier = [(a.label,) for a in self.arrows if not self.dead((a.label,))]
+        out = list(frontier)
         for _ in range(self.truncation - 1):
-            nxt: List[Word] = []
-            for w in frontier:
-                tgt = self.word_target(w)
-                for a in self.arrows:
-                    if a.source != tgt:
-                        continue
-                    w2 = w + (a.label,)
-                    if not self.dead(w2):
-                        nxt.append(w2)
-            out.extend(nxt)
-            frontier = nxt
+            frontier = [
+                w + (a.label,)
+                for w in frontier
+                for a in self._out[self.word_target(w)]
+                if not self.dead(w + (a.label,))
+            ]
+            out.extend(frontier)
         return out
 
     def word_counts_by_degree(self) -> Dict[int, int]:
@@ -126,11 +133,6 @@ class PresentedCurvedAlgebra:
             counts[d] = counts.get(d, 0) + 1
         return counts
 
-    def d_of_generator(self, label_or_vertex) -> dict:
-        if label_or_vertex in self.vertices:
-            return self.d_on_vertices.get(label_or_vertex, {})
-        return self.d_on_arrows.get(label_or_vertex, {})
-
     def d_of_key(self, key, max_len: Optional[int] = None) -> dict:
         """Leibniz differential of a basis key, as a key combination.
 
@@ -138,29 +140,26 @@ class PresentedCurvedAlgebra:
         dropped; words longer than max_len (when given) are dropped.
         """
         F = self.field
-        if key[0] == "v" and len(key) == 2 and key[1] in self.vertices:
-            out: dict = {}
-            for k, c in self.d_of_generator(key[1]).items():
-                kk = _word_key(self, k)
-                c = F.coerce(c)
+        out: dict = {}
+        v = self.vertex_of(key)
+        if v is not None:
+            for k, c in self.d_on_vertices.get(v, {}).items():
+                kk, c = tuple(k), F.coerce(c)
                 if not F.is_zero(c):
                     out[kk] = F.add(out.get(kk, F.zero()), c)
             return {k: c for k, c in out.items() if not F.is_zero(c)}
         w: Word = tuple(key)
-        out: dict = {}
         sign = F.one()
         for pos, letter in enumerate(w):
-            for k, c in self.d_of_generator(letter).items():
-                kk = _word_key(self, k)
+            for k, c in self.d_on_arrows.get(letter, {}).items():
+                kk = tuple(k)
                 c = F.mul(sign, F.coerce(c))
                 if F.is_zero(c):
                     continue
-                if kk[0] == "v" and len(kk) == 2 and kk[1] in self.vertices and not isinstance(kk[1], tuple):
-                    mid: Word = ()
-                    src = tgt = kk[1]
-                else:
-                    mid = kk
-                    src, tgt = self.word_source(kk), self.word_target(kk)
+                src = tgt = self.vertex_of(kk)
+                mid: Word = ()
+                if src is None:
+                    mid, src, tgt = kk, self.word_source(kk), self.word_target(kk)
                 pre_w, post_w = w[:pos], w[pos + 1 :]
                 if pre_w and self.word_target(pre_w) != src:
                     continue
@@ -171,14 +170,12 @@ class PresentedCurvedAlgebra:
                     out[vk] = F.add(out.get(vk, F.zero()), c)
                     continue
                 new = pre_w + mid + post_w
-                if not new:
-                    continue
                 if max_len is not None and len(new) > max_len:
                     continue
                 if self.dead(new) or not self.composable(new):
                     continue
                 out[new] = F.add(out.get(new, F.zero()), c)
-            if self.arrow(letter).degree % 2:
+            if self._arrow[letter].degree % 2:
                 sign = F.neg(sign)
         return {k: c for k, c in out.items() if not F.is_zero(c)}
 
@@ -188,98 +185,55 @@ class PresentedCurvedAlgebra:
         return MaterializedPresentation(self)
 
 
-def _word_key(pres: PresentedCurvedAlgebra, key):
-    if isinstance(key, tuple) and len(key) == 2 and key[0] == "v":
-        return key
-    return tuple(key)
-
-
 class MaterializedPresentation:
     """Finite-dimensional curved algebra realizing the presentation."""
 
     def __init__(self, pres: PresentedCurvedAlgebra):
         self.pres = pres
         F = pres.field
-        keys: List = [("v", v) for v in pres.vertices]
-        keys += pres.alive_words()
-        self.keys = keys
-        self.key_index = {k: i for i, k in enumerate(keys)}
-        basis = []
-        for k in keys:
-            if k[0] == "v" and len(k) == 2 and k[1] in pres.vertices and not isinstance(k[1], tuple):
-                basis.append((f"e_{k[1]}", 0))
-            else:
-                basis.append(("".join(k), pres.word_degree(k)))
+        one = F.one()
+        words = pres.alive_words()
+        self.keys: List = [("v", v) for v in pres.vertices] + words
+        ix = self.key_index = {k: i for i, k in enumerate(self.keys)}
+        basis = [(f"e_{v}", 0) for v in pres.vertices]
+        basis += [("".join(w), pres.word_degree(w)) for w in words]
         space = GradedSpace.make(basis, F)
 
-        mult: Dict[Tuple[int, int], dict] = {}
-        for i, ki in enumerate(keys):
-            for j, kj in enumerate(keys):
-                col = self._key_product(ki, kj)
-                if col:
-                    mult[(i, j)] = col
-        unit = {self.key_index[("v", v)]: F.one() for v in pres.vertices}
+        # the vertex keys come first: e_v has index i
+        mult: Dict[Tuple[int, int], dict] = {(i, i): {i: one} for i in range(len(pres.vertices))}
+        for w in words:
+            n = ix[w]
+            pairs = [(("v", pres.word_source(w)), w), (w, ("v", pres.word_target(w)))]
+            pairs += [(w[:s], w[s:]) for s in range(1, len(w))]
+            for u, x in pairs:
+                mult[(ix[u], ix[x])] = {n: one}
+        unit = {i: one for i in range(len(pres.vertices))}
 
         entries: Dict[int, dict] = {}
-        for i, k in enumerate(keys):
-            col = self._d_of_key(k)
+        for i, k in enumerate(self.keys):
+            combo = pres.d_of_key(k, max_len=pres.truncation)
+            col = {ix[kk]: c for kk, c in combo.items() if kk in ix}
             if col:
                 entries[i] = col
         d = GradedMap(space, space, 1, entries)
         h = self._combo_to_vec(pres.h)
-        self.algebra = CurvedAlgebra(space, unit, mult, d, h)
-
-    # product of two basis keys inside the quotient
-    def _key_product(self, ki, kj) -> dict:
-        pres, F = self.pres, self.pres.field
-        if ki[0] == "v" and kj[0] == "v":
-            if ki == kj:
-                return {self.key_index[ki]: F.one()}
-            return {}
-        if ki[0] == "v":
-            if pres.word_source(kj) == ki[1]:
-                return {self.key_index[kj]: F.one()}
-            return {}
-        if kj[0] == "v":
-            if pres.word_target(ki) == kj[1]:
-                return {self.key_index[ki]: F.one()}
-            return {}
-        if pres.word_target(ki) != pres.word_source(kj):
-            return {}
-        w = ki + kj
-        if len(w) > pres.truncation or pres.dead(w):
-            return {}
-        return {self.key_index[w]: F.one()}
+        self.algebra = CurvedAlgebra(space, unit, dict(sorted(mult.items())), d, h)
 
     def _combo_to_vec(self, combo: dict) -> dict:
         """Word combination -> coefficient vector in the quotient basis."""
-        F = self.pres.field
+        pres, F = self.pres, self.pres.field
         out: dict = {}
         for key, c in combo.items():
-            k = _word_key(self.pres, key)
+            k = tuple(key)
             c = F.coerce(c)
             if F.is_zero(c):
                 continue
-            if k[0] == "v" and len(k) == 2 and not isinstance(k[1], tuple):
-                i = self.key_index[("v", k[1])]
-            else:
-                if len(k) > self.pres.truncation or self.pres.dead(k):
-                    continue
-                if not self.pres.composable(k):
+            if pres.vertex_of(k) is None:
+                if not pres.composable(k):
                     raise ValueError(f"non-composable word {k}")
-                i = self.key_index[k]
-            out[i] = F.add(out.get(i, F.zero()), c)
-        return {i: c for i, c in out.items() if not F.is_zero(c)}
-
-    def _d_of_key(self, k) -> dict:
-        """Leibniz extension of d to a basis key, valued in the quotient."""
-        F = self.pres.field
-        combo = self.pres.d_of_key(k, max_len=self.pres.truncation)
-        out: dict = {}
-        for key, c in combo.items():
-            i = self.key_index.get(key)
-            if i is None:
-                continue
+                if len(k) > pres.truncation or pres.dead(k):
+                    continue
+            i = self.key_index[k]
             out[i] = F.add(out.get(i, F.zero()), c)
         return {i: c for i, c in out.items() if not F.is_zero(c)}
 

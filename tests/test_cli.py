@@ -120,6 +120,41 @@ def test_alg_mc_report(tmp_path, capsys):
     assert ["x[e_f']", 1] in rep["generators"]
 
 
+def _renamed_dual_interval(tmp_path, label):
+    """The coalgebra dual(I_3) over F_2 as a document, with s' renamed."""
+    from curvlab.coalgebra import dualize_algebra
+    from curvlab.fields import GF
+    from curvlab.interval import make_interval
+
+    F = GF(2)
+    C = dualize_algebra(make_interval(F, 3).algebra)
+    name = [label if l == "s'" else l for l in C.space.labels()]
+    doc = {
+        "field": F.describe(),
+        "kind": "coalgebra",
+        "basis": [[name[i], C.space.degree(i)] for i in range(C.dim)],
+        "counit": {name[i]: c for i, c in C.counit.items()},
+        "mult": [[name[a], name[b], name[c], v] for a, t in C.comult.items() for (b, c), v in t.items()],
+        "differential": [[name[j], name[i], c] for j, col in C.d.entries.items() for i, c in col.items()],
+    }
+    return _write(tmp_path, "co.json", doc)
+
+
+@pytest.mark.parametrize("label", ["*", "x[e_f']"])
+def test_alg_mc_generator_name_clash_is_an_input_error(tmp_path, capsys, label):
+    """s' renamed to the vertex of the reduced MC algebra (*) or to the
+    generator of the object e_f'."""
+    code, rep = run_cli(capsys, ["alg-mc", _renamed_dual_interval(tmp_path, label), "--basepoint", "e_e'"])
+    assert code == 2 and "reduced MC algebra" in rep["error"]
+
+
+def test_omega_cat_spells_a_word_that_starts_with_v(tmp_path, capsys):
+    """With s' renamed to v, the word (v, t') is printed as a word, not as
+    the identity of t'."""
+    code, rep = run_cli(capsys, ["omega-cat", _renamed_dual_interval(tmp_path, "v")])
+    assert code == 0 and rep["differentials"]["st'"] == {"id[e_e']": 1, "v*t'": 1}
+
+
 def test_alg_mc_basepoint_must_be_an_object(tmp_path, capsys):
     f = tmp_path / "I3p2.json"
     run_cli(capsys, ["interval", "3", "--field", "2", "--export", str(f)])
@@ -548,6 +583,23 @@ def test_gauge_lift_transports_along_a_witness_with_h2(tmp_path, capsys):
     assert {l: c for l, c in rep["lift_of_y"].items() if l.startswith("b.")} == {"b.E[v1,v0]@e_e": 2}
 
 
+@pytest.mark.parametrize("action", ["class", "lift"])
+def test_a_total_curved_in_the_ideal_is_an_input_error(tmp_path, capsys, action):
+    """k + k.l over F_3 with |l| = 2, l^2 = 0, d = 0 and h = l: a
+    square-zero extension has no curvature in L = k.l."""
+    from curvlab.algebra import CurvedAlgebra, square_zero_algebra
+    from curvlab.documents import dump_algebra
+    from curvlab.fields import GF
+
+    F = GF(3)
+    V = GradedSpace.make([("l", 2)], F)
+    A = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    A = CurvedAlgebra(A.space, A.unit, A.mult, A.d, {1: F.one()})
+    f = _write(tmp_path, "ext.json", {"total": dump_algebra(A), "ideal": ["l"]})
+    code, rep = run_cli(capsys, ["obstruction", action, f, "--x", "{}"])
+    assert code == 2 and "curvature has a component in the chosen ideal" in rep["error"]
+
+
 def test_gauge_lift_without_y_is_an_input_error(tmp_path, capsys):
     from curvlab.documents import dump_algebra
     from curvlab.fields import GF
@@ -562,7 +614,8 @@ def test_gauge_lift_without_y_is_an_input_error(tmp_path, capsys):
 def _key_documents(tmp_path):
     """I_1 over F_2 as an algebra, extension and morphism documents built
     on it, each with one key or label missing or unknown, or with an ideal
-    that is not one, and presentations with a word they cannot realize."""
+    that is not one, and presentations with a word they cannot realize or
+    with an arrow label that is a vertex name."""
     from curvlab.documents import dump_algebra
     from curvlab.fields import GF
     from curvlab.interval import make_interval
@@ -589,6 +642,8 @@ def _key_documents(tmp_path):
     }
     docs["unknown_arrow"] = dict(quiver, d={"s": [[["zz"], 1]]})
     docs["non_composable"] = dict(quiver, curvature=[[["s", "s"], 1]])
+    docs["vertex_label"] = dict(quiver, arrows=quiver["arrows"] + [["e", "e", "e", 0]])
+    docs["unknown_vertex"] = dict(quiver, truncation=1, curvature=[["v:g", 1]])
     return {name: _write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
 
 
@@ -610,6 +665,8 @@ def _key_documents(tmp_path):
         (["tower", "{not_an_object}"], "'source'"),
         (["validate", "{unknown_arrow}"], "'zz'"),
         (["validate", "{non_composable}"], "non-composable"),
+        (["validate", "{vertex_label}"], "arrow label 'e' is also a vertex name"),
+        (["validate", "{unknown_vertex}"], "'v'"),
     ],
 )
 def test_user_keys_and_labels_are_input_errors(tmp_path, capsys, argv, name):

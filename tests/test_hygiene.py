@@ -1,4 +1,4 @@
-"""Ten `ast` scans of src/curvlab (one also of tests/; no linter ships with
+"""Eleven `ast` scans of src/curvlab (one also of tests/; no linter ships with
 the project), and one check of pyproject.toml.
 
 Every module-level import is used by its module, in src/curvlab and in
@@ -45,6 +45,11 @@ Validators are declared: the functions and methods of src/curvlab named
 per structure.  A second checker for a structure (a weaker copy of its
 axioms, as the Hochschild conditions of a square-zero extension were
 beside the validation of its total algebra) has to be added to the list.
+
+The basis-key format lives in presented.py: no other module compares a
+subscript `[0]` with "v" (the test whether a key is a vertex key, which
+`PresentedCurvedAlgebra.vertex_of` makes).  Building a ("v", name) key and
+the "v:" prefix of the document format stay allowed.
 
 The program has no runtime dependency: no module imports sympy, at any
 depth (it is a test oracle, in tests/reference_semisimple.py), and the
@@ -456,6 +461,44 @@ def test_scan_finds_the_validators():
 def test_validators_are_declared():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert validators(sources) == sorted(VALIDATORS)
+
+
+def vertex_key_tests(source: str):
+    """Line numbers of comparisons of a subscript [0] with "v", alone or
+    in a literal tuple, list or set."""
+
+    def first_entry(n):
+        return isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant) and n.slice.value == 0
+
+    def v(n):
+        elts = n.elts if isinstance(n, (ast.Tuple, ast.List, ast.Set)) else [n]
+        return any(isinstance(e, ast.Constant) and e.value == "v" for e in elts)
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(map(first_entry, [node.left] + node.comparators))
+        and any(map(v, [node.left] + node.comparators))
+    )
+
+
+def test_scan_finds_a_vertex_key_test():
+    src = (
+        'if k[0] == "v":\n'
+        '    pass\n'
+        'x = "v" != key[0]\n'
+        'y = w[0] in ("v", "u")\n'
+        'key = ("v", name)\n'
+        'z = word.startswith("v:")\n'
+        'u = k[1] == "v" or k[0] == "w"\n'
+    )
+    assert vertex_key_tests(src) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "presented.py"], ids=lambda p: p.name)
+def test_no_vertex_key_test_outside_presented(path):
+    assert vertex_key_tests(path.read_text(encoding="utf-8")) == []
 
 
 def sympy_imports(source: str):

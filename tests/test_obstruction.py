@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from curvlab.algebra import CurvedMorphism, ground_algebra, mc_enumerate, square_zero_algebra
+from curvlab.algebra import CurvedAlgebra, CurvedMorphism, ground_algebra, mc_enumerate, square_zero_algebra
 from curvlab.fields import GF, QQ
 from curvlab.gradedlin import GradedMap, GradedSpace, vec_eq, vec_is_zero
 from curvlab.mc import find_gauge_quadruple
@@ -280,6 +280,23 @@ def test_roundtrip_extraction():
     xi1 = {k: v for k, v in ext.xi.items() if v}
     xi2 = {k: v for k, v in ext2.xi.items() if v}
     assert xi1 == xi2
+
+
+def curved_in_the_ideal():
+    """A = k + k.l over F_3 with |l| = 2, l^2 = 0, d = 0 and h = l."""
+    F = GF(3)
+    V = GradedSpace.make([("l", 2)], F)
+    A = square_zero_algebra(V, GradedMap(V, V, 1, {}))
+    return CurvedAlgebra(A.space, A.unit, A.mult, A.d, {1: F.one()})
+
+
+def test_a_curvature_in_the_ideal_is_rejected():
+    """0 is not MC in A, so no extension with total A lifts it: the
+    curvature of a square-zero extension lies in B, and l spans L."""
+    A = curved_in_the_ideal()
+    assert A.validate() == [] and not A.is_mc({})
+    with pytest.raises(ValueError, match="curvature has a component in the chosen ideal"):
+        extension_from_total(A, [1])
 
 
 @pytest.mark.parametrize("F", [GF(2), GF(3)], ids=str)
